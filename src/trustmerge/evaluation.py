@@ -21,7 +21,7 @@ from .merging import (
     weight_average,
 )
 from .mlp import backward, evaluate_accuracy, forward
-from .params import Checkpoint, ew_combine, ew_scale, sum_in_order
+from .params import Checkpoint, ew_combine, sum_in_order
 from .task_vectors import TaskVector, decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
@@ -147,8 +147,8 @@ def landscape(
     theta_pos = ew_combine(bundle.theta_pre, dec.positive, "add")
     theta_neg = ew_combine(bundle.theta_pre, dec.negative, "add")
     theta_orth = ew_combine(bundle.theta_pre, dec.orthogonal, "add")
-    axis_u = ew_combine(theta_orth, theta_neg, "sub")
-    axis_v = ew_combine(theta_pos, theta_neg, "sub")
+    neg = theta_neg.flat()
+    axis_u, axis_v = theta_orth.flat() - neg, theta_pos.flat() - neg
 
     def loss_at(point: Checkpoint) -> float:
         return sum(forward(point, bundle.test_sets[j])[1] for j in loss_tasks)
@@ -156,11 +156,7 @@ def landscape(
     rows = []
     for u in GRID_COORDS:
         for v in GRID_COORDS:
-            point = ew_combine(
-                ew_combine(theta_neg, ew_scale(axis_u, u), "add"),
-                ew_scale(axis_v, v),
-                "add",
-            )
+            point = Checkpoint.from_flat(theta_neg, neg + u * axis_u + v * axis_v)
             rows.append((u, v, loss_at(point)))
     return LandscapeGrid(theta_pos, theta_neg, theta_orth, rows, reference_task)
 

@@ -74,9 +74,6 @@ def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     """Coordinate-wise arithmetic mean of compatible checkpoints."""
     if not checkpoints:
         raise EmptyList("no checkpoints to average")
-    for c in checkpoints[1:]:
-        if not c.compatible(checkpoints[0]):
-            raise IncompatibleShapes("checkpoints disagree in structure")
     return ew_scale(sum_in_order(checkpoints), 1.0 / len(checkpoints))
 
 
@@ -134,23 +131,18 @@ def ties_phi(
     if not 0.0 < trim_keep <= 1.0:
         raise TrimOutOfRange(repr(trim_keep))
     ref = _check_tvs(tvs)
-    n = ref.total_dims
-    keep = int(np.ceil(trim_keep * n))
-    trimmed_flats = []
-    for tv in tvs:
-        flat = tv.delta.flat()
-        order = np.argsort(-np.abs(flat), kind="stable")
-        kept = np.zeros(n)
-        kept_idx = order[:keep]
-        kept[kept_idx] = flat[kept_idx]
-        trimmed_flats.append(kept)
-    sign_sum = np.sum(trimmed_flats, axis=0) if trimmed_flats else np.zeros(n)
-    elected = np.where(sign_sum < 0.0, -1.0, 1.0)
-    aligned = []
-    for tv, flat in zip(tvs, trimmed_flats):
-        agree = np.sign(flat) * elected >= 0.0  # zeros never disagree
-        aligned.append(TaskVector(tv.task_id, Checkpoint.from_flat(ref, np.where(agree, flat, 0.0))))
-    return aligned, Checkpoint.from_flat(ref, elected)
+    flats = np.stack([tv.delta.flat() for tv in tvs])
+    keep = int(np.ceil(trim_keep * ref.total_dims))
+    kept_idx = np.argsort(-np.abs(flats), axis=1, kind="stable")[:, :keep]
+    trimmed = np.zeros_like(flats)
+    np.put_along_axis(trimmed, kept_idx, np.take_along_axis(flats, kept_idx, axis=1), axis=1)
+    elected = np.where(trimmed.sum(axis=0) < 0.0, -1.0, 1.0)
+    agree = np.sign(trimmed) * elected >= 0.0  # zeros never disagree
+    aligned = np.where(agree, trimmed, 0.0)
+    return (
+        [TaskVector(tv.task_id, Checkpoint.from_flat(ref, row)) for tv, row in zip(tvs, aligned)],
+        Checkpoint.from_flat(ref, elected),
+    )
 
 
 def _disjoint_mean(aligned: list[TaskVector], ref: Checkpoint) -> ElementwiseMap:

@@ -181,7 +181,7 @@ def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoin
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            snapshot = Checkpoint(current.items(), validate=False)
+            snapshot = Checkpoint(current.items())
             _, grads = backward(snapshot, data.take(idx))
             for n in current:
                 current[n] = current[n] - cfg.learning_rate * grads[n]

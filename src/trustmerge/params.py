@@ -1,9 +1,11 @@
 """Named parameter tensors, element-wise arithmetic, and the TMRG binary format.
 
-A :class:`Checkpoint` is an ordered map of named float64 tensors.  The same
-container doubles as an element-wise map (delta, gradient magnitude,
-sensitivity, or {0,1} mask) because those objects share the checkpoint's
-name/shape structure.
+A :class:`Checkpoint` is one contiguous, read-only, finite float64 vector plus
+a layout, the ``(name, shape)`` of each named tensor in order; ``flat()``
+returns that vector itself, not a copy.  The same container doubles as an
+element-wise map (delta, gradient magnitude, sensitivity, or {0,1} mask)
+because those objects share the layout, so element-wise arithmetic is one
+numpy expression over the vectors.
 """
 
 from __future__ import annotations
@@ -28,12 +30,22 @@ _MAGIC = b"TMRG"
 _VERSION = 1
 
 
+def _freeze(layout: tuple, flat: np.ndarray) -> np.ndarray:
+    """Reject non-finite entries (naming the first bad tensor) and lock ``flat``."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        raise NonFiniteValues(layout[np.searchsorted(ends, np.argmin(finite), "right")][0])
+    flat.flags.writeable = False
+    return flat
+
+
 class Checkpoint:
-    """Ordered, immutable-by-convention map of named float64 tensors."""
+    """Ordered, immutable map of named float64 tensors over one flat vector."""
 
-    __slots__ = ("_tensors",)
+    __slots__ = ("_tensors", "_layout", "_flat")
 
-    def __init__(self, tensors: Iterable[tuple[str, np.ndarray]], validate: bool = True):
+    def __init__(self, tensors: Iterable[tuple[str, np.ndarray]]):
         ordered: dict[str, np.ndarray] = {}
         for name, arr in tensors:
             if not name:
@@ -41,11 +53,25 @@ class Checkpoint:
             if name in ordered:
                 raise DuplicateName(name)
             arr = np.ascontiguousarray(arr, dtype=np.float64)
-            if validate and not np.all(np.isfinite(arr)):
-                raise NonFiniteValues(name)
             arr.flags.writeable = False
             ordered[name] = arr
         self._tensors = ordered
+        self._layout = tuple((n, a.shape) for n, a in ordered.items())
+        parts = [a.ravel() for a in ordered.values()]
+        self._flat = _freeze(self._layout, np.concatenate(parts) if parts else np.empty(0))
+
+    @classmethod
+    def _over(cls, layout: tuple, flat: np.ndarray) -> "Checkpoint":
+        """Checkpoint owning the 1-D float64 ``flat``; its tensors are views of it."""
+        ckpt = cls.__new__(cls)
+        ckpt._layout = layout
+        ckpt._flat = _freeze(layout, flat)
+        ckpt._tensors, pos = {}, 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            ckpt._tensors[name] = flat[pos : pos + size].reshape(shape)
+            pos += size
+        return ckpt
 
     @property
     def tensors(self) -> dict[str, np.ndarray]:
@@ -57,7 +83,7 @@ class Checkpoint:
 
     @property
     def total_dims(self) -> int:
-        return sum(a.size for a in self._tensors.values())
+        return self._flat.size
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -71,55 +97,44 @@ class Checkpoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        if self.names != other.names:
-            return False
-        return all(
-            a.shape == other._tensors[n].shape
-            and np.array_equal(a, other._tensors[n])
-            for n, a in self._tensors.items()
-        )
+        return self.compatible(other) and np.array_equal(self._flat, other._flat)
 
     def __repr__(self) -> str:
         return f"Checkpoint({len(self)} tensors, N={self.total_dims})"
 
     def compatible(self, other: "Checkpoint") -> bool:
-        return self.names == other.names and all(
-            self._tensors[n].shape == other._tensors[n].shape for n in self._tensors
-        )
+        return self._layout == other._layout
 
     def flat(self) -> np.ndarray:
-        """Concatenation of all tensors in checkpoint order (copy)."""
-        if not self._tensors:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([a.ravel() for a in self._tensors.values()])
+        """All tensors concatenated in checkpoint order (the read-only vector itself)."""
+        return self._flat
 
     @classmethod
     def from_flat(cls, reference: "Checkpoint", flat: np.ndarray) -> "Checkpoint":
-        """Rebuild a checkpoint shaped like ``reference`` from a flat vector."""
-        flat = np.asarray(flat, dtype=np.float64)
+        """Checkpoint shaped like ``reference`` over a copy of a flat vector."""
+        flat = np.array(flat, dtype=np.float64).reshape(-1)
         if flat.size != reference.total_dims:
             raise IncompatibleShapes(
                 f"flat vector has {flat.size} entries, expected {reference.total_dims}"
             )
-        out, pos = [], 0
-        for name, arr in reference:
-            out.append((name, flat[pos : pos + arr.size].reshape(arr.shape)))
-            pos += arr.size
-        return cls(out)
+        return cls._over(reference._layout, flat)
 
     def map(self, fn) -> "Checkpoint":
-        return Checkpoint((n, fn(a)) for n, a in self)
+        """Apply an element-wise ``fn`` to the flat vector."""
+        return Checkpoint._over(self._layout, np.asarray(fn(self._flat), dtype=np.float64))
 
     def is_mask(self) -> bool:
-        return all(np.all((a == 0.0) | (a == 1.0)) for _, a in self)
+        return bool(np.all((self._flat == 0.0) | (self._flat == 1.0)))
 
     def is_nonnegative(self) -> bool:
-        return all(np.all(a >= 0.0) for _, a in self)
+        return bool(np.all(self._flat >= 0.0))
 
 
 # ElementwiseMap shares the Checkpoint structure; the alias keeps signatures
 # readable where the argument is a per-dimension quantity, not weights.
 ElementwiseMap = Checkpoint
+
+_OPS = {"add": np.add, "sub": np.subtract, "hadamard": np.multiply}
 
 
 def _check_compat(a: Checkpoint, b: Checkpoint) -> None:
@@ -132,15 +147,9 @@ def _check_compat(a: Checkpoint, b: Checkpoint) -> None:
 def ew_combine(a: Checkpoint, b: Checkpoint, op: str) -> Checkpoint:
     """Element-wise add / sub / hadamard over two compatible checkpoints."""
     _check_compat(a, b)
-    if op == "add":
-        fn = np.add
-    elif op == "sub":
-        fn = np.subtract
-    elif op == "hadamard":
-        fn = np.multiply
-    else:
+    if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
-    return Checkpoint((n, fn(x, b[n])) for n, x in a)
+    return Checkpoint._over(a._layout, _OPS[op](a._flat, b._flat))
 
 
 def ew_scale(a: Checkpoint, c: float) -> Checkpoint:
@@ -154,7 +163,8 @@ def ew_abs(a: Checkpoint) -> Checkpoint:
 
 
 def ew_dot(a: Checkpoint, b: Checkpoint) -> float:
-    """Inner product accumulated in fixed tensor / flat-index order."""
+    """Inner product accumulated in fixed tensor / flat-index order (per-tensor
+    partial sums, which round differently from one whole-vector dot)."""
     _check_compat(a, b)
     total = 0.0
     for n, x in a:
@@ -212,18 +222,13 @@ def load_checkpoint(path) -> Checkpoint:
         if version != _VERSION:
             raise UnsupportedVersion(str(version))
         tensors: list[tuple[str, np.ndarray]] = []
-        seen: set[str] = set()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
             name = _read_exact(fh, name_len).decode("utf-8")
-            if name in seen:
-                raise DuplicateName(name)
-            seen.add(name)
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
             )
-            numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * numel), dtype="<f8")
-            tensors.append((name, data.reshape(shape).copy()))
-    return Checkpoint(tensors, validate=False)
+            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+            tensors.append((name, data.reshape(shape)))
+    return Checkpoint(tensors)

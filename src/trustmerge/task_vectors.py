@@ -46,14 +46,12 @@ def decompose(delta: TaskVector, grad: ElementwiseMap, zero_tol: float = 0.0) ->
         raise NegativeTolerance(repr(zero_tol))
     if not grad.compatible(delta.delta):
         raise IncompatibleShapes("gradient does not match the task vector's structure")
-    orth, pos, neg = [], [], []
-    for name, d in delta.delta:
-        p = grad[name] * d
-        near_zero = np.abs(p) <= zero_tol
-        orth.append((name, np.where(near_zero, d, 0.0)))
-        pos.append((name, np.where(~near_zero & (p > 0), d, 0.0)))
-        neg.append((name, np.where(~near_zero & (p < 0), d, 0.0)))
-    return Decomposition(Checkpoint(orth), Checkpoint(pos), Checkpoint(neg), zero_tol)
+    d = delta.delta.flat()
+    p = grad.flat() * d
+    near_zero = np.abs(p) <= zero_tol
+    parts = (near_zero, ~near_zero & (p > 0), ~near_zero & (p < 0))
+    orth, pos, neg = (Checkpoint.from_flat(delta.delta, np.where(m, d, 0.0)) for m in parts)
+    return Decomposition(orth, pos, neg, zero_tol)
 
 
 def percentile_zero_tol(delta: TaskVector, grad: ElementwiseMap, fraction: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -19,7 +20,16 @@ from .gradients import GradientEstimate
 from .params import Checkpoint, ElementwiseMap
 from .task_vectors import TaskVector
 
-VARIANTS = ("standard", "zero_shot", "ntk", "signed_positive", "signed_negative")
+# variant -> (task-j factor, task-i factor) of the pair term, each computed
+# from one task's (|gradient| estimate, delta) flat vectors
+_PAIR_FACTORS = {
+    "standard": (lambda g, d: g, lambda g, d: np.abs(d)),
+    "zero_shot": (lambda g, d: np.abs(d), lambda g, d: np.abs(d)),
+    "ntk": (lambda g, d: g, lambda g, d: g),
+    "signed_positive": (lambda g, d: g, lambda g, d: d),
+    "signed_negative": (lambda g, d: -g, lambda g, d: d),
+}
+VARIANTS = tuple(_PAIR_FACTORS)
 
 
 @dataclass(frozen=True)
@@ -44,40 +54,25 @@ def compute_sensitivity(
     The uniform 1/(K(K-1)) normalization is dropped: it rescales every
     coordinate identically and cannot change which dimensions are selected.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    try:
+        factor_j, factor_i = _PAIR_FACTORS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
     k = len(tvs)
     if k < 2 or len(grads) != k:
         raise TooFewTasks(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
     ref = tvs[0].delta
-    for tv in tvs:
-        if not tv.delta.compatible(ref):
-            raise IncompatibleShapes("task vectors disagree in structure")
-    for g in grads:
-        if not g.abs_grad.compatible(ref):
-            raise IncompatibleShapes("gradient estimate does not match task vectors")
+    if not all(tv.delta.compatible(ref) for tv in tvs):
+        raise IncompatibleShapes("task vectors disagree in structure")
+    if not all(g.abs_grad.compatible(ref) for g in grads):
+        raise IncompatibleShapes("gradient estimate does not match task vectors")
 
-    names = ref.names
-    acc = {n: np.zeros_like(ref[n]) for n in names}
-    for j in range(k):
-        for i in range(k):
-            if i == j:
-                continue
-            for n in names:
-                gj = grads[j].abs_grad[n]
-                di = tvs[i].delta[n]
-                if variant == "standard":
-                    term = gj * np.abs(di)
-                elif variant == "zero_shot":
-                    term = np.abs(tvs[j].delta[n]) * np.abs(di)
-                elif variant == "ntk":
-                    term = gj * grads[i].abs_grad[n]
-                elif variant == "signed_positive":
-                    term = gj * di
-                else:  # signed_negative
-                    term = -gj * di
-                acc[n] = acc[n] + term
-    return Sensitivity(Checkpoint((n, acc[n]) for n in names), variant)
+    fj = [factor_j(g.abs_grad.flat(), tv.delta.flat()) for g, tv in zip(grads, tvs)]
+    fi = [factor_i(g.abs_grad.flat(), tv.delta.flat()) for g, tv in zip(grads, tvs)]
+    acc = np.zeros(ref.total_dims)
+    for j, i in permutations(range(k), 2):  # ascending (j, i), i != j
+        acc += fj[j] * fi[i]
+    return Sensitivity(Checkpoint.from_flat(ref, acc), variant)
 
 
 def proportion_selection(omega: Sensitivity, tau: float) -> tuple[float, np.ndarray]:

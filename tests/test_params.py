@@ -78,6 +78,19 @@ class TestCheckpoint:
         c = ck(w=[[1.0, 2.0], [3.0, 4.0]], b=[5.0])
         assert np.array_equal(c.flat(), [1.0, 2.0, 3.0, 4.0, 5.0])
 
+    def test_flat_is_the_read_only_vector(self):
+        c = ck(w=[[1.0, 2.0]], b=[3.0])
+        assert c.flat() is c.flat()
+        with pytest.raises(ValueError):
+            c.flat()[0] = 9.0
+
+    def test_from_flat_copies_its_input(self):
+        c = ck(x=[1.0, 2.0])
+        source = np.array([3.0, 4.0])
+        rebuilt = Checkpoint.from_flat(c, source)
+        source[0] = 9.0
+        assert np.array_equal(rebuilt["x"], [3.0, 4.0])
+
     def test_from_flat_round_trip(self):
         rng = np.random.default_rng(0)
         c = random_checkpoint(rng)
@@ -197,6 +210,18 @@ class TestTmrgFormat:
         path = tmp_path / "h.tmrg"
         path.write_bytes(b"TMRG\x01\x00")
         with pytest.raises(TruncatedFile):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        path = tmp_path / "nan.tmrg"
+        name = b"x"
+        path.write_bytes(
+            b"TMRG" + struct.pack("<II", 1, 1)
+            + struct.pack("<H", len(name)) + name
+            + struct.pack("<B", 1) + struct.pack("<I", 2)
+            + struct.pack("<2d", 1.0, float("nan"))
+        )
+        with pytest.raises(NonFiniteValues):
             load_checkpoint(path)
 
     def test_unicode_names(self, tmp_path):

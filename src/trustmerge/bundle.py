@@ -70,10 +70,14 @@ class BundleConfig:
             raise ValueError("need at least one task")
         if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
             raise ValueError("need a rotation and label permutation per task")
+        # built here so bad sizes or task settings fail as config errors, not mid-run
+        object.__setattr__(self, "_mlp_spec", MlpSpec((2, *self.hidden, self.num_classes)))
+        for k in range(self.num_tasks):
+            self.task_spec(k)
 
     @property
     def mlp_spec(self) -> MlpSpec:
-        return MlpSpec((2, *self.hidden, self.num_classes))
+        return self._mlp_spec
 
     @property
     def resolved_center_angles(self) -> tuple[float, ...] | None:

@@ -5,6 +5,7 @@ per-layer sensitivity, hyper-parameter sweeps)."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from .bundle import (
     save_bundle,
     _parse_config_file,
 )
-from .errors import ConfigError, TrustMergeError
+from .errors import ConfigError, MissingArtifact, TrustMergeError
 from .evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -32,6 +33,29 @@ from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, 
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
 EXEMPLAR_GRID = (0, 1, 2, 4, 8, 16, 32, 64, 128)
+
+
+def _checked(cast, ok, expected: str):
+    """argparse ``type=`` that rejects values outside a range (exit 2)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_keep_fraction = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_task = _checked(lambda s: None if s == "total" else int(s),
+                 lambda t: t is None or t >= 0, "a task index or 'total'")
 
 
 def _merge_config_from_args(args) -> MergeConfig:
@@ -51,16 +75,16 @@ def _merge_config_from_args(args) -> MergeConfig:
 
 def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=METHODS, default="tatr")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    parser.add_argument("--tau", type=float, default=0.01)
-    parser.add_argument("--ties-trim-keep", type=float, default=0.2)
+    parser.add_argument("--lambda", dest="lam", type=_positive, default=0.3)
+    parser.add_argument("--tau", type=_fraction, default=0.01)
+    parser.add_argument("--ties-trim-keep", type=_keep_fraction, default=0.2)
     parser.add_argument("--ties-mask-from-trimmed", action="store_true")
     parser.add_argument("--variant", choices=VARIANTS, default="standard")
-    parser.add_argument("--exemplars", type=int, default=None,
+    parser.add_argument("--exemplars", type=_count, default=None,
                         help="exemplars per task; 0 switches to zero-shot gradients")
-    parser.add_argument("--ada-steps", type=int, default=100)
-    parser.add_argument("--ada-lr", type=float, default=0.01)
-    parser.add_argument("--ada-init-lambda", type=float, default=0.3)
+    parser.add_argument("--ada-steps", type=_count, default=100)
+    parser.add_argument("--ada-lr", type=_finite, default=0.01)
+    parser.add_argument("--ada-init-lambda", type=_finite, default=0.3)
 
 
 def _write_sidecar(path: Path, kv: dict) -> None:
@@ -115,7 +139,7 @@ def _load_merged_results(paths) -> list[tuple[str, object]]:
         root = Path(p)
         merged_path = root / "merged.tmrg"
         if not merged_path.exists():
-            raise TrustMergeError(f"missing artifact {merged_path}")
+            raise MissingArtifact(str(merged_path))
         prov_path = root / "provenance.txt"
         name = root.name
         if prov_path.exists():
@@ -154,8 +178,9 @@ def cmd_conflict(args) -> int:
 
 def cmd_landscape(args) -> int:
     bundle = load_bundle(args.bundle)
-    task = None if args.task == "total" else int(args.task)
-    grid = landscape(bundle, task, args.decomp_fraction)
+    if args.task is not None and not 0 <= args.task < bundle.num_tasks:
+        raise ConfigError(f"--task {args.task} is out of range for {bundle.num_tasks} tasks")
+    grid = landscape(bundle, args.task, args.decomp_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_landscape_csv(grid, out / "landscape.csv")
@@ -232,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landscape", help="loss grid over the component plane")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--task", default="total", help="task index or 'total'")
-    p.add_argument("--decomp-fraction", type=float, default=0.05,
+    p.add_argument("--task", type=_task, default=None, help="task index or 'total'")
+    p.add_argument("--decomp-fraction", type=_fraction, default=0.05,
                    help="fraction of lowest |grad*delta| products treated as orthogonal")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_landscape)
@@ -241,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="per-layer mean sensitivity")
     p.add_argument("--bundle", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="standard")
-    p.add_argument("--exemplars", type=int, default=None)
+    p.add_argument("--exemplars", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("sweep", help="tau and exemplar-count grids")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--exemplars", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_positive, default=0.3)
+    p.add_argument("--tau", type=_fraction, default=0.01)
+    p.add_argument("--exemplars", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

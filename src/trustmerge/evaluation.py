@@ -187,7 +187,7 @@ def write_conflict_csv(report: ConflictReport, path) -> None:
         for i in range(k):
             for j in range(k):
                 if i != j:
-                    writer.writerow([i, j, repr(report.pairwise[i, j])])
+                    writer.writerow([i, j, repr(float(report.pairwise[i, j]))])
         writer.writerow(["total", "", repr(report.total)])
         writer.writerow(["normalized", "", repr(report.normalized)])
 

@@ -206,6 +206,32 @@ class TestCli:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, code, message", [
+        ("merge --lambda 0", 2, "argument --lambda"),
+        ("merge --lambda nan", 2, "argument --lambda"),
+        ("merge --tau 2", 2, "argument --tau"),
+        ("merge --ties-trim-keep 0", 2, "argument --ties-trim-keep"),
+        ("merge --ada-steps -1", 2, "argument --ada-steps"),
+        ("sweep --lambda 0", 2, "argument --lambda"),
+        ("landscape --decomp-fraction 2", 2, "argument --decomp-fraction"),
+        ("landscape --task abc", 2, "argument --task"),
+        ("landscape --task 9", 2, "ConfigError: --task 9"),
+        ("gen-train --set hidden=0", 2, "ConfigError: layer sizes"),
+        ("gen-train --set samples_train=0", 2, "ConfigError: sample counts"),
+        ("eval --merged {tmp}/absent", 1, "MissingArtifact: "),
+    ])
+    def test_bad_input_exit_code(self, bundle_dir, tmp_path, capsys, argv, code, message):
+        command, *flags = argv.format(tmp=tmp_path).split()
+        args = [command, "--out", str(tmp_path / "out"), *flags]
+        if command != "gen-train":
+            args += ["--bundle", str(bundle_dir)]
+        try:
+            result = main(args)
+        except SystemExit as exc:  # argparse rejected a flag value
+            result = exc.code
+        assert result == code
+        assert message in capsys.readouterr().err
+
     def test_gen_train_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(

@@ -180,6 +180,9 @@ class TestCsvWriters:
         assert lines[-2].startswith("total,")
         assert float(lines[-2].split(",")[2]) == report.total
         assert float(lines[-1].split(",")[2]) == report.normalized
+        for line in lines[1:-2]:
+            i, j, c = line.split(",")
+            assert float(c) == report.pairwise[int(i), int(j)]
 
     def test_landscape_csv(self, small_bundle, tmp_path):
         grid = landscape(small_bundle)

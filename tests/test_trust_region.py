@@ -7,7 +7,10 @@ from trustmerge.errors import IncompatibleShapes, TauOutOfRange, TooFewTasks
 from trustmerge.gradients import GradientEstimate
 from trustmerge.params import Checkpoint, ew_scale
 from trustmerge.task_vectors import TaskVector
+
+from conftest import random_checkpoint
 from trustmerge.trust_region import (
+    VARIANTS,
     Sensitivity,
     build_mask,
     compute_sensitivity,
@@ -62,6 +65,36 @@ class TestSensitivity:
         tvs = [TaskVector(k, ck([3.0])) for k in range(3)]
         omega = compute_sensitivity(g, tvs, "standard")
         assert omega.values["x"][0] == 6 * 6.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_tensor_reference(self, variant):
+        # per-tensor loop over ordered pairs in ascending (j, i) order; the
+        # flat implementation must reproduce it bit for bit
+        rng = np.random.default_rng(5)
+        base = random_checkpoint(rng, include_degenerate=True)
+        k = 3
+        tvs = [TaskVector(t, Checkpoint((n, rng.normal(size=a.shape)) for n, a in base))
+               for t in range(k)]
+        grads = [GradientEstimate(t, Checkpoint((n, np.abs(rng.normal(size=a.shape)))
+                                                for n, a in base), "exemplar", 1)
+                 for t in range(k)]
+        factors = {
+            "standard": lambda g, d, j, i: g[j] * np.abs(d[i]),
+            "zero_shot": lambda g, d, j, i: np.abs(d[j]) * np.abs(d[i]),
+            "ntk": lambda g, d, j, i: g[j] * g[i],
+            "signed_positive": lambda g, d, j, i: g[j] * d[i],
+            "signed_negative": lambda g, d, j, i: -g[j] * d[i],
+        }
+        omega = compute_sensitivity(grads, tvs, variant)
+        for name, arr in base:
+            g = [e.abs_grad[name] for e in grads]
+            d = [tv.delta[name] for tv in tvs]
+            expected = np.zeros_like(arr)
+            for j in range(k):
+                for i in range(k):
+                    if i != j:
+                        expected = expected + factors[variant](g, d, j, i)
+            assert omega.values[name].tobytes() == expected.tobytes()
 
     def test_too_few_tasks(self):
         grads, tvs = two_task_setup()

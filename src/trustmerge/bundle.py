@@ -108,6 +108,7 @@ class TaskBundle:
     train_sets: list[LabeledBatch]
     test_sets: list[LabeledBatch]
     exemplar_sets: list[LabeledBatch]
+    _estimates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_tasks(self) -> int:
@@ -121,15 +122,25 @@ class TaskBundle:
 
         ``exemplar_count`` trims the exemplar pool; 0 switches every task to
         the zero-shot |delta| surrogate.
+
+        Exemplar estimates depend only on ``theta_pre`` and the exemplars, so
+        they are computed once per bundle and per effective exemplar count
+        (``None`` and any count at or above a pool's size share an entry) and
+        memoized; each call returns a new list.  The memo assumes the bundle
+        is never mutated: build a new bundle (``subset`` does) instead.
         """
         if exemplar_count == 0:
             return [zero_shot_abs_gradient(tv) for tv in self.task_vectors()]
-        out = []
-        for k, ex in enumerate(self.exemplar_sets):
-            if exemplar_count is not None:
-                ex = ex.take(np.arange(min(exemplar_count, len(ex))))
-            out.append(estimate_abs_gradient(self.theta_pre, ex, k))
-        return out
+        sizes = tuple(
+            len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
+            for ex in self.exemplar_sets
+        )
+        if sizes not in self._estimates:
+            self._estimates[sizes] = [
+                estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)), k)
+                for k, (ex, n) in enumerate(zip(self.exemplar_sets, sizes))
+            ]
+        return list(self._estimates[sizes])
 
     def subset(self, task_ids: list[int]) -> "TaskBundle":
         pick = lambda xs: [xs[i] for i in task_ids]

@@ -43,6 +43,12 @@ class TruncatedFile(TrustMergeError):
     name = "TruncatedFile"
 
 
+class MalformedArtifact(TrustMergeError):
+    """A TMRG or CSV file whose contents do not follow its format."""
+
+    name = "MalformedArtifact"
+
+
 class NegativeTolerance(TrustMergeError):
     name = "NegativeTolerance"
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyExemplarSet
 from .mlp import LabeledBatch, backward
-from .params import Checkpoint, ElementwiseMap, ew_abs, ew_scale, sum_in_order
+from .params import Checkpoint, ElementwiseMap, ew_abs
 from .task_vectors import TaskVector
 
 
@@ -36,18 +36,17 @@ def estimate_abs_gradient(
 ) -> GradientEstimate:
     """Mean over single examples of |cross-entropy gradient| at theta_pre.
 
-    Per-example gradients are taken one example at a time and reduced in
-    ascending example order, so the result is deterministic.
+    Per-example gradients are taken one example at a time and summed into
+    one vector in ascending example order, so the result is deterministic.
     """
     n = len(exemplars)
     if n == 0:
         raise EmptyExemplarSet("no exemplars supplied")
-    per_example = []
+    total = np.zeros(theta_pre.total_dims)
     for i in range(n):
-        one = exemplars.take(np.array([i]))
-        _, grads = backward(theta_pre, one)
-        per_example.append(ew_abs(grads))
-    mean_abs = ew_scale(sum_in_order(per_example), 1.0 / n)
+        _, grads = backward(theta_pre, exemplars.take(np.array([i])))
+        total += np.abs(grads.flat())
+    mean_abs = Checkpoint.from_flat(theta_pre, (1.0 / n) * total)
     return GradientEstimate(task_id, mean_abs, "exemplar", n)
 
 

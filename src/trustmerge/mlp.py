@@ -52,6 +52,9 @@ class LabeledBatch:
             raise ShapeMismatch("inputs and labels disagree on sample count")
         if not np.all(np.isfinite(self.inputs)):
             raise ShapeMismatch("non-finite input rows")
+        # frozen like Checkpoint tensors, so estimates memoized on a bundle stay valid
+        self.inputs.flags.writeable = False
+        self.labels.flags.writeable = False
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

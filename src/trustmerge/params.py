@@ -11,6 +11,7 @@ numpy expression over the vectors.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Iterable, Iterator
 
@@ -20,6 +21,7 @@ from .errors import (
     BadMagic,
     DuplicateName,
     IncompatibleShapes,
+    MalformedArtifact,
     NonFiniteScalar,
     NonFiniteValues,
     TruncatedFile,
@@ -207,6 +209,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
+    # bounded by the bytes left, so a corrupt size never reaches read()
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedFile(f"wanted {n} bytes, {left} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise TruncatedFile(f"wanted {n} bytes, got {len(buf)}")
@@ -224,11 +230,16 @@ def load_checkpoint(path) -> Checkpoint:
         tensors: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedArtifact(f"{path}: tensor name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
             )
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
             tensors.append((name, data.reshape(shape)))
+        if fh.read(1):
+            raise MalformedArtifact(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(tensors)

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from trustmerge.bundle import BundleConfig, make_bundle
+from trustmerge.errors import MalformedArtifact, TruncatedFile
 from trustmerge.mlp import TrainConfig
 from trustmerge.params import Checkpoint
 
@@ -18,6 +21,25 @@ def random_checkpoint(rng, include_degenerate=False):
         tensors.append(("empty", np.empty((0,), dtype=np.float64)))
         tensors.append(("empty2d", np.empty((3, 0), dtype=np.float64)))
     return Checkpoint(tensors)
+
+
+def tmrg_bytes(name=b"x", shape=(2,), payload=struct.pack("<2d", 1.0, 2.0)) -> bytes:
+    """A one-tensor TMRG file written field by field, so any field can be corrupt."""
+    return (
+        b"TMRG" + struct.pack("<II", 1, 1)
+        + struct.pack("<H", len(name)) + name
+        + struct.pack("<B", len(shape)) + b"".join(struct.pack("<I", d) for d in shape)
+        + payload
+    )
+
+
+# corrupt TMRG files and the error each must raise
+BAD_TMRG = {
+    "numel-wraps-int64": (tmrg_bytes(shape=(2**31, 2**31, 2**31)), TruncatedFile),
+    "16-GB-payload": (tmrg_bytes(shape=(2**31,)), TruncatedFile),
+    "non-utf8-name": (tmrg_bytes(name=b"\xff\xfe"), MalformedArtifact),
+    "trailing-bytes": (tmrg_bytes() + b"\x00", MalformedArtifact),
+}
 
 
 def tiny_bundle_config(seed=3):

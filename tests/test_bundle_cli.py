@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+import shutil
+
 import numpy as np
 import pytest
 
+import trustmerge.bundle
 from trustmerge.bundle import (
     BundleConfig,
     bundle_config_from_mapping,
@@ -10,9 +15,10 @@ from trustmerge.bundle import (
 )
 from trustmerge.cli import main
 from trustmerge.errors import MissingArtifact
+from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.mlp import TrainConfig
 
-from conftest import tiny_bundle_config
+from conftest import BAD_TMRG, tiny_bundle_config
 
 
 TINY_FLAGS = [
@@ -58,6 +64,43 @@ class TestBundle:
         assert trimmed[0].exemplar_count == 3
         zero_shot = small_bundle.gradient_estimates(0)
         assert all(g.source == "zero_shot" for g in zero_shot)
+
+    def test_gradient_estimates_return_a_new_list_each_call(self, small_bundle):
+        first = small_bundle.gradient_estimates()
+        second = small_bundle.gradient_estimates()
+        assert first is not second
+        assert first == second
+        first.clear()
+        assert small_bundle.gradient_estimates() == second
+
+    def test_gradient_estimates_computed_once_per_effective_count(
+        self, small_bundle, monkeypatch
+    ):
+        bundle = dataclasses.replace(small_bundle)  # a copy with an empty memo
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimate_abs_gradient(*args)
+
+        monkeypatch.setattr(trustmerge.bundle, "estimate_abs_gradient", counted)
+        full = bundle.gradient_estimates()
+        size = len(bundle.exemplar_sets[0])
+        for count in (None, size, size + 5):
+            assert all(a is b for a, b in zip(bundle.gradient_estimates(count), full))
+        assert len(calls) == bundle.num_tasks
+        assert full == small_bundle.gradient_estimates()
+
+    def test_trimmed_estimates_equal_fresh_estimates(self, small_bundle):
+        for k, est in enumerate(small_bundle.gradient_estimates(3)):
+            ex = small_bundle.exemplar_sets[k]
+            assert est == estimate_abs_gradient(small_bundle.theta_pre, ex.take(np.arange(3)), k)
+
+    def test_subset_estimates_equal_the_parents(self, small_bundle):
+        parent = small_bundle.gradient_estimates()
+        sub = small_bundle.subset([2, 0]).gradient_estimates()
+        assert sub[0].abs_grad == parent[2].abs_grad
+        assert sub[1].abs_grad == parent[0].abs_grad
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -231,6 +274,33 @@ class TestCli:
             result = exc.code
         assert result == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_TMRG))
+    def test_eval_of_corrupt_merged_file_exits_1(self, bundle_dir, tmp_path, capsys, case):
+        data, error = BAD_TMRG[case]
+        merged = tmp_path / "merged"
+        merged.mkdir()
+        (merged / "merged.tmrg").write_bytes(data)
+        code = main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{error.name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "x0,x1,label\n0.5,0.5\n", "x0,x1,label\n0.5,abc,1\n"])
+    def test_merge_with_malformed_exemplar_csv_exits_1(self, bundle_dir, tmp_path, capsys, text):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        (bundle / "task0_exemplars.csv").write_text(text)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        manifest = bundle / "manifest.txt"
+        manifest.write_text("".join(
+            f"{digest}  task0_exemplars.csv\n" if line.endswith("  task0_exemplars.csv")
+            else line + "\n"
+            for line in manifest.read_text().splitlines()
+        ))
+        code = main(["merge", "--bundle", str(bundle), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
 
     def test_gen_train_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trustmerge.errors import MalformedArtifact
 from trustmerge.datasets import (
     SyntheticTaskSpec,
     class_centers,
@@ -112,3 +113,20 @@ class TestCsv:
         path = tmp_path / "t.csv"
         save_batch_csv(train, path)
         assert path.read_text().splitlines()[0] == "x0,x1,label"
+
+    @pytest.mark.parametrize("text", [
+        "",                                  # empty file
+        "label\n",                           # no input column
+        "a,b,c\n0.5,0.5,1\n",                # foreign header
+        "x0,x1,label\n0.5,0.5\n",            # short row
+        "x0,x1,label\n0.5,0.5,1,7\n",        # long row
+        "x0,x1,label\n0.5,abc,1\n",          # non-numeric input
+        "x0,x1,label\n0.5,0.5,1.5\n",        # non-integer label
+        "x0,x1,label\n0.5,0.5,-1\n",         # negative label
+        "x0,x1,label\n0.5,0.5,99999999999999999999\n",  # label overflows int64
+    ])
+    def test_malformed_file_raises(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedArtifact):
+            load_batch_csv(path)

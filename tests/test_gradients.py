@@ -7,8 +7,8 @@ from trustmerge.gradients import (
     estimate_abs_gradient,
     zero_shot_abs_gradient,
 )
-from trustmerge.mlp import LabeledBatch, backward
-from trustmerge.params import Checkpoint, ew_abs
+from trustmerge.mlp import LabeledBatch, MlpSpec, backward, init_params
+from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
 from trustmerge.task_vectors import TaskVector
 
 
@@ -48,6 +48,18 @@ class TestExemplarEstimate:
         assert est.task_id == 2
         assert est.source == "exemplar"
         assert est.exemplar_count == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_equals_per_example_reference_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        params = init_params(MlpSpec((2, 5, 4, 3)), seed=n)
+        batch = LabeledBatch(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n))
+        reference = ew_scale(sum_in_order([
+            ew_abs(backward(params, batch.take(np.array([i])))[1]) for i in range(n)
+        ]), 1.0 / n)
+        est = estimate_abs_gradient(params, batch)
+        assert est.abs_grad.compatible(reference)
+        assert np.array_equal(est.abs_grad.flat(), reference.flat())
 
     def test_duplicating_examples_is_invariant(self):
         rng = np.random.default_rng(1)

@@ -67,6 +67,15 @@ class TestSpecAndBatch:
         with pytest.raises(ShapeMismatch):
             LabeledBatch(np.array([[np.inf, 0.0]]), np.array([0]))
 
+    def test_batch_arrays_are_read_only(self):
+        inputs = np.zeros((2, 2))
+        b = LabeledBatch(inputs, np.array([0, 1]))
+        with pytest.raises(ValueError):
+            b.inputs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b.labels[0] = 1
+        assert b.inputs is inputs  # a float64 array is frozen in place, not copied
+
     def test_take(self):
         b = LabeledBatch(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]))
         sub = b.take(np.array([2, 0]))

@@ -9,6 +9,7 @@ from trustmerge.errors import (
     BadMagic,
     DuplicateName,
     IncompatibleShapes,
+    MalformedArtifact,
     NonFiniteScalar,
     NonFiniteValues,
     TruncatedFile,
@@ -27,7 +28,7 @@ from trustmerge.params import (
     zeros_like,
 )
 
-from conftest import random_checkpoint
+from conftest import BAD_TMRG, random_checkpoint, tmrg_bytes
 
 
 def ck(**named):
@@ -222,6 +223,19 @@ class TestTmrgFormat:
             + struct.pack("<2d", 1.0, float("nan"))
         )
         with pytest.raises(NonFiniteValues):
+            load_checkpoint(path)
+
+    def test_hand_built_file_loads(self, tmp_path):
+        path = tmp_path / "ok.tmrg"
+        path.write_bytes(tmrg_bytes())
+        assert load_checkpoint(path) == ck(x=[1.0, 2.0])
+
+    @pytest.mark.parametrize("case", sorted(BAD_TMRG))
+    def test_corrupt_file_raises_toolkit_error(self, tmp_path, case):
+        data, error = BAD_TMRG[case]
+        path = tmp_path / "bad.tmrg"
+        path.write_bytes(data)
+        with pytest.raises(error):
             load_checkpoint(path)
 
     def test_unicode_names(self, tmp_path):

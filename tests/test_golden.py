@@ -3,7 +3,9 @@
 These pin byte-identical output for a fixed small config: every file that
 ``save_bundle`` writes for ``tiny_bundle_config(seed=3)``, and ``merged.tmrg``
 (plus ``mask.tmrg`` where written) from ``save_merge_result`` for each merge
-method on that bundle with the default ``MergeConfig``.  A refactor that is
+method on that bundle with the default ``MergeConfig``, and the analysis CSVs
+whose values are forward losses: the tatr loss-basis conflict matrix and the
+total-loss landscape grid.  A refactor that is
 meant to keep outputs unchanged must leave every digest here untouched.
 
 The digests hold per numpy/BLAS build only: floating-point reductions and
@@ -17,7 +19,13 @@ import hashlib
 import pytest
 
 from trustmerge.bundle import make_bundle, save_bundle
-from trustmerge.evaluation import merge_bundle
+from trustmerge.evaluation import (
+    knowledge_conflict,
+    landscape,
+    merge_bundle,
+    write_conflict_csv,
+    write_landscape_csv,
+)
 from trustmerge.merging import METHODS, MergeConfig, save_merge_result
 
 from conftest import tiny_bundle_config
@@ -69,6 +77,9 @@ MERGE_DIGESTS = {
     },
 }
 
+CONFLICT_TATR_LOSS = "715515a490bc9349ce49c9573675fb4bb2422eb95d551b8dbd4c6b0b04790c82"
+LANDSCAPE_TOTAL = "dc602c62f368dfa3f87c6435f1442e84197d5b09cd84d0d93077f9a1b0f51bc7"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -95,3 +106,14 @@ def test_merge_artifacts(golden_bundle, tmp_path, method):
     written = {name: _sha256(tmp_path / name)
                for name in ("merged.tmrg", "mask.tmrg") if (tmp_path / name).exists()}
     assert written == MERGE_DIGESTS[method]
+
+
+def test_conflict_csv(golden_bundle, tmp_path):
+    report = knowledge_conflict(golden_bundle, MergeConfig(method="tatr"), "loss")
+    write_conflict_csv(report, tmp_path / "conflict.csv")
+    assert _sha256(tmp_path / "conflict.csv") == CONFLICT_TATR_LOSS
+
+
+def test_landscape_csv(golden_bundle, tmp_path):
+    write_landscape_csv(landscape(golden_bundle), tmp_path / "landscape.csv")
+    assert _sha256(tmp_path / "landscape.csv") == LANDSCAPE_TOTAL

@@ -210,6 +210,108 @@ class TestTraining:
         assert evaluate_accuracy(trained, data) == 1.0
 
 
+def _reference_forward(params, x):
+    """Layers looked up by name and the activations feeding each layer."""
+    layers, i = [], 0
+    while f"layer{i}.weight" in params.tensors:
+        layers.append((params[f"layer{i}.weight"], params[f"layer{i}.bias"]))
+        i += 1
+    acts, h = [x], x
+    for li, (w, b) in enumerate(layers):
+        z = h @ w.T + b
+        if li < len(layers) - 1:
+            h = np.tanh(z)
+            acts.append(h)
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return layers, acts, logp
+
+
+def _reference_backprop(params, layers, acts, dlogits):
+    grads, dz = {}, dlogits
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        grads[f"layer{li}.weight"] = dz.T @ acts[li]
+        grads[f"layer{li}.bias"] = dz.sum(axis=0)
+        if li > 0:
+            dh = dz @ w
+            dz = dh * (1.0 - acts[li] ** 2)
+    return Checkpoint((n, grads[n]) for n in params.names)
+
+
+def reference_backward(params, batch):
+    """Cross-entropy backward as a per-tensor loop over named layers."""
+    layers, acts, logp = _reference_forward(params, batch.inputs)
+    n = len(batch)
+    loss = -float(np.mean(logp[np.arange(n), batch.labels]))
+    dlogits = np.exp(logp).copy()
+    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits /= n
+    return loss, _reference_backprop(params, layers, acts, dlogits)
+
+
+def reference_entropy_loss(params, batch):
+    layers, acts, logp = _reference_forward(params, batch.inputs)
+    probs = np.exp(logp)
+    row_entropy = -(probs * logp).sum(axis=1)
+    dlogits = -probs * (logp + row_entropy[:, None]) / len(batch)
+    return float(np.mean(row_entropy)), _reference_backprop(params, layers, acts, dlogits)
+
+
+def reference_train(params, data, cfg):
+    """SGD with a fresh checkpoint and per-tensor update on every step."""
+    rng = np.random.default_rng(cfg.seed)
+    current = {n: a.copy() for n, a in params}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = LabeledBatch(data.inputs[idx], data.labels[idx])
+            _, grads = reference_backward(Checkpoint(current.items()), batch)
+            for n in current:
+                current[n] = current[n] - cfg.learning_rate * grads[n]
+    return Checkpoint(current.items())
+
+
+def assert_bitwise(a: Checkpoint, b: Checkpoint):
+    assert a.names == b.names
+    assert a.flat().tobytes() == b.flat().tobytes()
+
+
+class TestBitwiseReference:
+    """The model core against the per-tensor reference above, bit for bit,
+    on two hidden layers and on a checkpoint stored in a non-standard order."""
+
+    @pytest.fixture(params=["standard", "reordered"])
+    def net(self, request):
+        _, params = small_net(11, sizes=(2, 6, 5, 3))
+        if request.param == "reordered":
+            names = params.names
+            params = Checkpoint((n, params[n]) for n in names[3:] + names[:3][::-1])
+        return params
+
+    def test_forward_and_backward(self, net):
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 40):
+            batch = random_batch(rng, n, 2, 3)
+            ref_loss, ref_grads = reference_backward(net, batch)
+            loss, grads = backward(net, batch)
+            assert loss == ref_loss and forward(net, batch)[1] == ref_loss
+            assert_bitwise(grads, ref_grads)
+
+    def test_entropy_loss(self, net):
+        batch = random_batch(np.random.default_rng(13), 9, 2, 3)
+        ref_loss, ref_grads = reference_entropy_loss(net, batch)
+        loss, grads = entropy_loss(net, batch)
+        assert loss == ref_loss
+        assert_bitwise(grads, ref_grads)
+
+    def test_train(self, net):
+        data = random_batch(np.random.default_rng(14), 50, 2, 3)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.3, seed=5)
+        assert_bitwise(train(net, data, cfg), reference_train(net, data, cfg))
+
+
 class TestAccuracy:
     def test_tie_breaks_toward_lowest_class_index(self):
         # zero params give identical logits for every class

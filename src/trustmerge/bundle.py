@@ -21,7 +21,7 @@ from .datasets import (
     load_batch_csv,
     save_batch_csv,
 )
-from .errors import MissingArtifact
+from .errors import MalformedArtifact, MissingArtifact
 from .gradients import GradientEstimate, estimate_abs_gradient, zero_shot_abs_gradient
 from .mlp import LabeledBatch, MlpSpec, TrainConfig, init_params, train
 from .params import Checkpoint, load_checkpoint, save_checkpoint
@@ -328,25 +328,65 @@ def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
     )
 
 
+def _bundle_files(cfg: BundleConfig) -> set[str]:
+    tasks = range(cfg.num_tasks)
+    return {"bundle_config.txt", "theta_pre.tmrg"} | {f"task{k}.tmrg" for k in tasks} | {
+        f"task{k}_{split}.csv" for k in tasks for split in ("train", "test", "exemplars")
+    }
+
+
+def _load_batch(path: Path, rows: int, cfg: BundleConfig) -> LabeledBatch:
+    batch = load_batch_csv(path)
+    if len(batch) != rows:
+        raise MalformedArtifact(f"{path}: {len(batch)} rows, the bundle config says {rows}")
+    if batch.inputs.shape[1] != cfg.mlp_spec.input_dim:
+        raise MalformedArtifact(f"{path}: {batch.inputs.shape[1]} input columns")
+    if np.any(batch.labels >= cfg.num_classes):
+        raise MalformedArtifact(f"{path}: label outside the {cfg.num_classes} classes")
+    return batch
+
+
 def load_bundle(path) -> TaskBundle:
-    """Load a bundle written by save_bundle, verifying the manifest hashes."""
+    """Load a bundle written by save_bundle.  The manifest must list exactly
+    the files the bundle config implies, each with a matching hash, and every
+    CSV must hold the rows the config implies."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise MissingArtifact(str(manifest))
+    digests = {}
     for line in manifest.read_text().splitlines():
         digest, _, name = line.partition("  ")
+        digests[name] = digest
+
+    def verified(name: str) -> Path:
         target = root / name
-        if not target.exists():
+        if not target.is_file():
             raise MissingArtifact(str(target))
-        if _sha256(target) != digest:
+        if _sha256(target) != digests[name]:
             raise MissingArtifact(f"{target} does not match its manifest hash")
-    cfg = bundle_config_from_mapping(_parse_config_file(root / "bundle_config.txt"))
+        return target
+
+    if "bundle_config.txt" not in digests:
+        raise MalformedArtifact(f"{manifest} does not list bundle_config.txt")
+    try:
+        cfg = bundle_config_from_mapping(_parse_config_file(verified("bundle_config.txt")))
+    except ValueError as exc:
+        raise MalformedArtifact(f"{root / 'bundle_config.txt'}: {exc}") from exc
+    expected = _bundle_files(cfg)
+    if set(digests) != expected:
+        raise MalformedArtifact(
+            f"{manifest} lists {sorted(set(digests) - expected)} and omits "
+            f"{sorted(expected - set(digests))}"
+        )
+    for name in sorted(expected - {"bundle_config.txt"}):
+        verified(name)
     theta_pre = load_checkpoint(root / "theta_pre.tmrg")
+    exemplar_rows = min(cfg.exemplar_count, cfg.samples_train)
     experts, trains, tests, exemplars = [], [], [], []
     for k in range(cfg.num_tasks):
         experts.append(load_checkpoint(root / f"task{k}.tmrg"))
-        trains.append(load_batch_csv(root / f"task{k}_train.csv"))
-        tests.append(load_batch_csv(root / f"task{k}_test.csv"))
-        exemplars.append(load_batch_csv(root / f"task{k}_exemplars.csv"))
+        trains.append(_load_batch(root / f"task{k}_train.csv", cfg.samples_train, cfg))
+        tests.append(_load_batch(root / f"task{k}_test.csv", cfg.samples_test, cfg))
+        exemplars.append(_load_batch(root / f"task{k}_exemplars.csv", exemplar_rows, cfg))
     return TaskBundle(cfg, theta_pre, experts, trains, tests, exemplars)

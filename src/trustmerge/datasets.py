@@ -105,23 +105,26 @@ def save_batch_csv(batch: LabeledBatch, path) -> None:
 def load_batch_csv(path) -> LabeledBatch:
     """Read a file written by :func:`save_batch_csv`; any other shape of
     contents raises :class:`MalformedArtifact`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        dim = len(header) - 1
-        if dim < 1 or header != [f"x{i}" for i in range(dim)] + ["label"]:
-            raise MalformedArtifact(f"{path}: header is not x0,...,label")
-        inputs, labels = [], []
-        for row in reader:
-            try:
-                if len(row) != dim + 1:
-                    raise ValueError(f"{len(row)} fields, expected {dim + 1}")
-                inputs.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-                if not 0 <= labels[-1] < 2**63:
-                    raise ValueError(f"label {labels[-1]} is not a class index")
-            except ValueError as exc:
-                raise MalformedArtifact(f"{path}, line {reader.line_num}: {exc}") from exc
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            dim = len(header) - 1
+            if dim < 1 or header != [f"x{i}" for i in range(dim)] + ["label"]:
+                raise MalformedArtifact(f"{path}: header is not x0,...,label")
+            inputs, labels = [], []
+            for row in reader:
+                try:
+                    if len(row) != dim + 1:
+                        raise ValueError(f"{len(row)} fields, expected {dim + 1}")
+                    inputs.append([float(v) for v in row[:dim]])
+                    labels.append(int(row[dim]))
+                    if not 0 <= labels[-1] < 2**63:
+                        raise ValueError(f"label {labels[-1]} is not a class index")
+                except ValueError as exc:
+                    raise MalformedArtifact(f"{path}, line {reader.line_num}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that do not decode or parse as CSV text
+        raise MalformedArtifact(f"{path}: {exc}") from exc
     return LabeledBatch(
         np.asarray(inputs, dtype=np.float64).reshape(len(labels), dim),
         np.asarray(labels, dtype=np.int64),

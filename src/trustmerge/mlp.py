@@ -8,6 +8,7 @@ finite-difference gradient checks are clean); the output is softmax.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +47,15 @@ class LabeledBatch:
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        if not np.all(np.isfinite(self.inputs)):
+            raise ShapeMismatch("non-finite input rows")
+        self._seal()
+
+    def _seal(self) -> None:
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
             raise ShapeMismatch("inputs must be 2-D and labels 1-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ShapeMismatch("inputs and labels disagree on sample count")
-        if not np.all(np.isfinite(self.inputs)):
-            raise ShapeMismatch("non-finite input rows")
         # frozen like Checkpoint tensors, so estimates memoized on a bundle stay valid
         self.inputs.flags.writeable = False
         self.labels.flags.writeable = False
@@ -60,7 +64,12 @@ class LabeledBatch:
         return self.inputs.shape[0]
 
     def take(self, idx: np.ndarray) -> "LabeledBatch":
-        return LabeledBatch(self.inputs[idx], self.labels[idx])
+        """Rows ``idx``; they were validated with this batch, so only shapes are checked."""
+        batch = object.__new__(LabeledBatch)
+        object.__setattr__(batch, "inputs", self.inputs[idx])
+        object.__setattr__(batch, "labels", self.labels[idx])
+        batch._seal()
+        return batch
 
 
 @dataclass(frozen=True)
@@ -86,32 +95,43 @@ def init_params(spec: MlpSpec, seed: int) -> Checkpoint:
     return Checkpoint(tensors)
 
 
-def _layers(params: Checkpoint) -> list[tuple[np.ndarray, np.ndarray]]:
-    pairs = []
-    i = 0
-    while f"layer{i}.weight" in params.tensors:
-        pairs.append((params[f"layer{i}.weight"], params[f"layer{i}.bias"]))
-        i += 1
-    if 2 * len(pairs) != len(params):
+@functools.lru_cache(maxsize=64)
+def _layer_slots(names: tuple[str, ...]) -> tuple[tuple[str, int, str, int], ...]:
+    """(weight name, its position, bias name, its position) per layer, for
+    checkpoint tensor names in any order."""
+    position = {n: p for p, n in enumerate(names)}
+    slots = []
+    while (weight := f"layer{len(slots)}.weight") in position:
+        bias = f"layer{len(slots)}.bias"
+        if bias not in position:
+            break
+        slots.append((weight, position[weight], bias, position[bias]))
+    if 2 * len(slots) != len(names):
         raise ShapeMismatch("checkpoint does not follow the layer{i} naming convention")
-    return pairs
+    return tuple(slots)
 
 
 def _forward_pass(params: Checkpoint, x: np.ndarray):
     """Returns (logits, activations) with activations[i] the input to layer i."""
-    layers = _layers(params)
+    tensors = params.tensors
+    slots = _layer_slots(tuple(tensors))
     acts = [x]
     h = x
-    for li, (w, b) in enumerate(layers):
+    for li, (weight, _, bias, _) in enumerate(slots):
+        w = tensors[weight]
         if h.shape[1] != w.shape[1]:
             raise ShapeMismatch(f"layer{li} expects {w.shape[1]} features, got {h.shape[1]}")
-        z = h @ w.T + b
-        if li < len(layers) - 1:
-            h = np.tanh(z)
-            acts.append(h)
-        else:
+        z = h @ w.T + tensors[bias]
+        if li == len(slots) - 1:
             return z, acts
-    raise AssertionError("unreachable")
+        h = np.tanh(z)
+        acts.append(h)
+    raise ShapeMismatch("checkpoint has no layers")
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if labels.size and (labels.max() >= num_classes or labels.min() < 0):
+        raise ShapeMismatch("label index out of range")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -122,8 +142,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
     logits, _ = _forward_pass(params, batch.inputs)
-    if np.any(batch.labels >= logits.shape[1]) or np.any(batch.labels < 0):
-        raise ShapeMismatch("label index out of range")
+    _check_labels(batch.labels, logits.shape[1])
     logp = _log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
     return logits, loss
@@ -131,31 +150,30 @@ def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]
 
 def _backprop(params: Checkpoint, acts: list[np.ndarray], dlogits: np.ndarray) -> Checkpoint:
     """Propagate d(loss)/d(logits) back to parameter gradients."""
-    layers = _layers(params)
-    grads: dict[str, np.ndarray] = {}
+    tensors = params.tensors
+    slots = _layer_slots(tuple(tensors))
+    grads: list = [None] * len(tensors)  # in checkpoint order
     dz = dlogits
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        h_in = acts[li]
-        grads[f"layer{li}.weight"] = dz.T @ h_in
-        grads[f"layer{li}.bias"] = dz.sum(axis=0)
+    for li in range(len(slots) - 1, -1, -1):
+        weight, w_pos, bias, b_pos = slots[li]
+        grads[w_pos] = (weight, dz.T @ acts[li])
+        grads[b_pos] = (bias, dz.sum(axis=0))
         if li > 0:
-            dh = dz @ w
+            dh = dz @ tensors[weight]
             dz = dh * (1.0 - acts[li] ** 2)  # tanh'
-    return Checkpoint((n, grads[n]) for n in params.names)
+    return Checkpoint(grads)
 
 
 def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
     """Mean cross-entropy loss and its analytic gradient w.r.t. all parameters."""
     logits, acts = _forward_pass(params, batch.inputs)
-    if np.any(batch.labels >= logits.shape[1]) or np.any(batch.labels < 0):
-        raise ShapeMismatch("label index out of range")
+    _check_labels(batch.labels, logits.shape[1])
     logp = _log_softmax(logits)
     n = len(batch)
-    loss = -float(np.mean(logp[np.arange(n), batch.labels]))
-    probs = np.exp(logp)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    picked = (np.arange(n), batch.labels)
+    loss = -float(np.mean(logp[picked]))
+    dlogits = np.exp(logp)
+    dlogits[picked] -= 1.0
     dlogits /= n
     return loss, _backprop(params, acts, dlogits)
 
@@ -177,18 +195,21 @@ def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkp
 
 
 def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoint:
-    """Plain SGD over seeded shuffled minibatches; deterministic for a fixed seed."""
+    """Plain SGD over seeded shuffled minibatches; deterministic for a fixed seed.
+
+    The parameters are one writable flat vector updated in place; each step
+    differentiates an immutable snapshot of it.
+    """
     rng = np.random.default_rng(cfg.seed)
-    current = {n: a.copy() for n, a in params}
+    flat = params.flat().copy()
+    current = params.views(flat)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            snapshot = Checkpoint(current.items())
-            _, grads = backward(snapshot, data.take(idx))
-            for n in current:
-                current[n] = current[n] - cfg.learning_rate * grads[n]
-    return Checkpoint(current.items())
+            _, grads = backward(Checkpoint(current), data.take(idx))
+            flat -= cfg.learning_rate * grads.flat()
+    return Checkpoint(current)
 
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:

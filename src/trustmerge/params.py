@@ -10,6 +10,7 @@ numpy expression over the vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -32,14 +33,19 @@ _MAGIC = b"TMRG"
 _VERSION = 1
 
 
-def _freeze(layout: tuple, flat: np.ndarray) -> np.ndarray:
-    """Reject non-finite entries (naming the first bad tensor) and lock ``flat``."""
-    finite = np.isfinite(flat)
-    if not finite.all():
-        ends = np.cumsum([math.prod(shape) for _, shape in layout])
-        raise NonFiniteValues(layout[np.searchsorted(ends, np.argmin(finite), "right")][0])
-    flat.flags.writeable = False
-    return flat
+@functools.lru_cache(maxsize=64)
+def _slices(layout: tuple) -> tuple:
+    """(name, start, stop, shape) of each tensor of ``layout`` in the flat vector."""
+    out, pos = [], 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        out.append((name, pos, pos + size, shape))
+        pos += size
+    return tuple(out)
+
+
+def _views(layout: tuple, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    return [(name, flat[a:b].reshape(shape)) for name, a, b, shape in _slices(layout)]
 
 
 class Checkpoint:
@@ -48,53 +54,65 @@ class Checkpoint:
     __slots__ = ("_tensors", "_layout", "_flat")
 
     def __init__(self, tensors: Iterable[tuple[str, np.ndarray]]):
-        ordered: dict[str, np.ndarray] = {}
+        """Copy ``tensors`` into the checkpoint's own vector; the caller's
+        arrays are neither kept nor frozen."""
+        seen: set[str] = set()
+        layout, arrays = [], []
         for name, arr in tensors:
             if not name:
                 raise DuplicateName("tensor name must be non-empty")
-            if name in ordered:
+            if name in seen:
                 raise DuplicateName(name)
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            arr.flags.writeable = False
-            ordered[name] = arr
-        self._tensors = ordered
-        self._layout = tuple((n, a.shape) for n, a in ordered.items())
-        parts = [a.ravel() for a in ordered.values()]
-        self._flat = _freeze(self._layout, np.concatenate(parts) if parts else np.empty(0))
+            seen.add(name)
+            arr = np.asarray(arr, dtype=np.float64)
+            layout.append((name, arr.shape))
+            arrays.append(arr)
+        flat = np.concatenate(arrays, axis=None) if arrays else np.empty(0)
+        self._adopt(tuple(layout), flat)
+
+    def _adopt(self, layout: tuple, flat: np.ndarray) -> None:
+        """Own the 1-D float64 ``flat``: reject non-finite entries (naming the
+        first bad tensor) and lock it.  Its tensors are views of it, made on
+        first access, because gradients and element-wise results are mostly
+        read through ``flat()`` alone."""
+        finite = np.isfinite(flat)
+        if not finite.all():
+            ends = [stop for _, _, stop, _ in _slices(layout)]
+            raise NonFiniteValues(layout[np.searchsorted(ends, np.argmin(finite), "right")][0])
+        flat.flags.writeable = False
+        self._layout = layout
+        self._flat = flat
+        self._tensors = None
 
     @classmethod
     def _over(cls, layout: tuple, flat: np.ndarray) -> "Checkpoint":
         """Checkpoint owning the 1-D float64 ``flat``; its tensors are views of it."""
         ckpt = cls.__new__(cls)
-        ckpt._layout = layout
-        ckpt._flat = _freeze(layout, flat)
-        ckpt._tensors, pos = {}, 0
-        for name, shape in layout:
-            size = math.prod(shape)
-            ckpt._tensors[name] = flat[pos : pos + size].reshape(shape)
-            pos += size
+        ckpt._adopt(layout, flat)
         return ckpt
 
     @property
     def tensors(self) -> dict[str, np.ndarray]:
+        if self._tensors is None:
+            self._tensors = dict(_views(self._layout, self._flat))
         return self._tensors
 
     @property
     def names(self) -> list[str]:
-        return list(self._tensors)
+        return [name for name, _ in self._layout]
 
     @property
     def total_dims(self) -> int:
         return self._flat.size
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
+        return self.tensors[name]
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._tensors.items())
+        return iter(self.tensors.items())
 
     def __len__(self) -> int:
-        return len(self._tensors)
+        return len(self._layout)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -110,6 +128,11 @@ class Checkpoint:
     def flat(self) -> np.ndarray:
         """All tensors concatenated in checkpoint order (the read-only vector itself)."""
         return self._flat
+
+    def views(self, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(name, tensor) pairs over a flat vector laid out like this
+        checkpoint; each tensor is a view that shares ``flat``'s memory."""
+        return _views(self._layout, flat)
 
     @classmethod
     def from_flat(cls, reference: "Checkpoint", flat: np.ndarray) -> "Checkpoint":
@@ -239,7 +262,10 @@ def load_checkpoint(path) -> Checkpoint:
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
             )
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
-            tensors.append((name, data.reshape(shape)))
+            try:
+                tensors.append((name, data.reshape(shape)))
+            except ValueError as exc:  # over 64 dims, or a size-0 shape numpy cannot hold
+                raise MalformedArtifact(f"{path}: shape {shape}: {exc}") from exc
         if fh.read(1):
             raise MalformedArtifact(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(tensors)

@@ -39,6 +39,8 @@ BAD_TMRG = {
     "16-GB-payload": (tmrg_bytes(shape=(2**31,)), TruncatedFile),
     "non-utf8-name": (tmrg_bytes(name=b"\xff\xfe"), MalformedArtifact),
     "trailing-bytes": (tmrg_bytes() + b"\x00", MalformedArtifact),
+    "65-dims": (tmrg_bytes(shape=(1,) * 65, payload=struct.pack("<d", 1.0)), MalformedArtifact),
+    "empty-but-too-big": (tmrg_bytes(shape=(0,) + (2**32 - 1,) * 3, payload=b""), MalformedArtifact),
 }
 
 

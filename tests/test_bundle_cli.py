@@ -302,6 +302,53 @@ class TestCli:
         assert code == 1
         assert "MalformedArtifact: " in capsys.readouterr().err
 
+    def test_manifest_must_list_every_bundle_file(self, bundle_dir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        shutil.copy(bundle / "task0.tmrg", bundle / "task1.tmrg")
+        manifest = bundle / "manifest.txt"
+        manifest.write_text("".join(
+            line + "\n" for line in manifest.read_text().splitlines()
+            if not line.endswith("  task1.tmrg")
+        ))
+        code = main(["merge", "--bundle", str(bundle), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, edit", [
+        ("merge", "bundle_config.txt", lambda lines: [
+            "hidden=abc\n" if line.startswith("hidden=") else line for line in lines]),
+        ("eval", "task0_test.csv", lambda lines: lines[:1]),
+        ("conflict", "task0_test.csv", lambda lines: lines[:1]),
+        ("merge", "task2_train.csv", lambda lines: lines[:-1]),
+        ("merge", "task1_exemplars.csv", lambda lines: lines + lines[-1:]),
+        ("merge", "task3_test.csv", lambda lines: [lines[0]] + [
+            line.rpartition(",")[0] + ",7\n" for line in lines[1:]]),
+    ], ids=["unparsable-config", "eval-header-only-test", "conflict-header-only-test",
+            "short-train", "long-exemplars", "label-beyond-classes"])
+    def test_rehashed_bundle_that_contradicts_its_config_exits_1(
+        self, bundle_dir, tmp_path, capsys, command, name, edit
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        lines = (bundle / name).read_text().splitlines(keepends=True)
+        data = "".join(edit(lines)).encode()
+        (bundle / name).write_bytes(data)
+        manifest = bundle / "manifest.txt"
+        manifest.write_text("".join(
+            f"{hashlib.sha256(data).hexdigest()}  {name}\n" if line.endswith(f"  {name}")
+            else line + "\n"
+            for line in manifest.read_text().splitlines()
+        ))
+        args = [command, "--bundle", str(bundle), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            merged = tmp_path / "merged"
+            assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
+            args += ["--merged", str(merged)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+
     def test_gen_train_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(

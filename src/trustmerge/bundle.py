@@ -349,7 +349,7 @@ def _load_batch(path: Path, rows: int, cfg: BundleConfig) -> LabeledBatch:
 def load_bundle(path) -> TaskBundle:
     """Load a bundle written by save_bundle.  The manifest must list exactly
     the files the bundle config implies, each with a matching hash, and every
-    CSV must hold the rows the config implies."""
+    CSV must hold the rows, input columns and labels the config implies."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -360,6 +360,8 @@ def load_bundle(path) -> TaskBundle:
         digests[name] = digest
 
     def verified(name: str) -> Path:
+        if name not in digests:
+            raise MalformedArtifact(f"{manifest} does not list {name}")
         target = root / name
         if not target.is_file():
             raise MissingArtifact(str(target))
@@ -367,8 +369,6 @@ def load_bundle(path) -> TaskBundle:
             raise MissingArtifact(f"{target} does not match its manifest hash")
         return target
 
-    if "bundle_config.txt" not in digests:
-        raise MalformedArtifact(f"{manifest} does not list bundle_config.txt")
     try:
         cfg = bundle_config_from_mapping(_parse_config_file(verified("bundle_config.txt")))
     except ValueError as exc:

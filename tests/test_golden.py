@@ -4,9 +4,12 @@ These pin byte-identical output for a fixed small config: every file that
 ``save_bundle`` writes for ``tiny_bundle_config(seed=3)``, and ``merged.tmrg``
 (plus ``mask.tmrg`` where written) from ``save_merge_result`` for each merge
 method on that bundle with the default ``MergeConfig``, and the analysis CSVs
-whose values are forward losses: the tatr loss-basis conflict matrix and the
-total-loss landscape grid.  A refactor that is
-meant to keep outputs unchanged must leave every digest here untouched.
+whose values are forward losses or accuracies: the tatr conflict matrix on
+both bases (the accuracy basis computed after the loss basis on the same
+bundle object, so it reuses whatever the bundle memoized), the total-loss
+landscape grid, and the accuracy table of every method from a repeated
+``accuracy_table`` call.  A refactor that is meant to keep outputs unchanged
+must leave every digest here untouched.
 
 The digests hold per numpy/BLAS build only: floating-point reductions and
 matrix products may round differently elsewhere.  They were generated with
@@ -20,9 +23,11 @@ import pytest
 
 from trustmerge.bundle import make_bundle, save_bundle
 from trustmerge.evaluation import (
+    accuracy_table,
     knowledge_conflict,
     landscape,
     merge_bundle,
+    write_accuracy_csv,
     write_conflict_csv,
     write_landscape_csv,
 )
@@ -78,6 +83,8 @@ MERGE_DIGESTS = {
 }
 
 CONFLICT_TATR_LOSS = "715515a490bc9349ce49c9573675fb4bb2422eb95d551b8dbd4c6b0b04790c82"
+CONFLICT_TATR_ACCURACY = "f05294c435d0fa897e288eb75211147ef9746f54ce3907159d61a0a5c3b14bdf"
+ACCURACY_TABLE = "26803f7207f63706775665e6b2f67f38084200c8990c5a8a003b21c840a823d8"
 LANDSCAPE_TOTAL = "dc602c62f368dfa3f87c6435f1442e84197d5b09cd84d0d93077f9a1b0f51bc7"
 
 
@@ -112,6 +119,21 @@ def test_conflict_csv(golden_bundle, tmp_path):
     report = knowledge_conflict(golden_bundle, MergeConfig(method="tatr"), "loss")
     write_conflict_csv(report, tmp_path / "conflict.csv")
     assert _sha256(tmp_path / "conflict.csv") == CONFLICT_TATR_LOSS
+
+
+def test_conflict_accuracy_basis_after_loss_basis(golden_bundle, tmp_path):
+    cfg = MergeConfig(method="tatr")
+    for basis, digest in (("loss", CONFLICT_TATR_LOSS), ("accuracy", CONFLICT_TATR_ACCURACY)):
+        write_conflict_csv(knowledge_conflict(golden_bundle, cfg, basis), tmp_path / basis)
+        assert _sha256(tmp_path / basis) == digest
+
+
+def test_repeated_accuracy_table_csv(golden_bundle, tmp_path):
+    results = [(m, merge_bundle(golden_bundle, MergeConfig(method=m))) for m in METHODS]
+    accuracy_table(golden_bundle, results)
+    rows = accuracy_table(golden_bundle, results)
+    write_accuracy_csv(rows, golden_bundle.num_tasks, tmp_path / "accuracy.csv")
+    assert _sha256(tmp_path / "accuracy.csv") == ACCURACY_TABLE
 
 
 def test_landscape_csv(golden_bundle, tmp_path):

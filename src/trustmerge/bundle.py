@@ -23,7 +23,7 @@ from .datasets import (
 )
 from .errors import MalformedArtifact, MissingArtifact
 from .gradients import GradientEstimate, estimate_abs_gradient, zero_shot_abs_gradient
-from .mlp import LabeledBatch, MlpSpec, TrainConfig, init_params, train
+from .mlp import LabeledBatch, MlpSpec, TrainConfig, evaluate_accuracy, init_params, train
 from .params import Checkpoint, load_checkpoint, save_checkpoint
 from .task_vectors import TaskVector, compute_task_vector
 
@@ -108,11 +108,18 @@ class TaskBundle:
     train_sets: list[LabeledBatch]
     test_sets: list[LabeledBatch]
     exemplar_sets: list[LabeledBatch]
-    _estimates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Per-bundle memo: gradient estimates per effective exemplar count,
+    # sub-bundles per task-id tuple, and the baseline accuracy rows.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_tasks(self) -> int:
         return len(self.experts)
+
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def task_vectors(self) -> list[TaskVector]:
         return [compute_task_vector(ck, self.theta_pre, k) for k, ck in enumerate(self.experts)]
@@ -127,7 +134,7 @@ class TaskBundle:
         they are computed once per bundle and per effective exemplar count
         (``None`` and any count at or above a pool's size share an entry) and
         memoized; each call returns a new list.  The memo assumes the bundle
-        is never mutated: build a new bundle (``subset`` does) instead.
+        is never mutated: build a new bundle instead.
         """
         if exemplar_count == 0:
             return [zero_shot_abs_gradient(tv) for tv in self.task_vectors()]
@@ -135,23 +142,34 @@ class TaskBundle:
             len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
             for ex in self.exemplar_sets
         )
-        if sizes not in self._estimates:
-            self._estimates[sizes] = [
-                estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)), k)
-                for k, (ex, n) in enumerate(zip(self.exemplar_sets, sizes))
-            ]
-        return list(self._estimates[sizes])
+        return list(self._memoized(("estimates", sizes), lambda: [
+            estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)), k)
+            for k, (ex, n) in enumerate(zip(self.exemplar_sets, sizes))
+        ]))
 
     def subset(self, task_ids: list[int]) -> "TaskBundle":
+        """The bundle of the given tasks, in the given order.  Memoized per
+        id sequence, so repeated calls return the same bundle and share its
+        memo."""
         pick = lambda xs: [xs[i] for i in task_ids]
-        return TaskBundle(
+        return self._memoized(("subset", tuple(task_ids)), lambda: TaskBundle(
             self.config,
             self.theta_pre,
             pick(self.experts),
             pick(self.train_sets),
             pick(self.test_sets),
             pick(self.exemplar_sets),
-        )
+        ))
+
+    def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
+        """Test accuracies of the pre-trained model on every task
+        ("pretrained") and of each expert on its own task ("individual").
+        Computed once per bundle; each call returns new lists."""
+        rows = self._memoized("baseline_accuracies", lambda: [
+            ("pretrained", [evaluate_accuracy(self.theta_pre, t) for t in self.test_sets]),
+            ("individual", [evaluate_accuracy(ck, t) for ck, t in zip(self.experts, self.test_sets)]),
+        ])
+        return [(name, list(accs)) for name, accs in rows]
 
 
 def _pretrain_data(cfg: BundleConfig) -> LabeledBatch:
@@ -281,10 +299,14 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 
 
 def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
-    """Build a BundleConfig from flat key=value strings (file or CLI flags)."""
+    """Build a BundleConfig from flat key=value strings (file or CLI flags).
+    An empty value keeps the default; an unknown key is a ValueError."""
     defaults = BundleConfig()
+    unread = dict(kv)
+
     def get(key, cast, fallback):
-        return cast(kv[key]) if key in kv and kv[key] != "" else fallback
+        value = unread.pop(key, "")
+        return cast(value) if value != "" else fallback
 
     hidden = get("hidden", lambda s: tuple(int(x) for x in s.split(",")), defaults.hidden)
     rotations = get(
@@ -305,7 +327,7 @@ def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
         batch_size=get("finetune_batch_size", int, defaults.finetune.batch_size),
         learning_rate=get("finetune_learning_rate", float, defaults.finetune.learning_rate),
     )
-    return BundleConfig(
+    cfg = BundleConfig(
         seed=get("seed", int, defaults.seed),
         num_tasks=get("num_tasks", int, defaults.num_tasks),
         num_classes=get("num_classes", int, defaults.num_classes),
@@ -326,6 +348,9 @@ def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
         pretrain=pretrain,
         finetune=finetune,
     )
+    if unread:
+        raise ValueError(f"unknown config key {sorted(unread)[0]!r}")
+    return cfg
 
 
 def _bundle_files(cfg: BundleConfig) -> set[str]:

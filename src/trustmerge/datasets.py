@@ -36,8 +36,8 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if not 0.0 <= self.rotation_deg < 360.0:
             raise ValueError("rotation must lie in [0, 360)")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if self.samples_train <= 0 or self.samples_test <= 0:
             raise ValueError("sample counts must be positive")
         perm = self.label_perm
@@ -51,9 +51,10 @@ class SyntheticTaskSpec:
         if self.center_angles_deg is not None:
             if len(self.center_angles_deg) != self.num_classes:
                 raise ValueError("need one center angle per class")
-            object.__setattr__(
-                self, "center_angles_deg", tuple(float(a) for a in self.center_angles_deg)
-            )
+            angles = tuple(float(a) for a in self.center_angles_deg)
+            if not np.all(np.isfinite(angles)):
+                raise ValueError(f"center angles must be finite, got {angles!r}")
+            object.__setattr__(self, "center_angles_deg", angles)
 
 
 def class_centers(num_classes: int, angles_deg: tuple[float, ...] | None = None) -> np.ndarray:

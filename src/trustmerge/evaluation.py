@@ -169,11 +169,7 @@ def accuracy_table(
     def row(name: str, accs: list[float]):
         return (name, accs, float(np.mean(accs)))
 
-    k = bundle.num_tasks
-    rows = [
-        row("pretrained", [evaluate_accuracy(bundle.theta_pre, t) for t in bundle.test_sets]),
-        row("individual", [evaluate_accuracy(bundle.experts[j], bundle.test_sets[j]) for j in range(k)]),
-    ]
+    rows = [row(name, accs) for name, accs in bundle.baseline_accuracies()]
     for name, result in results:
         rows.append(row(name, [evaluate_accuracy(result.merged, t) for t in bundle.test_sets]))
     return rows

@@ -80,8 +80,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate < 0:
-            raise ValueError("epochs/batch_size must be positive, lr nonnegative")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs/batch_size must be positive")
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and nonnegative, got {self.learning_rate!r}")
 
 
 def init_params(spec: MlpSpec, seed: int) -> Checkpoint:

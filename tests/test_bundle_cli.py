@@ -15,8 +15,10 @@ from trustmerge.bundle import (
 )
 from trustmerge.cli import main
 from trustmerge.errors import MissingArtifact
+from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
-from trustmerge.mlp import TrainConfig
+from trustmerge.merging import MergeConfig
+from trustmerge.mlp import TrainConfig, evaluate_accuracy
 
 from conftest import BAD_TMRG, tiny_bundle_config
 
@@ -91,6 +93,49 @@ class TestBundle:
         assert len(calls) == bundle.num_tasks
         assert full == small_bundle.gradient_estimates()
 
+    def test_second_conflict_basis_reuses_the_subset_estimates(self, small_bundle, monkeypatch):
+        bundle = dataclasses.replace(small_bundle)  # a copy with an empty memo
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimate_abs_gradient(*args)
+
+        monkeypatch.setattr(trustmerge.bundle, "estimate_abs_gradient", counted)
+        k = bundle.num_tasks
+        knowledge_conflict(bundle, MergeConfig(method="tatr"), "loss")
+        assert len(calls) == k + k * (k - 1)
+        knowledge_conflict(bundle, MergeConfig(method="tatr"), "accuracy")
+        assert len(calls) == k + k * (k - 1)
+
+    def test_subset_is_memoized_per_id_sequence(self, small_bundle):
+        bundle = dataclasses.replace(small_bundle)
+        assert bundle.subset([0, 2]) is bundle.subset([0, 2])
+        assert bundle.subset((0, 2)) is bundle.subset([0, 2])
+        assert bundle.subset([2, 0]) is not bundle.subset([0, 2])
+        assert bundle.subset([2, 0]).experts[0] == bundle.experts[2]
+        assert dataclasses.replace(bundle).subset([0, 2]) is not bundle.subset([0, 2])
+
+    def test_baseline_accuracies_evaluated_once_per_bundle(self, small_bundle, monkeypatch):
+        bundle = dataclasses.replace(small_bundle)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_accuracy(*args)
+
+        monkeypatch.setattr(trustmerge.bundle, "evaluate_accuracy", counted)
+        first = accuracy_table(bundle, [])
+        assert [row[0] for row in first] == ["pretrained", "individual"]
+        assert len(calls) == 2 * bundle.num_tasks
+        first[0][1][0] = -1.0
+        bundle.baseline_accuracies()[1][1].append(2.0)
+        second = accuracy_table(bundle, [])
+        assert len(calls) == 2 * bundle.num_tasks
+        assert second[0][1][0] == evaluate_accuracy(bundle.theta_pre, bundle.test_sets[0])
+        assert len(second[1][1]) == bundle.num_tasks
+        assert second[1:] == first[1:]
+
     def test_trimmed_estimates_equal_fresh_estimates(self, small_bundle):
         for k, est in enumerate(small_bundle.gradient_estimates(3)):
             ex = small_bundle.exemplar_sets[k]
@@ -155,6 +200,10 @@ class TestBundleRoundTrip:
         assert cfg.noise_std == 0.2
         assert cfg.num_tasks == BundleConfig().num_tasks
         assert cfg.pretrain == TrainConfig(epochs=60)
+
+    def test_unknown_mapping_key_is_named(self):
+        with pytest.raises(ValueError, match="'hiden'"):
+            bundle_config_from_mapping({"hiden": "8"})
 
 
 class TestCli:
@@ -261,6 +310,11 @@ class TestCli:
         ("landscape --task 9", 2, "ConfigError: --task 9"),
         ("gen-train --set hidden=0", 2, "ConfigError: layer sizes"),
         ("gen-train --set samples_train=0", 2, "ConfigError: sample counts"),
+        ("gen-train --set noise_std=nan", 2, "ConfigError: noise_std"),
+        ("gen-train --set pretrain_learning_rate=nan", 2, "ConfigError: learning rate"),
+        ("gen-train --set finetune_learning_rate=inf", 2, "ConfigError: learning rate"),
+        ("gen-train --set center_angles=nan,0,1,2", 2, "ConfigError: center angles"),
+        ("gen-train --set hiden=8", 2, "ConfigError: unknown config key 'hiden'"),
         ("eval --merged {tmp}/absent", 1, "MissingArtifact: "),
     ])
     def test_bad_input_exit_code(self, bundle_dir, tmp_path, capsys, argv, code, message):
@@ -274,6 +328,8 @@ class TestCli:
             result = exc.code
         assert result == code
         assert message in capsys.readouterr().err
+        if command == "gen-train":  # rejected before any data or training
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_TMRG))
     def test_eval_of_corrupt_merged_file_exits_1(self, bundle_dir, tmp_path, capsys, case):
@@ -324,8 +380,9 @@ class TestCli:
         ("merge", "task1_exemplars.csv", lambda lines: lines + lines[-1:]),
         ("merge", "task3_test.csv", lambda lines: [lines[0]] + [
             line.rpartition(",")[0] + ",7\n" for line in lines[1:]]),
+        ("merge", "bundle_config.txt", lambda lines: lines + ["hiden=8\n"]),
     ], ids=["unparsable-config", "eval-header-only-test", "conflict-header-only-test",
-            "short-train", "long-exemplars", "label-beyond-classes"])
+            "short-train", "long-exemplars", "label-beyond-classes", "unknown-config-key"])
     def test_rehashed_bundle_that_contradicts_its_config_exits_1(
         self, bundle_dir, tmp_path, capsys, command, name, edit
     ):

@@ -10,7 +10,7 @@ how many pairs the change wins per metric, and an ``unresolved`` flag for
 each metric whose spread exceeds its ``BENCHMARK.json`` bound.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --seeds 501-510 \\
-        --claim "analyze op_p50_s falls by >= 15%" --out BENCH_5.json
+        --claim "analyze op_p50_s falls by >= 15%" --out BENCH_<n>.json
 
 Standard library only.  Nothing in the repository is modified except the
 output file.

@@ -1,10 +1,10 @@
 """Compare two commits on the perfbench workloads in alternating run pairs.
 
-Exports each commit with ``git archive`` into a work directory, then runs
+Exports each commit with ``git archive`` into a temporary directory, then runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
-the two exports (T is the ``run_seconds`` of the change's
-``BENCHMARK.json``), one run at a time: one pair per seed, the parent first on
-even pair indices and the change first on odd ones.  Writes a
+the two exports for each of the three workloads (T is the ``run_seconds`` of
+the change's ``BENCHMARK.json``), one run at a time: one pair per seed, the
+parent first on even pair indices and the change first on odd ones.  Writes a
 ``BENCH_<n>.json`` with every run's end-to-end values, per-side quartiles,
 how many pairs the change wins per metric, and an ``unresolved`` flag for
 each metric whose spread exceeds its ``BENCHMARK.json`` bound.
@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train", "analyze", "cli")
+MIN_PAIRS = 10  # a claimed gain must win on at least nine of ten pairs
 PAIR_METRIC = "op_p50_s"  # also listed in each pair entry
 PROVENANCE_KEYS = ("blas", "cpu_model", "load_generator", "nproc", "numpy", "python", "thread_env")
 METHOD = (
@@ -99,7 +100,11 @@ def summarize(runs: list[tuple[dict, dict]], declared: dict) -> dict:
 
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < MIN_PAIRS:
+        raise argparse.ArgumentTypeError(f"{text!r} gives {len(seeds)} pairs; "
+                                         f"need at least {MIN_PAIRS}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -108,27 +113,22 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("501-510"),
                         help="seed range FIRST-LAST, one pair per seed (default 501-510)")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--claim", default="", help="the claim the runs test")
-    parser.add_argument("--work", help="directory for the exports (default: a temporary one)")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
-    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    trees = {side: work / commit[:12] for side, commit in commits.items()}
-    for side, tree in trees.items():
-        if tree.exists():
-            shutil.rmtree(tree)
-        export(commits[side], tree)
-    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    declared = {m["name"]: m for m in benchmark["end_to_end"]}
-    seconds = benchmark["run_seconds"]
-
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     workloads, provenance = {}, {}
     try:
-        for workload in args.workloads:
+        trees = {side: work / side for side in commits}
+        for side, tree in trees.items():
+            export(commits[side], tree)
+        benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        declared = {m["name"]: m for m in benchmark["end_to_end"]}
+        seconds = benchmark["run_seconds"]
+        for workload in WORKLOADS:
             pairs, runs = [], []
             for index, seed in enumerate(args.seeds):
                 order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
@@ -151,8 +151,7 @@ def main(argv=None) -> int:
                 })
             workloads[workload] = {"pairs": pairs, "metrics": summarize(runs, declared)}
     finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     report = {
         "claim": args.claim,

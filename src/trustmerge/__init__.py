@@ -2,7 +2,6 @@
 
 from .params import (
     Checkpoint,
-    ElementwiseMap,
     ew_abs,
     ew_combine,
     ew_dot,
@@ -22,8 +21,8 @@ from .mlp import (
     train,
 )
 from .datasets import SyntheticTaskSpec, generate_task
-from .task_vectors import Decomposition, TaskVector, compute_task_vector, decompose
-from .gradients import GradientEstimate, estimate_abs_gradient, zero_shot_abs_gradient
+from .task_vectors import Decomposition, compute_task_vector, decompose
+from .gradients import estimate_abs_gradient
 from .trust_region import (
     Sensitivity,
     TrustRegionMask,

@@ -22,10 +22,10 @@ from .datasets import (
     save_batch_csv,
 )
 from .errors import MalformedArtifact, MissingArtifact
-from .gradients import GradientEstimate, estimate_abs_gradient, zero_shot_abs_gradient
+from .gradients import estimate_abs_gradient
 from .mlp import LabeledBatch, MlpSpec, TrainConfig, evaluate_accuracy, init_params, train
-from .params import Checkpoint, load_checkpoint, save_checkpoint
-from .task_vectors import TaskVector, compute_task_vector
+from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
+from .task_vectors import compute_task_vector
 
 # Default label permutations for the 4-task bundle.  Combined with the
 # {0, 90, 180, 270} degree rotations these give each task a distinct
@@ -66,6 +66,8 @@ class BundleConfig:
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=120))
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_tasks < 1:
             raise ValueError("need at least one task")
         if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
@@ -121,14 +123,14 @@ class TaskBundle:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def task_vectors(self) -> list[TaskVector]:
-        return [compute_task_vector(ck, self.theta_pre, k) for k, ck in enumerate(self.experts)]
+    def task_vectors(self) -> list[Checkpoint]:
+        return [compute_task_vector(ck, self.theta_pre) for ck in self.experts]
 
-    def gradient_estimates(self, exemplar_count: int | None = None) -> list[GradientEstimate]:
+    def gradient_estimates(self, exemplar_count: int | None = None) -> list[Checkpoint]:
         """Per-task absolute-gradient estimates at the pre-trained point.
 
         ``exemplar_count`` trims the exemplar pool; 0 switches every task to
-        the zero-shot |delta| surrogate.
+        the zero-shot surrogate, the task vector's absolute value.
 
         Exemplar estimates depend only on ``theta_pre`` and the exemplars, so
         they are computed once per bundle and per effective exemplar count
@@ -137,14 +139,14 @@ class TaskBundle:
         is never mutated: build a new bundle instead.
         """
         if exemplar_count == 0:
-            return [zero_shot_abs_gradient(tv) for tv in self.task_vectors()]
+            return [ew_abs(tv) for tv in self.task_vectors()]
         sizes = tuple(
             len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
             for ex in self.exemplar_sets
         )
         return list(self._memoized(("estimates", sizes), lambda: [
-            estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)), k)
-            for k, (ex, n) in enumerate(zip(self.exemplar_sets, sizes))
+            estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)))
+            for ex, n in zip(self.exemplar_sets, sizes)
         ]))
 
     def subset(self, task_ids: list[int]) -> "TaskBundle":
@@ -298,6 +300,14 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return out
 
 
+def _flag(text: str) -> bool:
+    """``true/false``, ``1/0`` or ``yes/no``, in any case."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true/false/1/0/yes/no, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
 def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
     """Build a BundleConfig from flat key=value strings (file or CLI flags).
     An empty value keeps the default; an unknown key is a ValueError."""
@@ -341,10 +351,7 @@ def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
         samples_train=get("samples_train", int, defaults.samples_train),
         samples_test=get("samples_test", int, defaults.samples_test),
         exemplar_count=get("exemplar_count", int, defaults.exemplar_count),
-        pretrain_on_mixture=get(
-            "pretrain_on_mixture", lambda s: s.lower() in ("1", "true", "yes"),
-            defaults.pretrain_on_mixture,
-        ),
+        pretrain_on_mixture=get("pretrain_on_mixture", _flag, defaults.pretrain_on_mixture),
         pretrain=pretrain,
         finetune=finetune,
     )

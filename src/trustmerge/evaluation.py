@@ -22,7 +22,7 @@ from .merging import (
 )
 from .mlp import backward, evaluate_accuracy, forward
 from .params import Checkpoint, ew_combine, sum_in_order
-from .task_vectors import TaskVector, decompose, percentile_zero_tol
+from .task_vectors import decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
 
@@ -133,16 +133,15 @@ def landscape(
         raise TooFewTasks(str(k))
     tvs = bundle.task_vectors()
     if reference_task is None:
-        delta = sum_in_order([tv.delta for tv in tvs])
+        delta = sum_in_order(tvs)
         grad = sum_in_order([signed_gradient(bundle, j) for j in range(k)])
         loss_tasks = list(range(k))
     else:
-        delta = sum_in_order([tv.delta for tv in tvs if tv.task_id != reference_task])
+        delta = sum_in_order([tv for j, tv in enumerate(tvs) if j != reference_task])
         grad = signed_gradient(bundle, reference_task)
         loss_tasks = [reference_task]
-    cumulative = TaskVector(-1, delta)
-    tol = percentile_zero_tol(cumulative, grad, decomposition_fraction)
-    dec = decompose(cumulative, grad, tol)
+    tol = percentile_zero_tol(delta, grad, decomposition_fraction)
+    dec = decompose(delta, grad, tol)
 
     theta_pos = ew_combine(bundle.theta_pre, dec.positive, "add")
     theta_neg = ew_combine(bundle.theta_pre, dec.negative, "add")

@@ -9,21 +9,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyList, EmptyUnlabeledSet, IncompatibleShapes, TrimOutOfRange
-from .gradients import GradientEstimate
+from .errors import EmptyList, EmptyUnlabeledSet, TrimOutOfRange
 from .mlp import LabeledBatch, entropy_loss
 from .params import (
     Checkpoint,
-    ElementwiseMap,
-    ew_combine,
     ew_dot,
     ew_scale,
     save_checkpoint,
+    stack,
     sum_in_order,
-    zeros_like,
+    sum_rows,
 )
-from .task_vectors import TaskVector
-from .trust_region import Sensitivity, TrustRegionMask, build_mask, compute_sensitivity
+from .trust_region import TrustRegionMask, build_mask, compute_sensitivity
 
 METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
 
@@ -60,14 +57,8 @@ class MergeResult:
     provenance: dict[str, str]
 
 
-def _check_tvs(tvs: list[TaskVector]) -> Checkpoint:
-    if not tvs:
-        raise EmptyList("no task vectors")
-    ref = tvs[0].delta
-    for tv in tvs[1:]:
-        if not tv.delta.compatible(ref):
-            raise IncompatibleShapes("task vectors disagree in structure")
-    return ref
+def _shifted(theta_pre: Checkpoint, step: np.ndarray) -> Checkpoint:
+    return Checkpoint.from_flat(theta_pre, theta_pre.flat() + step)
 
 
 def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
@@ -83,21 +74,19 @@ def _provenance(method: str, **kv) -> dict[str, str]:
     return out
 
 
-def task_arithmetic(theta_pre: Checkpoint, tvs: list[TaskVector], lam: float) -> MergeResult:
+def task_arithmetic(theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float) -> MergeResult:
     """theta_pre + lam * sum of deltas, summed in ascending task order."""
-    _check_tvs(tvs)
-    merged = ew_combine(theta_pre, ew_scale(sum_in_order([tv.delta for tv in tvs]), lam), "add")
-    return MergeResult(merged, None, [lam] * len(tvs), _provenance("task_arithmetic", **{"lambda": lam}))
-
-
-def _masked_deltas(tvs: list[TaskVector], mask: TrustRegionMask) -> list[ElementwiseMap]:
-    return [ew_combine(tv.delta, mask.mask, "hadamard") for tv in tvs]
+    step = lam * sum_rows(stack(tvs, theta_pre))
+    return MergeResult(
+        _shifted(theta_pre, step), None, [lam] * len(tvs),
+        _provenance("task_arithmetic", **{"lambda": lam}),
+    )
 
 
 def tatr_merge(
     theta_pre: Checkpoint,
-    tvs: list[TaskVector],
-    grads: list[GradientEstimate],
+    tvs: list[Checkpoint],
+    grads: list[Checkpoint],
     lam: float,
     tau: float,
     variant: str = "standard",
@@ -107,21 +96,16 @@ def tatr_merge(
     With tau=0 the mask is all ones and the output is bitwise identical to
     plain task arithmetic (x * 1.0 == x and the summation order is shared).
     """
-    _check_tvs(tvs)
-    omega = compute_sensitivity(grads, tvs, variant)
-    mask = build_mask(omega, tau)
-    merged = ew_combine(
-        theta_pre, ew_scale(sum_in_order(_masked_deltas(tvs, mask)), lam), "add"
-    )
-    source = grads[0].source if grads else "none"
-    prov = _provenance("tatr", tau=tau, grad_source=source, variant=variant, **{"lambda": lam})
-    return MergeResult(merged, mask, [lam] * len(tvs), prov)
+    deltas = stack(tvs, theta_pre)
+    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
+    step = lam * sum_rows(deltas * mask.mask.flat())
+    prov = _provenance("tatr", tau=tau, variant=variant, **{"lambda": lam})
+    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs), prov)
 
 
-def ties_phi(
-    tvs: list[TaskVector], trim_keep: float
-) -> tuple[list[TaskVector], ElementwiseMap]:
-    """Trim / elect-sign / align step of ties merging.
+def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trim / elect-sign / align step of ties merging on the (K, N) task
+    vectors; returns the (K, N) aligned vectors and the N elected signs.
 
     Trim keeps, per task, the ceil(trim_keep*N) globally largest |values|
     (ties by ascending flat index); the elected sign at each coordinate is
@@ -130,45 +114,36 @@ def ties_phi(
     """
     if not 0.0 < trim_keep <= 1.0:
         raise TrimOutOfRange(repr(trim_keep))
-    ref = _check_tvs(tvs)
-    flats = np.stack([tv.delta.flat() for tv in tvs])
-    keep = int(np.ceil(trim_keep * ref.total_dims))
-    kept_idx = np.argsort(-np.abs(flats), axis=1, kind="stable")[:, :keep]
-    trimmed = np.zeros_like(flats)
-    np.put_along_axis(trimmed, kept_idx, np.take_along_axis(flats, kept_idx, axis=1), axis=1)
+    keep = int(np.ceil(trim_keep * deltas.shape[1]))
+    kept_idx = np.argsort(-np.abs(deltas), axis=1, kind="stable")[:, :keep]
+    trimmed = np.zeros(deltas.shape)
+    np.put_along_axis(trimmed, kept_idx, np.take_along_axis(deltas, kept_idx, axis=1), axis=1)
     elected = np.where(trimmed.sum(axis=0) < 0.0, -1.0, 1.0)
     agree = np.sign(trimmed) * elected >= 0.0  # zeros never disagree
-    aligned = np.where(agree, trimmed, 0.0)
-    return (
-        [TaskVector(tv.task_id, Checkpoint.from_flat(ref, row)) for tv, row in zip(tvs, aligned)],
-        Checkpoint.from_flat(ref, elected),
-    )
+    return np.where(agree, trimmed, 0.0), elected
 
 
-def _disjoint_mean(aligned: list[TaskVector], ref: Checkpoint) -> ElementwiseMap:
+def _disjoint_mean(aligned: np.ndarray) -> np.ndarray:
     """Per coordinate: mean of the aligned nonzero values (0 when none survive)."""
-    flats = np.stack([tv.delta.flat() for tv in aligned])
-    nonzero = flats != 0.0
-    counts = nonzero.sum(axis=0)
-    sums = flats.sum(axis=0)
-    mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return Checkpoint.from_flat(ref, mean)
+    counts = (aligned != 0.0).sum(axis=0)
+    sums = aligned.sum(axis=0)
+    return np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
 
 
 def ties_merge(
-    theta_pre: Checkpoint, tvs: list[TaskVector], lam: float, trim_keep: float
+    theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float, trim_keep: float
 ) -> MergeResult:
-    ref = _check_tvs(tvs)
-    aligned, _ = ties_phi(tvs, trim_keep)
-    merged = ew_combine(theta_pre, ew_scale(_disjoint_mean(aligned, ref), lam), "add")
+    aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
     prov = _provenance("ties", trim_keep=trim_keep, **{"lambda": lam})
-    return MergeResult(merged, None, [lam] * len(tvs), prov)
+    return MergeResult(
+        _shifted(theta_pre, lam * _disjoint_mean(aligned)), None, [lam] * len(tvs), prov
+    )
 
 
 def ties_tatr(
     theta_pre: Checkpoint,
-    tvs: list[TaskVector],
-    grads: list[GradientEstimate],
+    tvs: list[Checkpoint],
+    grads: list[Checkpoint],
     lam: float,
     tau: float,
     trim_keep: float,
@@ -179,77 +154,65 @@ def ties_tatr(
     The mask defaults to the sensitivity of the original, un-trimmed task
     vectors; ``mask_from_trimmed`` switches to the trimmed ones.
     """
-    ref = _check_tvs(tvs)
-    aligned, _ = ties_phi(tvs, trim_keep)
-    mask_tvs = aligned if mask_from_trimmed else tvs
-    omega = compute_sensitivity(grads, mask_tvs, "standard")
-    mask = build_mask(omega, tau)
-    combined = ew_combine(_disjoint_mean(aligned, ref), mask.mask, "hadamard")
-    merged = ew_combine(theta_pre, ew_scale(combined, lam), "add")
-    source = grads[0].source if grads else "none"
+    aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
+    if mask_from_trimmed:
+        tvs = [Checkpoint.from_flat(theta_pre, row) for row in aligned]
+    mask = build_mask(compute_sensitivity(grads, tvs, "standard"), tau)
+    step = lam * (_disjoint_mean(aligned) * mask.mask.flat())
     prov = _provenance(
-        "ties_tatr", tau=tau, trim_keep=trim_keep, grad_source=source,
+        "ties_tatr", tau=tau, trim_keep=trim_keep,
         mask_from_trimmed=mask_from_trimmed, **{"lambda": lam},
     )
-    return MergeResult(merged, mask, [lam] * len(tvs), prov)
+    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs), prov)
 
 
-def _assemble(theta_pre: Checkpoint, masked: list[ElementwiseMap], coeffs: np.ndarray) -> Checkpoint:
+def _assemble(theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarray) -> Checkpoint:
+    rows = stack(masked, theta_pre)
     # equal coefficients factor out so a shared-lambda merge stays bitwise
     # identical to the tatr path
     if np.all(coeffs == coeffs[0]):
-        return ew_combine(theta_pre, ew_scale(sum_in_order(masked), float(coeffs[0])), "add")
-    return ew_combine(
-        theta_pre, sum_in_order([ew_scale(m, float(c)) for m, c in zip(masked, coeffs)]), "add"
-    )
+        return _shifted(theta_pre, float(coeffs[0]) * sum_rows(rows))
+    return _shifted(theta_pre, sum_rows(coeffs[:, None] * rows))
 
 
 def ada_coefficient_gradient(
     theta_pre: Checkpoint,
-    masked: list[ElementwiseMap],
+    masked: list[Checkpoint],
     coeffs: np.ndarray,
     unlabeled: list[LabeledBatch],
 ) -> tuple[float, np.ndarray]:
     """Summed prediction entropy over the unlabeled pools and its analytic
     gradient in the per-task coefficients (the merge is affine in each)."""
     merged = _assemble(theta_pre, masked, coeffs)
-    total = 0.0
-    grad_theta: Checkpoint | None = None
-    for batch in unlabeled:
-        loss, g = entropy_loss(merged, batch)
-        total += loss
-        grad_theta = g if grad_theta is None else ew_combine(grad_theta, g, "add")
-    assert grad_theta is not None
-    dcoeffs = np.array([ew_dot(grad_theta, m) for m in masked])
-    return total, dcoeffs
+    losses, grads = zip(*(entropy_loss(merged, batch) for batch in unlabeled))
+    grad_theta = sum_in_order(grads)
+    return sum(losses), np.array([ew_dot(grad_theta, m) for m in masked])
 
 
 def ada_tatr(
     theta_pre: Checkpoint,
-    tvs: list[TaskVector],
-    grads: list[GradientEstimate],
+    tvs: list[Checkpoint],
+    grads: list[Checkpoint],
     tau: float,
     unlabeled: list[LabeledBatch],
     ada: AdaConfig,
 ) -> MergeResult:
     """Task-wise coefficients trained by full-batch gradient descent on the
     summed prediction entropy, merging only inside the trust region."""
-    _check_tvs(tvs)
+    deltas = stack(tvs, theta_pre)
     if not unlabeled or any(len(b) == 0 for b in unlabeled):
         raise EmptyUnlabeledSet("need a nonempty unlabeled pool per task")
-    omega = compute_sensitivity(grads, tvs, "standard")
-    mask = build_mask(omega, tau)
-    masked = _masked_deltas(tvs, mask)
+    mask = build_mask(compute_sensitivity(grads, tvs, "standard"), tau)
+    masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * mask.mask.flat()]
     coeffs = np.full(len(tvs), float(ada.init_lambda))
     for _ in range(ada.steps):
         _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, unlabeled)
         coeffs = coeffs - ada.learning_rate * dcoeffs
-    merged = _assemble(theta_pre, masked, coeffs)
-    source = grads[0].source if grads else "none"
     prov = _provenance(
         "ada_tatr", tau=tau, steps=ada.steps, ada_lr=ada.learning_rate,
-        init_lambda=ada.init_lambda, grad_source=source,
+        init_lambda=ada.init_lambda,
     )
+    merged = _assemble(theta_pre, masked, coeffs)
     return MergeResult(merged, mask, [float(c) for c in coeffs], prov)
 
 

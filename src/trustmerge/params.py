@@ -2,10 +2,10 @@
 
 A :class:`Checkpoint` is one contiguous, read-only, finite float64 vector plus
 a layout, the ``(name, shape)`` of each named tensor in order; ``flat()``
-returns that vector itself, not a copy.  The same container doubles as an
-element-wise map (delta, gradient magnitude, sensitivity, or {0,1} mask)
-because those objects share the layout, so element-wise arithmetic is one
-numpy expression over the vectors.
+returns that vector itself, not a copy.  Weights, task vectors, gradient
+estimates, sensitivities and {0,1} masks are all checkpoints.  The merges
+work on :func:`stack`, which puts K compatible checkpoints into the rows of
+one (K, N) array, and add rows in ascending order with :func:`sum_rows`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DuplicateName,
+    EmptyList,
     IncompatibleShapes,
     MalformedArtifact,
     NonFiniteScalar,
@@ -144,20 +145,6 @@ class Checkpoint:
             )
         return cls._over(reference._layout, flat)
 
-    def map(self, fn) -> "Checkpoint":
-        """Apply an element-wise ``fn`` to the flat vector."""
-        return Checkpoint._over(self._layout, np.asarray(fn(self._flat), dtype=np.float64))
-
-    def is_mask(self) -> bool:
-        return bool(np.all((self._flat == 0.0) | (self._flat == 1.0)))
-
-    def is_nonnegative(self) -> bool:
-        return bool(np.all(self._flat >= 0.0))
-
-
-# ElementwiseMap shares the Checkpoint structure; the alias keeps signatures
-# readable where the argument is a per-dimension quantity, not weights.
-ElementwiseMap = Checkpoint
 
 _OPS = {"add": np.add, "sub": np.subtract, "hadamard": np.multiply}
 
@@ -180,11 +167,11 @@ def ew_combine(a: Checkpoint, b: Checkpoint, op: str) -> Checkpoint:
 def ew_scale(a: Checkpoint, c: float) -> Checkpoint:
     if not math.isfinite(c):
         raise NonFiniteScalar(repr(c))
-    return a.map(lambda x: c * x)
+    return Checkpoint._over(a._layout, c * a._flat)
 
 
 def ew_abs(a: Checkpoint) -> Checkpoint:
-    return a.map(np.abs)
+    return Checkpoint._over(a._layout, np.abs(a._flat))
 
 
 def ew_dot(a: Checkpoint, b: Checkpoint) -> float:
@@ -197,12 +184,25 @@ def ew_dot(a: Checkpoint, b: Checkpoint) -> float:
     return total
 
 
-def zeros_like(ref: Checkpoint) -> Checkpoint:
-    return ref.map(np.zeros_like)
+def stack(maps: list[Checkpoint], like: Checkpoint) -> np.ndarray:
+    """The flat vectors of ``maps``, in list order, as the rows of one
+    C-contiguous (K, N) float64 array; each map must be laid out like
+    ``like``."""
+    if not maps:
+        raise EmptyList("nothing to stack")
+    for m in maps:
+        _check_compat(like, m)
+    return np.array([m._flat for m in maps])
 
 
-def ones_like(ref: Checkpoint) -> Checkpoint:
-    return ref.map(np.ones_like)
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (K, N) array, added one at a time in ascending
+    row order.  ``rows.sum(axis=0)`` may add pairwise (it does for N == 1 and
+    K >= 8), which rounds differently."""
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    return acc
 
 
 def sum_in_order(maps: Iterable[Checkpoint]) -> Checkpoint:
@@ -210,10 +210,7 @@ def sum_in_order(maps: Iterable[Checkpoint]) -> Checkpoint:
     maps = list(maps)
     if not maps:
         raise ValueError("nothing to sum")
-    acc = maps[0]
-    for m in maps[1:]:
-        acc = ew_combine(acc, m, "add")
-    return acc
+    return Checkpoint._over(maps[0]._layout, sum_rows(stack(maps, maps[0])))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -8,35 +8,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleShapes, NegativeTolerance
-from .params import Checkpoint, ElementwiseMap, ew_combine
-
-
-@dataclass(frozen=True)
-class TaskVector:
-    task_id: int
-    delta: ElementwiseMap
+from .params import Checkpoint, ew_combine
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """Disjoint-support split of a delta by the sign of grad * delta."""
 
-    orthogonal: ElementwiseMap
-    positive: ElementwiseMap
-    negative: ElementwiseMap
+    orthogonal: Checkpoint
+    positive: Checkpoint
+    negative: Checkpoint
     zero_tol: float
 
-    def recompose(self) -> ElementwiseMap:
-        return ew_combine(ew_combine(self.orthogonal, self.positive, "add"), self.negative, "add")
 
-
-def compute_task_vector(theta_k: Checkpoint, theta_pre: Checkpoint, task_id: int = 0) -> TaskVector:
+def compute_task_vector(theta_k: Checkpoint, theta_pre: Checkpoint) -> Checkpoint:
     if not theta_k.compatible(theta_pre):
         raise IncompatibleShapes("fine-tuned and pre-trained checkpoints differ in structure")
-    return TaskVector(task_id, ew_combine(theta_k, theta_pre, "sub"))
+    return ew_combine(theta_k, theta_pre, "sub")
 
 
-def decompose(delta: TaskVector, grad: ElementwiseMap, zero_tol: float = 0.0) -> Decomposition:
+def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Decomposition:
     """Split each coordinate by the product p = grad[n] * delta[n].
 
     |p| <= zero_tol goes to the orthogonal component, p > 0 to positive,
@@ -44,22 +35,22 @@ def decompose(delta: TaskVector, grad: ElementwiseMap, zero_tol: float = 0.0) ->
     """
     if zero_tol < 0:
         raise NegativeTolerance(repr(zero_tol))
-    if not grad.compatible(delta.delta):
+    if not grad.compatible(delta):
         raise IncompatibleShapes("gradient does not match the task vector's structure")
-    d = delta.delta.flat()
+    d = delta.flat()
     p = grad.flat() * d
     near_zero = np.abs(p) <= zero_tol
     parts = (near_zero, ~near_zero & (p > 0), ~near_zero & (p < 0))
-    orth, pos, neg = (Checkpoint.from_flat(delta.delta, np.where(m, d, 0.0)) for m in parts)
+    orth, pos, neg = (Checkpoint.from_flat(delta, np.where(m, d, 0.0)) for m in parts)
     return Decomposition(orth, pos, neg, zero_tol)
 
 
-def percentile_zero_tol(delta: TaskVector, grad: ElementwiseMap, fraction: float) -> float:
+def percentile_zero_tol(delta: Checkpoint, grad: Checkpoint, fraction: float) -> float:
     """Tolerance placing the lowest ``fraction`` of |grad * delta| products in
     the orthogonal set (an exact ``zero_tol`` of 0 is measure-zero in floats)."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    products = np.abs(grad.flat() * delta.delta.flat())
+    products = np.abs(grad.flat() * delta.flat())
     if products.size == 0 or fraction == 0.0:
         return 0.0
     k = int(np.ceil(fraction * products.size))

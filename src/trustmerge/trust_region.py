@@ -15,13 +15,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import IncompatibleShapes, TauOutOfRange, TooFewTasks
-from .gradients import GradientEstimate
-from .params import Checkpoint, ElementwiseMap
-from .task_vectors import TaskVector
+from .errors import TauOutOfRange, TooFewTasks
+from .params import Checkpoint, stack
 
 # variant -> (task-j factor, task-i factor) of the pair term, each computed
-# from one task's (|gradient| estimate, delta) flat vectors
+# row-wise from the (K, N) |gradient| estimates and deltas
 _PAIR_FACTORS = {
     "standard": (lambda g, d: g, lambda g, d: np.abs(d)),
     "zero_shot": (lambda g, d: np.abs(d), lambda g, d: np.abs(d)),
@@ -34,20 +32,20 @@ VARIANTS = tuple(_PAIR_FACTORS)
 
 @dataclass(frozen=True)
 class Sensitivity:
-    values: ElementwiseMap
+    values: Checkpoint
     variant: str
 
 
 @dataclass(frozen=True)
 class TrustRegionMask:
-    mask: ElementwiseMap  # {0,1} per coordinate
+    mask: Checkpoint  # {0,1} per coordinate
     tau: float
     epsilon: float
     excluded_count: int
 
 
 def compute_sensitivity(
-    grads: list[GradientEstimate], tvs: list[TaskVector], variant: str = "standard"
+    grads: list[Checkpoint], tvs: list[Checkpoint], variant: str = "standard"
 ) -> Sensitivity:
     """Accumulates over ordered pairs (i, j), i != j, in ascending (j, i) order.
 
@@ -61,18 +59,12 @@ def compute_sensitivity(
     k = len(tvs)
     if k < 2 or len(grads) != k:
         raise TooFewTasks(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
-    ref = tvs[0].delta
-    if not all(tv.delta.compatible(ref) for tv in tvs):
-        raise IncompatibleShapes("task vectors disagree in structure")
-    if not all(g.abs_grad.compatible(ref) for g in grads):
-        raise IncompatibleShapes("gradient estimate does not match task vectors")
-
-    fj = [factor_j(g.abs_grad.flat(), tv.delta.flat()) for g, tv in zip(grads, tvs)]
-    fi = [factor_i(g.abs_grad.flat(), tv.delta.flat()) for g, tv in zip(grads, tvs)]
-    acc = np.zeros(ref.total_dims)
+    g, d = stack(grads, tvs[0]), stack(tvs, tvs[0])
+    fj, fi = factor_j(g, d), factor_i(g, d)
+    acc = np.zeros(d.shape[1])
     for j, i in permutations(range(k), 2):  # ascending (j, i), i != j
         acc += fj[j] * fi[i]
-    return Sensitivity(Checkpoint.from_flat(ref, acc), variant)
+    return Sensitivity(Checkpoint.from_flat(tvs[0], acc), variant)
 
 
 def proportion_selection(omega: Sensitivity, tau: float) -> tuple[float, np.ndarray]:

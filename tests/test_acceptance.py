@@ -14,7 +14,6 @@ from trustmerge.evaluation import (
     merge_bundle,
     signed_gradient,
 )
-from trustmerge.gradients import GradientEstimate
 from trustmerge.merging import (
     MergeConfig,
     ada_coefficient_gradient,
@@ -43,7 +42,7 @@ from trustmerge.params import (
     save_checkpoint,
     sum_in_order,
 )
-from trustmerge.task_vectors import TaskVector, decompose, percentile_zero_tol
+from trustmerge.task_vectors import decompose, percentile_zero_tol
 from trustmerge.trust_region import Sensitivity, build_mask, proportion_selection
 
 
@@ -68,14 +67,11 @@ def random_merge_inputs(rng):
     pre = random_structure(rng)
     k = int(rng.integers(2, 6))
     tvs = [
-        TaskVector(i, Checkpoint((n, rng.normal(size=v.shape)) for n, v in pre))
+        Checkpoint((n, rng.normal(size=v.shape)) for n, v in pre)
         for i in range(k)
     ]
     grads = [
-        GradientEstimate(
-            i, Checkpoint((n, np.abs(rng.normal(size=v.shape))) for n, v in pre),
-            "exemplar", 1,
-        )
+        Checkpoint((n, np.abs(rng.normal(size=v.shape))) for n, v in pre)
         for i in range(k)
     ]
     return pre, tvs, grads
@@ -124,11 +120,11 @@ def test_03_decomposition_partition():
     rng = np.random.default_rng(2026)
     for _ in range(1000):
         base = random_structure(rng)
-        delta = TaskVector(0, base)
+        delta = base
         grad = Checkpoint((n, rng.normal(size=v.shape)) for n, v in base)
         tol = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0
         dec = decompose(delta, grad, tol)
-        if dec.recompose() != base:
+        if sum_in_order([dec.orthogonal, dec.positive, dec.negative]) != base:
             check("decomposition partition", False, "recompose mismatch")
         for n, v in base:
             masks = np.stack([
@@ -174,11 +170,10 @@ def test_04_gradient_oracles():
     _, ent_grads = entropy_loss(params, batch)
     ent_err = rel(ent_grads, fd(lambda p: entropy_loss(p, batch)[0]))
 
-    tvs = [
-        TaskVector(i, Checkpoint((n, 0.2 * rng.normal(size=v.shape)) for n, v in params))
+    masked = [
+        Checkpoint((n, 0.2 * rng.normal(size=v.shape)) for n, v in params)
         for i in range(2)
     ]
-    masked = [tv.delta for tv in tvs]
     coeffs = np.array([0.3, 0.45])
     pools = [LabeledBatch(rng.normal(size=(8, 2)), np.zeros(8, dtype=int)) for _ in range(2)]
     _, analytic = ada_coefficient_gradient(params, masked, coeffs, pools)
@@ -219,7 +214,7 @@ def test_05_first_order_conflict_expansion(bundle_cache):
                 if i == j:
                     continue
                 residuals = [
-                    abs(pairwise[lam][i, j] - lam * ew_dot(grads[j], tvs[i].delta))
+                    abs(pairwise[lam][i, j] - lam * ew_dot(grads[j], tvs[i]))
                     for lam in lams
                 ]
                 ratios = [residuals[t] / residuals[t + 1] for t in range(len(lams) - 1)]
@@ -343,8 +338,7 @@ def test_11_ties_sign_election_oracle():
         flats = rng.normal(size=(k, n))
         trim_keep = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         ref = Checkpoint([("x", np.zeros(n))])
-        tvs = [TaskVector(i, Checkpoint([("x", flats[i])])) for i in range(k)]
-        _, elected = ties_phi(tvs, trim_keep)
+        _, elected = ties_phi(flats, trim_keep)
 
         # independent oracle: trim by explicit magnitude ranking, then take
         # the sign of the column sums coordinate by coordinate
@@ -358,7 +352,7 @@ def test_11_ties_sign_election_oracle():
         for c in range(n):
             s = trimmed[:, c].sum()
             expected[c] = -1.0 if s < 0 else 1.0
-        if not np.array_equal(elected["x"], expected):
+        if not np.array_equal(elected, expected):
             check("ties sign election oracle", False, f"case {case}")
 
     # tau=0 reduction on top of the election law

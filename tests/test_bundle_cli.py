@@ -19,6 +19,7 @@ from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.merging import MergeConfig
 from trustmerge.mlp import TrainConfig, evaluate_accuracy
+from trustmerge.params import ew_abs
 
 from conftest import BAD_TMRG, tiny_bundle_config
 
@@ -61,11 +62,12 @@ class TestBundle:
 
     def test_gradient_estimates_trim_exemplars(self, small_bundle):
         full = small_bundle.gradient_estimates()
-        trimmed = small_bundle.gradient_estimates(3)
-        assert full[0].exemplar_count == 12
-        assert trimmed[0].exemplar_count == 3
+        pool = small_bundle.exemplar_sets[0]
+        assert len(pool) == 12
+        assert full[0] == estimate_abs_gradient(small_bundle.theta_pre, pool)
+        assert small_bundle.gradient_estimates(3)[0] != full[0]
         zero_shot = small_bundle.gradient_estimates(0)
-        assert all(g.source == "zero_shot" for g in zero_shot)
+        assert zero_shot == [ew_abs(d) for d in small_bundle.task_vectors()]
 
     def test_gradient_estimates_return_a_new_list_each_call(self, small_bundle):
         first = small_bundle.gradient_estimates()
@@ -139,13 +141,13 @@ class TestBundle:
     def test_trimmed_estimates_equal_fresh_estimates(self, small_bundle):
         for k, est in enumerate(small_bundle.gradient_estimates(3)):
             ex = small_bundle.exemplar_sets[k]
-            assert est == estimate_abs_gradient(small_bundle.theta_pre, ex.take(np.arange(3)), k)
+            assert est == estimate_abs_gradient(small_bundle.theta_pre, ex.take(np.arange(3)))
 
     def test_subset_estimates_equal_the_parents(self, small_bundle):
         parent = small_bundle.gradient_estimates()
         sub = small_bundle.subset([2, 0]).gradient_estimates()
-        assert sub[0].abs_grad == parent[2].abs_grad
-        assert sub[1].abs_grad == parent[0].abs_grad
+        assert sub[0] == parent[2]
+        assert sub[1] == parent[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -240,7 +242,7 @@ class TestCli:
         out = tmp_path / "zs"
         main(["merge", "--bundle", str(bundle_dir), "--exemplars", "0",
               "--out", str(out)])
-        assert "grad_source=zero_shot" in (out / "provenance.txt").read_text()
+        assert "exemplars=0" in (out / "merge_config.txt").read_text().splitlines()
 
     def test_conflict_emits_both_bases(self, bundle_dir, tmp_path):
         out = tmp_path / "conflict"
@@ -312,6 +314,9 @@ class TestCli:
         ("gen-train --set finetune_learning_rate=inf", 2, "ConfigError: learning rate"),
         ("gen-train --set center_angles=nan,0,1,2", 2, "ConfigError: center angles"),
         ("gen-train --set hiden=8", 2, "ConfigError: unknown config key 'hiden'"),
+        ("gen-train --seed -1", 2, "ConfigError: seed must be >= 0"),
+        ("gen-train --set seed=-1", 2, "ConfigError: seed must be >= 0"),
+        ("gen-train --set pretrain_on_mixture=ture", 2, "ConfigError: expected true/false"),
         ("eval --merged {tmp}/absent", 1, "MissingArtifact: "),
     ])
     def test_bad_input_exit_code(self, bundle_dir, tmp_path, capsys, argv, code, message):

@@ -13,9 +13,9 @@ from trustmerge.evaluation import (
     write_conflict_csv,
     write_landscape_csv,
 )
-from trustmerge.merging import AdaConfig, MergeConfig
+from trustmerge.merging import AdaConfig, MergeConfig, tatr_merge
 from trustmerge.mlp import backward, forward
-from trustmerge.params import ew_scale, sum_in_order
+from trustmerge.params import ew_abs, ew_scale, sum_in_order
 
 
 ALL_METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
@@ -49,8 +49,13 @@ class TestMergeBundle:
         assert result.merged == expected
 
     def test_zero_exemplars_switch_to_zero_shot(self, small_bundle):
-        result = merge_bundle(small_bundle, MergeConfig(method="tatr"), exemplar_count=0)
-        assert result.provenance["grad_source"] == "zero_shot"
+        cfg = MergeConfig(method="tatr")
+        result = merge_bundle(small_bundle, cfg, exemplar_count=0)
+        tvs = small_bundle.task_vectors()
+        grads = [ew_abs(d) for d in tvs]
+        zero_shot = tatr_merge(small_bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau)
+        assert result.merged == zero_shot.merged
+        assert result.mask_used.mask == zero_shot.mask_used.mask
 
 
 class TestKnowledgeConflict:

@@ -13,7 +13,7 @@ from trustmerge.mlp import (
     init_params,
     train,
 )
-from trustmerge.params import Checkpoint, zeros_like
+from trustmerge.params import Checkpoint
 
 
 def small_net(seed=0, sizes=(2, 5, 3)):
@@ -92,7 +92,7 @@ class TestSpecAndBatch:
 class TestForward:
     def test_zero_params_loss_is_log_num_classes(self):
         spec, params = small_net()
-        params = zeros_like(params)
+        params = Checkpoint.from_flat(params, np.zeros(params.total_dims))
         rng = np.random.default_rng(0)
         batch = random_batch(rng, 10, 2, 3)
         _, loss = forward(params, batch)
@@ -151,7 +151,7 @@ class TestGradients:
 
     def test_entropy_max_at_uniform_with_zero_gradient(self):
         spec, params = small_net()
-        params = zeros_like(params)
+        params = Checkpoint.from_flat(params, np.zeros(params.total_dims))
         rng = np.random.default_rng(3)
         batch = random_batch(rng, 5, 2, 3)
         loss, grads = entropy_loss(params, batch)
@@ -316,7 +316,7 @@ class TestAccuracy:
     def test_tie_breaks_toward_lowest_class_index(self):
         # zero params give identical logits for every class
         spec, params = small_net()
-        params = zeros_like(params)
+        params = Checkpoint.from_flat(params, np.zeros(params.total_dims))
         batch = LabeledBatch(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
         assert evaluate_accuracy(params, batch) == 0.5
 

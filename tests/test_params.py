@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trustmerge.errors import (
     BadMagic,
     DuplicateName,
+    EmptyList,
     IncompatibleShapes,
     MalformedArtifact,
     NonFiniteScalar,
@@ -22,10 +23,9 @@ from trustmerge.params import (
     ew_dot,
     ew_scale,
     load_checkpoint,
-    ones_like,
     save_checkpoint,
+    stack,
     sum_in_order,
-    zeros_like,
 )
 
 from conftest import BAD_TMRG, random_checkpoint, tmrg_bytes
@@ -102,12 +102,6 @@ class TestCheckpoint:
         with pytest.raises(IncompatibleShapes):
             Checkpoint.from_flat(c, np.ones(3))
 
-    def test_is_mask_and_is_nonnegative(self):
-        assert ck(x=[0.0, 1.0, 1.0]).is_mask()
-        assert not ck(x=[0.5]).is_mask()
-        assert ck(x=[0.0, 2.0]).is_nonnegative()
-        assert not ck(x=[-0.1]).is_nonnegative()
-
 
 class TestElementwiseOps:
     def test_add_sub_hadamard_hand_values(self):
@@ -143,10 +137,15 @@ class TestElementwiseOps:
         b = ck(x=[10.0], y=[100.0])
         assert ew_dot(a, b) == 210.0
 
-    def test_zeros_ones_like(self):
-        c = ck(x=[1.0, 2.0])
-        assert np.array_equal(zeros_like(c)["x"], [0.0, 0.0])
-        assert np.array_equal(ones_like(c)["x"], [1.0, 1.0])
+    def test_stack(self):
+        a, b = ck(x=[1.0, 2.0], y=[3.0]), ck(x=[4.0, 5.0], y=[6.0])
+        rows = stack([b, a], a)
+        assert np.array_equal(rows, [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        with pytest.raises(IncompatibleShapes):
+            stack([a, ck(x=[1.0, 2.0], z=[3.0])], a)
+        with pytest.raises(EmptyList):
+            stack([], a)
 
     def test_sum_in_order(self):
         parts = [ck(x=[1.0]), ck(x=[2.0]), ck(x=[4.0])]

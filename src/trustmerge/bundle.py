@@ -9,7 +9,9 @@ descends from a common ancestor.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,9 @@ class BundleConfig:
             raise ValueError("need at least one task")
         if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
             raise ValueError("need a rotation and label permutation per task")
+        # keep the ones the tasks use, so a saved and reloaded config compares equal
+        vars(self).update(rotations=tuple(self.rotations[: self.num_tasks]),
+                          label_perms=tuple(self.label_perms[: self.num_tasks]))
         # built here so bad sizes or task settings fail as config errors, not mid-run
         object.__setattr__(self, "_mlp_spec", MlpSpec((2, *self.hidden, self.num_classes)))
         for k in range(self.num_tasks):
@@ -236,53 +241,17 @@ def save_bundle(bundle: TaskBundle, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
 
-    def emit_ckpt(name: str, ck: Checkpoint):
-        path = out / name
-        save_checkpoint(ck, path)
-        files.append(path)
+    def emit(name: str, save, value) -> None:
+        save(value, out / name)
+        files.append(out / name)
 
-    def emit_csv(name: str, batch: LabeledBatch):
-        path = out / name
-        save_batch_csv(batch, path)
-        files.append(path)
-
-    emit_ckpt("theta_pre.tmrg", bundle.theta_pre)
+    emit("theta_pre.tmrg", save_checkpoint, bundle.theta_pre)
     for k in range(bundle.num_tasks):
-        emit_ckpt(f"task{k}.tmrg", bundle.experts[k])
-        emit_csv(f"task{k}_train.csv", bundle.train_sets[k])
-        emit_csv(f"task{k}_test.csv", bundle.test_sets[k])
-        emit_csv(f"task{k}_exemplars.csv", bundle.exemplar_sets[k])
-
-    cfg = bundle.config
-    cfg_lines = {
-        "seed": cfg.seed,
-        "num_tasks": cfg.num_tasks,
-        "num_classes": cfg.num_classes,
-        "hidden": ",".join(str(h) for h in cfg.hidden),
-        "rotations": ",".join(repr(r) for r in cfg.rotations[: cfg.num_tasks]),
-        "label_perms": ";".join(
-            ",".join(str(p) for p in perm) for perm in cfg.label_perms[: cfg.num_tasks]
-        ),
-        "center_angles": ""
-        if cfg.center_angles is None
-        else ",".join(repr(a) for a in cfg.center_angles),
-        "noise_std": repr(cfg.noise_std),
-        "samples_train": cfg.samples_train,
-        "samples_test": cfg.samples_test,
-        "exemplar_count": cfg.exemplar_count,
-        "pretrain_on_mixture": cfg.pretrain_on_mixture,
-        "pretrain_epochs": cfg.pretrain.epochs,
-        "pretrain_batch_size": cfg.pretrain.batch_size,
-        "pretrain_learning_rate": repr(cfg.pretrain.learning_rate),
-        "finetune_epochs": cfg.finetune.epochs,
-        "finetune_batch_size": cfg.finetune.batch_size,
-        "finetune_learning_rate": repr(cfg.finetune.learning_rate),
-    }
-    cfg_path = out / "bundle_config.txt"
-    with open(cfg_path, "w") as fh:
-        for k, v in cfg_lines.items():
-            fh.write(f"{k}={v}\n")
-    files.append(cfg_path)
+        emit(f"task{k}.tmrg", save_checkpoint, bundle.experts[k])
+        emit(f"task{k}_train.csv", save_batch_csv, bundle.train_sets[k])
+        emit(f"task{k}_test.csv", save_batch_csv, bundle.test_sets[k])
+        emit(f"task{k}_exemplars.csv", save_batch_csv, bundle.exemplar_sets[k])
+    emit("bundle_config.txt", _save_config, bundle.config)
 
     with open(out / "manifest.txt", "w") as fh:
         for path in files:
@@ -291,11 +260,13 @@ def save_bundle(bundle: TaskBundle, out_dir) -> None:
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     out = {}
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {number} {line!r} is not key=value")
         out[key.strip()] = value.strip()
     return out
 
@@ -308,56 +279,60 @@ def _flag(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
+def _tuple_of(parse, sep=","):
+    return lambda text: tuple(parse(part) for part in text.split(sep))
+
+
+def _joined(fmt, sep=","):
+    return lambda values: sep.join(fmt(v) for v in values)
+
+
+# bundle_config.txt, one key per line in this order: key -> (the BundleConfig
+# field it holds, "outer.inner" inside a TrainConfig; its parser; its format).
+# A None value is written, and an empty value read, as "keep the default".
+_CONFIG_KEYS = {
+    "seed": ("seed", int, str),
+    "num_tasks": ("num_tasks", int, str),
+    "num_classes": ("num_classes", int, str),
+    "hidden": ("hidden", _tuple_of(int), _joined(str)),
+    "rotations": ("rotations", _tuple_of(float), _joined(repr)),
+    "label_perms": ("label_perms", _tuple_of(_tuple_of(int), ";"), _joined(_joined(str), ";")),
+    "center_angles": ("center_angles", _tuple_of(float), _joined(repr)),
+    "noise_std": ("noise_std", float, repr),
+    "samples_train": ("samples_train", int, str),
+    "samples_test": ("samples_test", int, str),
+    "exemplar_count": ("exemplar_count", int, str),
+    "pretrain_on_mixture": ("pretrain_on_mixture", _flag, str),
+    "pretrain_epochs": ("pretrain.epochs", int, str),
+    "pretrain_batch_size": ("pretrain.batch_size", int, str),
+    "pretrain_learning_rate": ("pretrain.learning_rate", float, repr),
+    "finetune_epochs": ("finetune.epochs", int, str),
+    "finetune_batch_size": ("finetune.batch_size", int, str),
+    "finetune_learning_rate": ("finetune.learning_rate", float, repr),
+}
+
+
+def _save_config(cfg: BundleConfig, path: Path) -> None:
+    with open(path, "w") as fh:
+        for key, (field_path, _, fmt) in _CONFIG_KEYS.items():
+            value = reduce(getattr, field_path.split("."), cfg)
+            fh.write(f"{key}={'' if value is None else fmt(value)}\n")
+
+
 def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
     """Build a BundleConfig from flat key=value strings (file or CLI flags).
     An empty value keeps the default; an unknown key is a ValueError."""
-    defaults = BundleConfig()
-    unread = dict(kv)
-
-    def get(key, cast, fallback):
-        value = unread.pop(key, "")
-        return cast(value) if value != "" else fallback
-
-    hidden = get("hidden", lambda s: tuple(int(x) for x in s.split(",")), defaults.hidden)
-    rotations = get(
-        "rotations", lambda s: tuple(float(x) for x in s.split(",")), defaults.rotations
-    )
-    perms = get(
-        "label_perms",
-        lambda s: tuple(tuple(int(p) for p in part.split(",")) for part in s.split(";")),
-        defaults.label_perms,
-    )
-    pretrain = TrainConfig(
-        epochs=get("pretrain_epochs", int, defaults.pretrain.epochs),
-        batch_size=get("pretrain_batch_size", int, defaults.pretrain.batch_size),
-        learning_rate=get("pretrain_learning_rate", float, defaults.pretrain.learning_rate),
-    )
-    finetune = TrainConfig(
-        epochs=get("finetune_epochs", int, defaults.finetune.epochs),
-        batch_size=get("finetune_batch_size", int, defaults.finetune.batch_size),
-        learning_rate=get("finetune_learning_rate", float, defaults.finetune.learning_rate),
-    )
-    cfg = BundleConfig(
-        seed=get("seed", int, defaults.seed),
-        num_tasks=get("num_tasks", int, defaults.num_tasks),
-        num_classes=get("num_classes", int, defaults.num_classes),
-        hidden=hidden,
-        rotations=rotations,
-        label_perms=perms,
-        center_angles=get(
-            "center_angles", lambda s: tuple(float(x) for x in s.split(",")), defaults.center_angles
-        ),
-        noise_std=get("noise_std", float, defaults.noise_std),
-        samples_train=get("samples_train", int, defaults.samples_train),
-        samples_test=get("samples_test", int, defaults.samples_test),
-        exemplar_count=get("exemplar_count", int, defaults.exemplar_count),
-        pretrain_on_mixture=get("pretrain_on_mixture", _flag, defaults.pretrain_on_mixture),
-        pretrain=pretrain,
-        finetune=finetune,
-    )
-    if unread:
-        raise ValueError(f"unknown config key {sorted(unread)[0]!r}")
-    return cfg
+    unknown = sorted(set(kv) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    top, nested = {}, defaultdict(dict)
+    for key, value in kv.items():
+        if value != "":
+            field_path, parse, _ = _CONFIG_KEYS[key]
+            outer, _, name = field_path.rpartition(".")
+            (nested[outer] if outer else top)[name] = parse(value)
+    cfg = BundleConfig(**top)
+    return replace(cfg, **{outer: replace(getattr(cfg, outer), **kw) for outer, kw in nested.items()})
 
 
 def _bundle_files(cfg: BundleConfig) -> set[str]:

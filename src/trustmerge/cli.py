@@ -5,8 +5,10 @@ per-layer sensitivity, hyper-parameter sweeps)."""
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bundle import (
@@ -17,7 +19,13 @@ from .bundle import (
     save_bundle,
     _parse_config_file,
 )
-from .errors import ConfigError, MissingArtifact, TrustMergeError
+from .errors import (
+    ConfigError,
+    IncompatibleShapes,
+    MalformedArtifact,
+    MissingArtifact,
+    TrustMergeError,
+)
 from .evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -27,8 +35,8 @@ from .evaluation import (
     write_conflict_csv,
     write_landscape_csv,
 )
-from .merging import METHODS, AdaConfig, MergeConfig, save_merge_result
-from .params import load_checkpoint
+from .merging import METHODS, AdaConfig, MergeConfig, MergeResult, save_merge_result
+from .params import Checkpoint, load_checkpoint
 from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, write_per_layer_csv
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -58,7 +66,7 @@ _task = _checked(lambda s: None if s == "total" else int(s),
                  lambda t: t is None or t >= 0, "a task index or 'total'")
 
 
-def _merge_config_from_args(args) -> MergeConfig:
+def _config_from_flags(args) -> MergeConfig:
     ada = AdaConfig(
         steps=args.ada_steps, learning_rate=args.ada_lr, init_lambda=args.ada_init_lambda
     )
@@ -87,25 +95,20 @@ def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ada-init-lambda", type=_finite, default=0.3)
 
 
-def _write_sidecar(path: Path, kv: dict) -> None:
-    with open(path, "w") as fh:
-        for k, v in kv.items():
-            fh.write(f"{k}={v}\n")
-
-
 def cmd_gen_train(args) -> int:
-    kv: dict[str, str] = {}
-    if args.config:
-        kv.update(_parse_config_file(Path(args.config)))
+    try:
+        kv = _parse_config_file(Path(args.config)) if args.config else {}
+    except ValueError as exc:  # includes a file that is not UTF-8
+        raise ConfigError(f"{args.config}: {exc}") from exc
     for override in args.set:
         key, sep, value = override.partition("=")
         if not sep:
             raise ConfigError(f"override {override!r} is not key=value")
         kv[key] = value
-    if args.seed is not None:
-        kv["seed"] = str(args.seed)
     try:
         cfg = bundle_config_from_mapping(kv)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
     bundle = make_bundle(cfg)
@@ -116,56 +119,44 @@ def cmd_gen_train(args) -> int:
 
 def cmd_merge(args) -> int:
     bundle = load_bundle(args.bundle)
-    cfg = _merge_config_from_args(args)
-    result = merge_bundle(bundle, cfg, args.exemplars)
-    save_merge_result(result, args.out)
-    _write_sidecar(Path(args.out) / "merge_config.txt", {
-        "method": cfg.method, "lambda": cfg.lam, "tau": cfg.tau,
-        "ties_trim_keep": cfg.ties_trim_keep,
-        "ties_mask_from_trimmed": cfg.ties_mask_from_trimmed,
-        "variant": cfg.sensitivity_variant, "exemplars": args.exemplars,
-        "ada_steps": cfg.ada.steps, "ada_lr": cfg.ada.learning_rate,
-        "ada_init_lambda": cfg.ada.init_lambda,
-    })
+    cfg = _config_from_flags(args)
+    save_merge_result(merge_bundle(bundle, cfg, args.exemplars), args.out)
     print(f"merged model written to {args.out}")
     return 0
 
 
-def _load_merged_results(paths) -> list[tuple[str, object]]:
-    from .merging import MergeResult
-
-    out = []
-    for p in paths:
-        root = Path(p)
-        merged_path = root / "merged.tmrg"
-        if not merged_path.exists():
-            raise MissingArtifact(str(merged_path))
-        prov_path = root / "provenance.txt"
-        name = root.name
-        if prov_path.exists():
-            for line in prov_path.read_text().splitlines():
-                if line.startswith("method="):
-                    name = line.split("=", 1)[1]
-        merged = load_checkpoint(merged_path)
-        out.append((name, MergeResult(merged, None, [], {"method": name})))
-    return out
+def _load_merged(root: Path, like: Checkpoint) -> tuple[str, MergeResult]:
+    """A merge directory's merged model, named by its run.json's config.method
+    or, without a record, by the directory."""
+    path, record = root / "merged.tmrg", root / "run.json"
+    if not path.exists():
+        raise MissingArtifact(str(path))
+    merged = load_checkpoint(path)
+    if not merged.compatible(like):
+        raise IncompatibleShapes(f"{path} does not have the bundle's parameter layout")
+    try:
+        config = json.loads(record.read_text("utf-8"))["config"] if record.exists() else None
+        name = root.name if config is None else str(config["method"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedArtifact(f"{record}: no config.method ({exc!r})") from exc
+    return name, MergeResult(merged, None, [])
 
 
 def cmd_eval(args) -> int:
     bundle = load_bundle(args.bundle)
-    results = _load_merged_results(args.merged)
+    results = [_load_merged(Path(p), bundle.theta_pre) for p in args.merged]
     rows = accuracy_table(bundle, results)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_accuracy_csv(rows, bundle.num_tasks, out / "accuracy.csv")
     for name, _, avg in rows[2:]:
-        print(f"avg_acc={avg}")
+        print(f"{name} avg_acc={avg}")
     return 0
 
 
 def cmd_conflict(args) -> int:
     bundle = load_bundle(args.bundle)
-    cfg = _merge_config_from_args(args)
+    cfg = _config_from_flags(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # loss and accuracy bases are emitted as separate files, never mixed

@@ -4,7 +4,7 @@ grid over the orthogonal/positive/negative task-vector plane."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,12 +47,16 @@ class LandscapeGrid:
 def merge_bundle(
     bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None = None
 ) -> MergeResult:
-    """Run the configured merge method on a bundle (or bundle subset)."""
+    """Run the configured merge method on a bundle (or bundle subset); the
+    result records ``cfg`` and ``exemplar_count``."""
+    return replace(_run_method(bundle, cfg, exemplar_count), config=cfg, exemplars=exemplar_count)
+
+
+def _run_method(bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None) -> MergeResult:
     tvs = bundle.task_vectors()
     if cfg.method == "average":
-        merged = weight_average(bundle.experts)
         k = bundle.num_tasks
-        return MergeResult(merged, None, [1.0 / k] * k, {"method": "average"})
+        return MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k)
     if cfg.method == "task_arithmetic":
         return task_arithmetic(bundle.theta_pre, tvs, cfg.lam)
     if cfg.method == "ties":

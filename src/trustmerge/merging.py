@@ -4,7 +4,9 @@ coefficients on top of the trust region (ada_tatr)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,9 @@ class MergeResult:
     merged: Checkpoint
     mask_used: TrustRegionMask | None
     coefficients: list[float]
-    provenance: dict[str, str]
+    # what merge_bundle ran: its config and exemplar count (None = full pools)
+    config: MergeConfig | None = None
+    exemplars: int | None = None
 
 
 def _shifted(theta_pre: Checkpoint, step: np.ndarray) -> Checkpoint:
@@ -68,19 +72,10 @@ def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     return ew_scale(sum_in_order(checkpoints), 1.0 / len(checkpoints))
 
 
-def _provenance(method: str, **kv) -> dict[str, str]:
-    out = {"method": method}
-    out.update({k: str(v) for k, v in kv.items()})
-    return out
-
-
 def task_arithmetic(theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float) -> MergeResult:
     """theta_pre + lam * sum of deltas, summed in ascending task order."""
     step = lam * sum_rows(stack(tvs, theta_pre))
-    return MergeResult(
-        _shifted(theta_pre, step), None, [lam] * len(tvs),
-        _provenance("task_arithmetic", **{"lambda": lam}),
-    )
+    return MergeResult(_shifted(theta_pre, step), None, [lam] * len(tvs))
 
 
 def tatr_merge(
@@ -99,8 +94,7 @@ def tatr_merge(
     deltas = stack(tvs, theta_pre)
     mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
     step = lam * sum_rows(deltas * mask.mask.flat())
-    prov = _provenance("tatr", tau=tau, variant=variant, **{"lambda": lam})
-    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs), prov)
+    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
 
 
 def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,10 +128,7 @@ def ties_merge(
     theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float, trim_keep: float
 ) -> MergeResult:
     aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
-    prov = _provenance("ties", trim_keep=trim_keep, **{"lambda": lam})
-    return MergeResult(
-        _shifted(theta_pre, lam * _disjoint_mean(aligned)), None, [lam] * len(tvs), prov
-    )
+    return MergeResult(_shifted(theta_pre, lam * _disjoint_mean(aligned)), None, [lam] * len(tvs))
 
 
 def ties_tatr(
@@ -159,11 +150,7 @@ def ties_tatr(
         tvs = [Checkpoint.from_flat(theta_pre, row) for row in aligned]
     mask = build_mask(compute_sensitivity(grads, tvs, "standard"), tau)
     step = lam * (_disjoint_mean(aligned) * mask.mask.flat())
-    prov = _provenance(
-        "ties_tatr", tau=tau, trim_keep=trim_keep,
-        mask_from_trimmed=mask_from_trimmed, **{"lambda": lam},
-    )
-    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs), prov)
+    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
 
 
 def _assemble(theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarray) -> Checkpoint:
@@ -208,27 +195,30 @@ def ada_tatr(
     for _ in range(ada.steps):
         _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, unlabeled)
         coeffs = coeffs - ada.learning_rate * dcoeffs
-    prov = _provenance(
-        "ada_tatr", tau=tau, steps=ada.steps, ada_lr=ada.learning_rate,
-        init_lambda=ada.init_lambda,
-    )
     merged = _assemble(theta_pre, masked, coeffs)
-    return MergeResult(merged, mask, [float(c) for c in coeffs], prov)
+    return MergeResult(merged, mask, [float(c) for c in coeffs])
 
 
 def save_merge_result(result: MergeResult, out_dir) -> None:
-    """merged.tmrg + optional mask.tmrg + key=value provenance sidecar."""
+    """merged.tmrg, mask.tmrg for the trust-region methods, and run.json: the
+    config and exemplar count, the coefficients, and the mask's epsilon (null
+    when nothing is excluded) and excluded count.  run.json is strict JSON and
+    holds no paths or times, so a repeated merge writes the same bytes."""
+    mask = result.mask_used
+    record = {
+        "config": None if result.config is None else asdict(result.config),
+        "exemplars": result.exemplars,
+        "coefficients": result.coefficients,
+        "mask": None if mask is None else {
+            "epsilon": mask.epsilon if math.isfinite(mask.epsilon) else None,
+            "excluded_count": mask.excluded_count,
+        },
+    }
+    # encoded first: a value JSON cannot hold fails before any file is written
+    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.merged, out / "merged.tmrg")
-    if result.mask_used is not None:
-        save_checkpoint(result.mask_used.mask, out / "mask.tmrg")
-    lines = dict(result.provenance)
-    lines["coefficients"] = ",".join(repr(c) for c in result.coefficients)
-    if result.mask_used is not None:
-        lines["tau"] = str(result.mask_used.tau)
-        lines["epsilon"] = repr(result.mask_used.epsilon)
-        lines["excluded_count"] = str(result.mask_used.excluded_count)
-    with open(out / "provenance.txt", "w") as fh:
-        for k, v in lines.items():
-            fh.write(f"{k}={v}\n")
+    if mask is not None:
+        save_checkpoint(mask.mask, out / "mask.tmrg")
+    (out / "run.json").write_text(text, "utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import shutil
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 import trustmerge.bundle
 from trustmerge.bundle import (
+    DEFAULT_ROTATIONS,
     BundleConfig,
     bundle_config_from_mapping,
     load_bundle,
     make_bundle,
     save_bundle,
+    _parse_config_file,
 )
 from trustmerge.cli import main
 from trustmerge.errors import MissingArtifact
@@ -32,6 +35,46 @@ TINY_FLAGS = [
     "--set", "pretrain_epochs=6",
     "--set", "finetune_epochs=10",
 ]
+
+
+# every bundle_config.txt key, each at a value other than its default, as
+# save_bundle writes it, and the config it must parse to
+NON_DEFAULT = {
+    "seed": "5",
+    "num_tasks": "2",
+    "num_classes": "3",
+    "hidden": "8,4",
+    "rotations": "45.0,200.0",
+    "label_perms": "2,0,1;1,2,0",
+    "center_angles": "10.0,130.0,250.0",
+    "noise_std": "0.3",
+    "samples_train": "64",
+    "samples_test": "32",
+    "exemplar_count": "8",
+    "pretrain_on_mixture": "False",
+    "pretrain_epochs": "5",
+    "pretrain_batch_size": "16",
+    "pretrain_learning_rate": "0.1",
+    "finetune_epochs": "7",
+    "finetune_batch_size": "8",
+    "finetune_learning_rate": "0.02",
+}
+NON_DEFAULT_CONFIG = BundleConfig(
+    seed=5,
+    num_tasks=2,
+    num_classes=3,
+    hidden=(8, 4),
+    rotations=(45.0, 200.0),
+    label_perms=((2, 0, 1), (1, 2, 0)),
+    center_angles=(10.0, 130.0, 250.0),
+    noise_std=0.3,
+    samples_train=64,
+    samples_test=32,
+    exemplar_count=8,
+    pretrain_on_mixture=False,
+    pretrain=TrainConfig(epochs=5, batch_size=16, learning_rate=0.1),
+    finetune=TrainConfig(epochs=7, batch_size=8, learning_rate=0.02),
+)
 
 
 @pytest.fixture(scope="module")
@@ -191,10 +234,37 @@ class TestBundleRoundTrip:
     def test_config_mapping_round_trip(self, small_bundle, tmp_path):
         out = tmp_path / "bundle"
         save_bundle(small_bundle, out)
-        from trustmerge.bundle import _parse_config_file
-
         cfg = bundle_config_from_mapping(_parse_config_file(out / "bundle_config.txt"))
         assert cfg == small_bundle.config
+
+    def test_every_config_key_is_read_into_its_field(self, small_bundle, tmp_path):
+        save_bundle(small_bundle, tmp_path)
+        assert set(NON_DEFAULT) == set(_parse_config_file(tmp_path / "bundle_config.txt"))
+        default = BundleConfig()
+        for phase in ("pretrain", "finetune"):
+            ours, theirs = getattr(NON_DEFAULT_CONFIG, phase), getattr(default, phase)
+            for field in ("epochs", "batch_size", "learning_rate"):
+                assert getattr(ours, field) != getattr(theirs, field)
+        for field in dataclasses.fields(BundleConfig):
+            assert getattr(NON_DEFAULT_CONFIG, field.name) != getattr(default, field.name)
+        assert bundle_config_from_mapping(NON_DEFAULT) == NON_DEFAULT_CONFIG
+        for key in NON_DEFAULT:  # an empty value keeps the default
+            assert bundle_config_from_mapping({key: ""}) == default
+
+    def test_non_default_config_survives_save_and_load(self, tmp_path):
+        bundle = make_bundle(NON_DEFAULT_CONFIG)
+        save_bundle(bundle, tmp_path)
+        assert _parse_config_file(tmp_path / "bundle_config.txt") == NON_DEFAULT
+        loaded = load_bundle(tmp_path)
+        assert loaded.config == NON_DEFAULT_CONFIG
+        assert loaded.theta_pre == bundle.theta_pre
+        assert loaded.experts == bundle.experts
+
+    def test_config_keeps_the_rotations_and_perms_its_tasks_use(self):
+        cfg = BundleConfig(num_tasks=2)
+        assert cfg.rotations == DEFAULT_ROTATIONS[:2]
+        assert len(cfg.label_perms) == 2
+        assert bundle_config_from_mapping({"num_tasks": "2"}) == cfg
 
     def test_mapping_defaults_and_overrides(self):
         cfg = bundle_config_from_mapping({"seed": "7", "noise_std": "0.2"})
@@ -209,8 +279,10 @@ class TestCli:
         merged = tmp_path / "tatr"
         assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
         assert (merged / "merged.tmrg").exists()
-        assert (merged / "mask.tmrg").exists()
-        assert (merged / "provenance.txt").exists()
+        assert sorted(p.name for p in merged.iterdir()) == ["mask.tmrg", "merged.tmrg", "run.json"]
+        record = json.loads((merged / "run.json").read_text())
+        assert record["config"] == dataclasses.asdict(MergeConfig())
+        assert record["exemplars"] is None
 
         out = tmp_path / "eval"
         code = main([
@@ -220,6 +292,7 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert "avg_acc=" in captured
+        assert captured.splitlines()[-1].startswith("tatr avg_acc=")
         assert (out / "accuracy.csv").exists()
 
     def test_tau_zero_merge_matches_task_arithmetic_bytes(self, bundle_dir, tmp_path):
@@ -230,6 +303,21 @@ class TestCli:
         main(["merge", "--bundle", str(bundle_dir), "--method", "tatr", "--tau", "0",
               "--out", str(b)])
         assert (a / "merged.tmrg").read_bytes() == (b / "merged.tmrg").read_bytes()
+
+    def test_repeated_merge_writes_identical_files(self, bundle_dir, tmp_path):
+        flags = ["--method", "ties_tatr", "--ties-mask-from-trimmed", "--tau", "0.05",
+                 "--exemplars", "3", "--lambda", "0.4"]
+        dirs = [tmp_path / "first", tmp_path / "second" / "nested"]
+        for out in dirs:
+            assert main(["merge", "--bundle", str(bundle_dir), "--out", str(out), *flags]) == 0
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in dirs]
+        assert sorted(files[0]) == ["mask.tmrg", "merged.tmrg", "run.json"]
+        assert files[0] == files[1]
+        record = files[0]["run.json"].decode()
+        assert str(tmp_path) not in record
+        config = json.loads(record)["config"]
+        assert (config["method"], config["ties_mask_from_trimmed"], config["lam"]) == (
+            "ties_tatr", True, 0.4)
 
     def test_merge_is_idempotent(self, bundle_dir, tmp_path):
         a = tmp_path / "m1"
@@ -242,7 +330,43 @@ class TestCli:
         out = tmp_path / "zs"
         main(["merge", "--bundle", str(bundle_dir), "--exemplars", "0",
               "--out", str(out)])
-        assert "exemplars=0" in (out / "merge_config.txt").read_text().splitlines()
+        assert json.loads((out / "run.json").read_text())["exemplars"] == 0
+
+    def test_eval_rejects_a_merge_of_another_model_shape(self, bundle_dir, tmp_path, capsys):
+        other = tmp_path / "hidden5"
+        assert main(["gen-train", "--seed", "3", "--out", str(other), *TINY_FLAGS,
+                     "--set", "hidden=5"]) == 0
+        merged = tmp_path / "ta5"
+        assert main(["merge", "--bundle", str(other), "--method", "task_arithmetic",
+                     "--out", str(merged)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "IncompatibleShapes: " in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("data", [
+        b"{not json", b"[]", b'{"exemplars": 0}', b'{"config": {}}', b'{"config": 3}', b"\xff",
+    ], ids=["not-json", "list", "no-config", "no-method", "config-not-object", "not-utf8"])
+    def test_eval_of_malformed_run_json_exits_1(self, bundle_dir, tmp_path, capsys, data):
+        merged = tmp_path / "merged"
+        assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
+        (merged / "run.json").write_bytes(data)
+        capsys.readouterr()
+        code = main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+
+    def test_eval_names_a_row_by_its_directory_without_a_record(self, bundle_dir, tmp_path):
+        merged = tmp_path / "unrecorded"
+        assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
+        (merged / "run.json").unlink()
+        out = tmp_path / "eval"
+        assert main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(out)]) == 0
+        assert (out / "accuracy.csv").read_text().splitlines()[-1].startswith("unrecorded,")
 
     def test_conflict_emits_both_bases(self, bundle_dir, tmp_path):
         out = tmp_path / "conflict"
@@ -317,9 +441,13 @@ class TestCli:
         ("gen-train --seed -1", 2, "ConfigError: seed must be >= 0"),
         ("gen-train --set seed=-1", 2, "ConfigError: seed must be >= 0"),
         ("gen-train --set pretrain_on_mixture=ture", 2, "ConfigError: expected true/false"),
+        ("gen-train --config {tmp}/no_equals.cfg", 2, "no_equals.cfg: line 2 'hidden' is not key"),
+        ("gen-train --config {tmp}/latin1.cfg", 2, "latin1.cfg: 'utf-8' codec can't decode"),
         ("eval --merged {tmp}/absent", 1, "MissingArtifact: "),
     ])
     def test_bad_input_exit_code(self, bundle_dir, tmp_path, capsys, argv, code, message):
+        (tmp_path / "no_equals.cfg").write_text("# a line without '='\nhidden\n")
+        (tmp_path / "latin1.cfg").write_bytes("# caf\u00e9\nhidden=8\n".encode("latin-1"))
         command, *flags = argv.format(tmp=tmp_path).split()
         args = [command, "--out", str(tmp_path / "out"), *flags]
         if command != "gen-train":
@@ -383,8 +511,10 @@ class TestCli:
         ("merge", "task3_test.csv", lambda lines: [lines[0]] + [
             line.rpartition(",")[0] + ",7\n" for line in lines[1:]]),
         ("merge", "bundle_config.txt", lambda lines: lines + ["hiden=8\n"]),
+        ("merge", "bundle_config.txt", lambda lines: lines + ["noise_std\n"]),
     ], ids=["unparsable-config", "eval-header-only-test", "conflict-header-only-test",
-            "short-train", "long-exemplars", "label-beyond-classes", "unknown-config-key"])
+            "short-train", "long-exemplars", "label-beyond-classes", "unknown-config-key",
+            "config-line-without-equals"])
     def test_rehashed_bundle_that_contradicts_its_config_exits_1(
         self, bundle_dir, tmp_path, capsys, command, name, edit
     ):

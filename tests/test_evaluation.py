@@ -40,7 +40,8 @@ class TestMergeBundle:
         cfg = MergeConfig(method=method, ada=AdaConfig(steps=2))
         result = merge_bundle(small_bundle, cfg, exemplar_count=4)
         assert result.merged.compatible(small_bundle.theta_pre)
-        assert result.provenance["method"] == method
+        assert result.config == cfg
+        assert result.exemplars == 4
 
     def test_average_is_expert_mean(self, small_bundle):
         result = merge_bundle(small_bundle, MergeConfig(method="average"))

@@ -1,14 +1,18 @@
+import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
 
+from trustmerge.bundle import BundleConfig, TaskBundle
 from trustmerge.errors import (
     EmptyList,
     EmptyUnlabeledSet,
     IncompatibleShapes,
     TrimOutOfRange,
 )
+from trustmerge.evaluation import merge_bundle
 from trustmerge.merging import (
     AdaConfig,
     MergeConfig,
@@ -25,6 +29,7 @@ from trustmerge.merging import (
 )
 from trustmerge.mlp import LabeledBatch, entropy_loss, init_params, MlpSpec
 from trustmerge.params import Checkpoint, ew_abs, ew_combine, ew_scale, load_checkpoint
+from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
 def ck(values):
@@ -33,6 +38,13 @@ def ck(values):
 
 def zs_grads(tvs):
     return [ew_abs(tv) for tv in tvs]
+
+
+def strict_json(path):
+    """Parse a file as JSON, rejecting NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def random_merge_inputs(seed, n=12, k=3):
@@ -64,7 +76,11 @@ class TestTaskArithmetic:
         result = task_arithmetic(pre, tvs, lam=0.3)
         assert np.array_equal(result.merged["x"], [1.3, 1.0])
         assert result.coefficients == [0.3, 0.3]
-        assert result.provenance["method"] == "task_arithmetic"
+        experts = [ew_combine(pre, tv, "add") for tv in tvs]
+        cfg = MergeConfig(method="task_arithmetic", lam=0.3)
+        recorded = merge_bundle(TaskBundle(BundleConfig(), pre, experts, [], [], []), cfg)
+        assert recorded.merged == result.merged
+        assert (recorded.config, recorded.exemplars) == (cfg, None)
 
     def test_no_tasks(self):
         with pytest.raises(EmptyList):
@@ -138,8 +154,11 @@ class TestTies:
         pre, tvs, grads = random_merge_inputs(7)
         a = ties_tatr(pre, tvs, grads, 0.3, 0.25, 0.4, mask_from_trimmed=False)
         b = ties_tatr(pre, tvs, grads, 0.3, 0.25, 0.4, mask_from_trimmed=True)
-        assert a.provenance["mask_from_trimmed"] == "False"
-        assert b.provenance["mask_from_trimmed"] == "True"
+        aligned, _ = ties_phi(np.stack([tv.flat() for tv in tvs]), 0.4)
+        trimmed = [Checkpoint.from_flat(pre, row) for row in aligned]
+        assert a.mask_used.mask == build_mask(compute_sensitivity(grads, tvs), 0.25).mask
+        assert b.mask_used.mask == build_mask(compute_sensitivity(grads, trimmed), 0.25).mask
+        assert b.mask_used.mask != a.mask_used.mask
 
 
 class TestAdaTatr:
@@ -249,20 +268,42 @@ class TestMergeConfig:
 
 
 class TestSaveMergeResult:
-    def test_files_and_provenance(self, tmp_path):
-        pre, tvs, grads = random_merge_inputs(5)
-        result = tatr_merge(pre, tvs, grads, 0.3, 0.25)
+    def test_files_and_provenance(self, small_bundle, tmp_path):
+        cfg = MergeConfig(method="tatr", tau=0.25)
+        result = merge_bundle(small_bundle, cfg, 4)
         out = tmp_path / "merge"
         save_merge_result(result, out)
+        assert sorted(p.name for p in out.iterdir()) == ["mask.tmrg", "merged.tmrg", "run.json"]
         assert load_checkpoint(out / "merged.tmrg") == result.merged
         assert load_checkpoint(out / "mask.tmrg") == result.mask_used.mask
-        prov = dict(
-            line.split("=", 1) for line in (out / "provenance.txt").read_text().splitlines()
-        )
-        assert prov["method"] == "tatr"
-        assert prov["tau"] == "0.25"
-        assert int(prov["excluded_count"]) == result.mask_used.excluded_count
-        assert float(prov["epsilon"]) == result.mask_used.epsilon
+        record = strict_json(out / "run.json")
+        assert record == {
+            "config": dataclasses.asdict(cfg),
+            "exemplars": 4,
+            "coefficients": result.coefficients,
+            "mask": {
+                "epsilon": result.mask_used.epsilon,
+                "excluded_count": result.mask_used.excluded_count,
+            },
+        }
+        ada = AdaConfig(**record["config"]["ada"])
+        assert MergeConfig(**{**record["config"], "ada": ada}) == cfg
+
+    def test_tau_zero_epsilon_is_null(self, small_bundle, tmp_path):
+        result = merge_bundle(small_bundle, MergeConfig(method="tatr", tau=0.0))
+        assert result.mask_used.epsilon == float("inf")
+        save_merge_result(result, tmp_path)
+        record = strict_json(tmp_path / "run.json")
+        assert record["mask"] == {"epsilon": None, "excluded_count": 0}
+        assert record["exemplars"] is None
+
+    def test_record_json_cannot_hold_writes_nothing(self, tmp_path):
+        pre, tvs, grads = random_merge_inputs(5)
+        cfg = MergeConfig(ada=AdaConfig(learning_rate=float("nan")))
+        result = dataclasses.replace(tatr_merge(pre, tvs, grads, 0.3, 0.25), config=cfg)
+        with pytest.raises(ValueError):
+            save_merge_result(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_no_mask_file_for_plain_merge(self, tmp_path):
         pre, tvs, _ = random_merge_inputs(6)
@@ -270,3 +311,6 @@ class TestSaveMergeResult:
         out = tmp_path / "ta"
         save_merge_result(result, out)
         assert not (out / "mask.tmrg").exists()
+        assert strict_json(out / "run.json") == {
+            "config": None, "exemplars": None, "coefficients": [0.3] * 3, "mask": None,
+        }

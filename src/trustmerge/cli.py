@@ -40,6 +40,7 @@ from .params import Checkpoint, load_checkpoint
 from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, write_per_layer_csv
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
+_DEFAULT = MergeConfig()  # the flags' defaults
 EXEMPLAR_GRID = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
 
@@ -82,17 +83,17 @@ def _config_from_flags(args) -> MergeConfig:
 
 
 def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=METHODS, default="tatr")
-    parser.add_argument("--lambda", dest="lam", type=_positive, default=0.3)
-    parser.add_argument("--tau", type=_fraction, default=0.01)
-    parser.add_argument("--ties-trim-keep", type=_keep_fraction, default=0.2)
+    parser.add_argument("--method", choices=METHODS, default=_DEFAULT.method)
+    parser.add_argument("--lambda", dest="lam", type=_positive, default=_DEFAULT.lam)
+    parser.add_argument("--tau", type=_fraction, default=_DEFAULT.tau)
+    parser.add_argument("--ties-trim-keep", type=_keep_fraction, default=_DEFAULT.ties_trim_keep)
     parser.add_argument("--ties-mask-from-trimmed", action="store_true")
-    parser.add_argument("--variant", choices=VARIANTS, default="standard")
+    parser.add_argument("--variant", choices=VARIANTS, default=_DEFAULT.sensitivity_variant)
     parser.add_argument("--exemplars", type=_count, default=None,
                         help="exemplars per task; 0 switches to zero-shot gradients")
-    parser.add_argument("--ada-steps", type=_count, default=100)
-    parser.add_argument("--ada-lr", type=_finite, default=0.01)
-    parser.add_argument("--ada-init-lambda", type=_finite, default=0.3)
+    parser.add_argument("--ada-steps", type=_count, default=_DEFAULT.ada.steps)
+    parser.add_argument("--ada-lr", type=_finite, default=_DEFAULT.ada.learning_rate)
+    parser.add_argument("--ada-init-lambda", type=_finite, default=_DEFAULT.ada.init_lambda)
 
 
 def cmd_gen_train(args) -> int:
@@ -256,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="per-layer mean sensitivity")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="standard")
+    p.add_argument("--variant", choices=VARIANTS, default=_DEFAULT.sensitivity_variant)
     p.add_argument("--exemplars", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("sweep", help="tau and exemplar-count grids")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive, default=0.3)
-    p.add_argument("--tau", type=_fraction, default=0.01)
+    p.add_argument("--lambda", dest="lam", type=_positive, default=_DEFAULT.lam)
+    p.add_argument("--tau", type=_fraction, default=_DEFAULT.tau)
     p.add_argument("--exemplars", type=_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

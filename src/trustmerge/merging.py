@@ -22,7 +22,7 @@ from .params import (
     sum_in_order,
     sum_rows,
 )
-from .trust_region import TrustRegionMask, build_mask, compute_sensitivity
+from .trust_region import VARIANTS, TrustRegionMask, build_mask, compute_sensitivity
 
 METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
 
@@ -32,6 +32,12 @@ class AdaConfig:
     steps: int = 100
     learning_rate: float = 0.01
     init_lambda: float = 0.3
+
+    def __post_init__(self):
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 0:
+            raise ValueError(f"ada steps must be an integer >= 0, got {self.steps!r}")
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.init_lambda)):
+            raise ValueError("ada learning rate and initial lambda must be finite")
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,16 @@ class MergeConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lambda must be finite and positive")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {self.tau!r}")
+        if not 0.0 < self.ties_trim_keep <= 1.0:
+            raise ValueError(f"ties_trim_keep must lie in (0, 1], got {self.ties_trim_keep!r}")
+        if not isinstance(self.ties_mask_from_trimmed, bool):
+            raise ValueError("ties_mask_from_trimmed must be a bool")
+        if self.sensitivity_variant not in VARIANTS:
+            raise ValueError(f"unknown sensitivity variant {self.sensitivity_variant!r}")
+        if not isinstance(self.ada, AdaConfig):
+            raise ValueError(f"ada must be an AdaConfig, got {type(self.ada).__name__}")
 
 
 @dataclass(frozen=True)

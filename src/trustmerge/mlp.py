@@ -9,6 +9,7 @@ finite-difference gradient checks are clean); the output is softmax.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,42 +99,61 @@ def init_params(spec: MlpSpec, seed: int) -> Checkpoint:
 
 
 @functools.lru_cache(maxsize=64)
-def _layer_slots(names: tuple[str, ...]) -> tuple[tuple[str, int, str, int], ...]:
-    """(weight name, its position, bias name, its position) per layer, for
-    checkpoint tensor names in any order."""
-    position = {n: p for p, n in enumerate(names)}
-    slots = []
-    while (weight := f"layer{len(slots)}.weight") in position:
-        bias = f"layer{len(slots)}.bias"
-        if bias not in position:
-            break
-        slots.append((weight, position[weight], bias, position[bias]))
-    if 2 * len(slots) != len(names):
+def _architecture(layout: tuple) -> tuple[tuple[str, str, slice, tuple, slice], ...]:
+    """Per layer of a checkpoint layout: (weight name, bias name, weight
+    slice and shape, bias slice) in its flat vector.  The tensors may come in
+    any order; they must chain as 2-D ``layer{i}.weight`` and 1-D
+    ``layer{i}.bias`` with one entry per weight row."""
+    spans, pos = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        spans[name] = (slice(pos, pos + size), shape)
+        pos += size
+    layers, width = [], None  # width: the previous layer's output
+    while (weight := f"layer{len(layers)}.weight") in spans and (
+        bias := f"layer{len(layers)}.bias"
+    ) in spans:
+        (w_slice, w_shape), (b_slice, b_shape) = spans[weight], spans[bias]
+        if len(w_shape) != 2 or b_shape != w_shape[:1]:
+            raise ShapeMismatch(f"{weight} has shape {w_shape} and {bias} {b_shape}")
+        if width is not None and w_shape[1] != width:
+            raise ShapeMismatch(f"layer{len(layers)} expects {w_shape[1]} features, got {width}")
+        layers.append((weight, bias, w_slice, w_shape, b_slice))
+        width = w_shape[0]
+    if not layers or 2 * len(layers) != len(layout):
         raise ShapeMismatch("checkpoint does not follow the layer{i} naming convention")
-    return tuple(slots)
+    return tuple(layers)
 
 
-def _forward_pass(params: Checkpoint, x: np.ndarray):
-    """Returns (logits, activations) with activations[i] the input to layer i."""
-    tensors = params.tensors
-    slots = _layer_slots(tuple(tensors))
-    acts = [x]
-    h = x
-    for li, (weight, _, bias, _) in enumerate(slots):
-        w = tensors[weight]
-        if h.shape[1] != w.shape[1]:
-            raise ShapeMismatch(f"layer{li} expects {w.shape[1]} features, got {h.shape[1]}")
-        z = h @ w.T + tensors[bias]
-        if li == len(slots) - 1:
-            return z, acts
-        h = np.tanh(z)
-        acts.append(h)
-    raise ShapeMismatch("checkpoint has no layers")
+def _layers(params: Checkpoint, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) per layer: ``params``' own tensors, or views of a flat
+    vector laid out like ``params``."""
+    arch = _architecture(params.layout)
+    if flat is None:
+        tensors = params.tensors
+        return [(tensors[w], tensors[b]) for w, b, _, _, _ in arch]
+    return [(flat[ws].reshape(shape), flat[bs]) for _, _, ws, shape, bs in arch]
+
+
+def _check_inputs(layers, inputs: np.ndarray) -> None:
+    expected = layers[0][0].shape[1]
+    if inputs.shape[1] != expected:
+        raise ShapeMismatch(f"layer0 expects {expected} features, got {inputs.shape[1]}")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     if labels.size and (labels.max() >= num_classes or labels.min() < 0):
         raise ShapeMismatch("label index out of range")
+
+
+def _forward_pass(layers, x: np.ndarray):
+    """Returns (logits, activations) with activations[i] the input to layer i."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        x = np.tanh(x @ w.T + b)
+        acts.append(x)
+    w, b = layers[-1]
+    return x @ w.T + b, acts
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -143,41 +163,49 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
-    logits, _ = _forward_pass(params, batch.inputs)
+    layers = _layers(params)
+    _check_inputs(layers, batch.inputs)
+    logits, _ = _forward_pass(layers, batch.inputs)
     _check_labels(batch.labels, logits.shape[1])
     logp = _log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
     return logits, loss
 
 
-def _backprop(params: Checkpoint, acts: list[np.ndarray], dlogits: np.ndarray) -> Checkpoint:
-    """Propagate d(loss)/d(logits) back to parameter gradients."""
-    tensors = params.tensors
-    slots = _layer_slots(tuple(tensors))
-    grads: list = [None] * len(tensors)  # in checkpoint order
+def _backprop(layers, acts: list[np.ndarray], dlogits: np.ndarray, grads) -> None:
+    """Propagate d(loss)/d(logits) back into ``grads``, the (weight, bias)
+    gradient views of each layer."""
     dz = dlogits
-    for li in range(len(slots) - 1, -1, -1):
-        weight, w_pos, bias, b_pos = slots[li]
-        grads[w_pos] = (weight, dz.T @ acts[li])
-        grads[b_pos] = (bias, dz.sum(axis=0))
+    for li in range(len(layers) - 1, -1, -1):
+        dw, db = grads[li]
+        np.matmul(dz.T, acts[li], out=dw)
+        dz.sum(axis=0, out=db)
         if li > 0:
-            dh = dz @ tensors[weight]
+            dh = dz @ layers[li][0]
             dz = dh * (1.0 - acts[li] ** 2)  # tanh'
-    return Checkpoint(grads)
+
+
+def _cross_entropy_backprop(layers, inputs: np.ndarray, labels: np.ndarray, grads) -> np.ndarray:
+    """Write the mean cross-entropy gradient into ``grads``; returns the
+    log-probabilities."""
+    logits, acts = _forward_pass(layers, inputs)
+    logp = _log_softmax(logits)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    _backprop(layers, acts, dlogits, grads)
+    return logp
 
 
 def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
     """Mean cross-entropy loss and its analytic gradient w.r.t. all parameters."""
-    logits, acts = _forward_pass(params, batch.inputs)
-    _check_labels(batch.labels, logits.shape[1])
-    logp = _log_softmax(logits)
-    n = len(batch)
-    picked = (np.arange(n), batch.labels)
-    loss = -float(np.mean(logp[picked]))
-    dlogits = np.exp(logp)
-    dlogits[picked] -= 1.0
-    dlogits /= n
-    return loss, _backprop(params, acts, dlogits)
+    layers = _layers(params)
+    _check_inputs(layers, batch.inputs)
+    _check_labels(batch.labels, layers[-1][0].shape[0])
+    flat = np.empty(params.total_dims)
+    logp = _cross_entropy_backprop(layers, batch.inputs, batch.labels, _layers(params, flat))
+    loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
+    return loss, Checkpoint.from_flat(params, flat)
 
 
 def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
@@ -185,37 +213,48 @@ def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkp
 
     Labels in ``batch`` are ignored; only the inputs matter.
     """
-    logits, acts = _forward_pass(params, batch.inputs)
+    layers = _layers(params)
+    _check_inputs(layers, batch.inputs)
+    logits, acts = _forward_pass(layers, batch.inputs)
     logp = _log_softmax(logits)
     probs = np.exp(logp)
     row_entropy = -(probs * logp).sum(axis=1)
     loss = float(np.mean(row_entropy))
-    n = len(batch)
     # dH/dz_k = -p_k (log p_k + H) per row, mean reduction over the batch
-    dlogits = -probs * (logp + row_entropy[:, None]) / n
-    return loss, _backprop(params, acts, dlogits)
+    dlogits = -probs * (logp + row_entropy[:, None]) / len(batch)
+    flat = np.empty(params.total_dims)
+    _backprop(layers, acts, dlogits, _layers(params, flat))
+    return loss, Checkpoint.from_flat(params, flat)
 
 
 def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoint:
     """Plain SGD over seeded shuffled minibatches; deterministic for a fixed seed.
 
-    The parameters are one writable flat vector updated in place; each step
-    differentiates an immutable snapshot of it.
+    The parameters and their gradient are two flat vectors reused by every
+    step.  Shapes and labels are checked once before the first step, and
+    finiteness once, on the returned checkpoint.
     """
     rng = np.random.default_rng(cfg.seed)
     flat = params.flat().copy()
-    current = params.views(flat)
+    layers = _layers(params, flat)
+    grad = np.empty(params.total_dims)
+    grads = _layers(params, grad)
+    inputs, labels = data.inputs, data.labels
+    _check_inputs(layers, inputs)
+    _check_labels(labels, layers[-1][0].shape[0])
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, grads = backward(Checkpoint(current), data.take(idx))
-            flat -= cfg.learning_rate * grads.flat()
-    return Checkpoint(current)
+            _cross_entropy_backprop(layers, inputs[idx], labels[idx], grads)
+            flat -= cfg.learning_rate * grad
+    return Checkpoint.from_flat(params, flat)
 
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    logits, _ = _forward_pass(params, test.inputs)
+    layers = _layers(params)
+    _check_inputs(layers, test.inputs)
+    logits, _ = _forward_pass(layers, test.inputs)
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == test.labels))

@@ -45,10 +45,6 @@ def _slices(layout: tuple) -> tuple:
     return tuple(out)
 
 
-def _views(layout: tuple, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    return [(name, flat[a:b].reshape(shape)) for name, a, b, shape in _slices(layout)]
-
-
 class Checkpoint:
     """Ordered, immutable map of named float64 tensors over one flat vector."""
 
@@ -95,12 +91,19 @@ class Checkpoint:
     @property
     def tensors(self) -> dict[str, np.ndarray]:
         if self._tensors is None:
-            self._tensors = dict(_views(self._layout, self._flat))
+            self._tensors = {
+                name: self._flat[a:b].reshape(shape) for name, a, b, shape in _slices(self._layout)
+            }
         return self._tensors
 
     @property
     def names(self) -> list[str]:
         return [name for name, _ in self._layout]
+
+    @property
+    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(name, shape) of each tensor, in order."""
+        return self._layout
 
     @property
     def total_dims(self) -> int:
@@ -129,11 +132,6 @@ class Checkpoint:
     def flat(self) -> np.ndarray:
         """All tensors concatenated in checkpoint order (the read-only vector itself)."""
         return self._flat
-
-    def views(self, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        """(name, tensor) pairs over a flat vector laid out like this
-        checkpoint; each tensor is a view that shares ``flat``'s memory."""
-        return _views(self._layout, flat)
 
     @classmethod
     def from_flat(cls, reference: "Checkpoint", flat: np.ndarray) -> "Checkpoint":

@@ -16,7 +16,7 @@ from trustmerge.bundle import (
     save_bundle,
     _parse_config_file,
 )
-from trustmerge.cli import main
+from trustmerge.cli import _config_from_flags, build_parser, main
 from trustmerge.errors import MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
@@ -403,6 +403,17 @@ class TestCli:
         assert len(tau_lines) == 7
         assert ex_lines[0] == "exemplars,avg_acc"
         assert len(ex_lines) == 10
+
+    @pytest.mark.parametrize("command", ["merge", "conflict"])
+    def test_merge_flag_defaults_are_the_library_defaults(self, command):
+        args = build_parser().parse_args([command, "--bundle", "x", "--out", "y"])
+        assert _config_from_flags(args) == MergeConfig()
+
+    def test_sweep_and_sensitivity_defaults_are_the_library_defaults(self):
+        sweep = build_parser().parse_args(["sweep", "--bundle", "x", "--out", "y"])
+        assert (sweep.lam, sweep.tau) == (MergeConfig().lam, MergeConfig().tau)
+        sens = build_parser().parse_args(["sensitivity", "--bundle", "x", "--out", "y"])
+        assert sens.variant == MergeConfig().sensitivity_variant
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         code = main(["gen-train", "--set", "nonsense", "--out", str(tmp_path / "x")])

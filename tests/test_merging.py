@@ -266,6 +266,31 @@ class TestMergeConfig:
         with pytest.raises(ValueError):
             MergeConfig(lam=float("nan"))
 
+    @pytest.mark.parametrize("make", [
+        lambda: MergeConfig(method="average", sensitivity_variant="bogus", ties_trim_keep=7.0),
+        lambda: MergeConfig(sensitivity_variant="bogus"),
+        lambda: MergeConfig(ties_trim_keep=7.0),
+        lambda: MergeConfig(ties_trim_keep=0.0),
+        lambda: MergeConfig(tau=float("nan")),
+        lambda: MergeConfig(tau=float("inf")),
+        lambda: MergeConfig(tau=-0.01),
+        lambda: MergeConfig(tau=1.5),
+        lambda: MergeConfig(ties_mask_from_trimmed="no"),
+        lambda: MergeConfig(ada={"steps": 3}),
+        lambda: AdaConfig(steps=-3),
+        lambda: AdaConfig(steps=2.5),
+        lambda: AdaConfig(steps=True),
+        lambda: AdaConfig(learning_rate=float("nan")),
+        lambda: AdaConfig(init_lambda=float("inf")),
+    ])
+    def test_rejects_out_of_range_fields(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_accepts_the_range_ends(self):
+        MergeConfig(tau=0.0, ties_trim_keep=1.0, ada=AdaConfig(steps=0, learning_rate=-1.0))
+        MergeConfig(tau=1, sensitivity_variant="ntk")
+
 
 class TestSaveMergeResult:
     def test_files_and_provenance(self, small_bundle, tmp_path):
@@ -299,8 +324,9 @@ class TestSaveMergeResult:
 
     def test_record_json_cannot_hold_writes_nothing(self, tmp_path):
         pre, tvs, grads = random_merge_inputs(5)
-        cfg = MergeConfig(ada=AdaConfig(learning_rate=float("nan")))
-        result = dataclasses.replace(tatr_merge(pre, tvs, grads, 0.3, 0.25), config=cfg)
+        result = dataclasses.replace(
+            tatr_merge(pre, tvs, grads, 0.3, 0.25), config=MergeConfig(), coefficients=[float("nan")]
+        )
         with pytest.raises(ValueError):
             save_merge_result(result, tmp_path / "out")
         assert not (tmp_path / "out").exists()

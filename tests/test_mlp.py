@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trustmerge.errors import ShapeMismatch
+from trustmerge.errors import NonFiniteValues, ShapeMismatch
 from trustmerge.mlp import (
     LabeledBatch,
     MlpSpec,
@@ -117,6 +117,22 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, batch)
 
+    @pytest.mark.parametrize("tensors", [
+        [("layer0.weight", np.zeros((3, 2))), ("layer0.bias", np.zeros(1))],
+        [("layer0.weight", np.zeros(6)), ("layer0.bias", np.zeros(6))],
+        [("layer0.weight", np.zeros((4, 2))), ("layer0.bias", np.zeros(4)),
+         ("layer1.weight", np.zeros((3, 5))), ("layer1.bias", np.zeros(3))],
+        [("layer0.weight", np.zeros((3, 2)))],
+    ], ids=["bias-per-row", "weight-2d", "widths-chain", "naming"])
+    def test_malformed_layers(self, tensors):
+        params = Checkpoint(tensors)
+        batch = LabeledBatch(np.zeros((2, 2)), np.array([0, 1]))
+        for fn in (forward, backward, entropy_loss, evaluate_accuracy):
+            with pytest.raises(ShapeMismatch):
+                fn(params, batch)
+        with pytest.raises(ShapeMismatch):
+            train(params, batch, TrainConfig(epochs=1))
+
     def test_softmax_shift_invariance(self):
         # huge logits must not overflow
         params = Checkpoint([
@@ -208,6 +224,30 @@ class TestTraining:
         _, after = forward(trained, data)
         assert after < before
         assert evaluate_accuracy(trained, data) == 1.0
+
+    def test_wrong_input_width(self):
+        _, params = small_net(10)
+        data = LabeledBatch(np.zeros((40, 5)), np.zeros(40, dtype=int))
+        with pytest.raises(ShapeMismatch):
+            train(params, data, TrainConfig(epochs=2, batch_size=8))
+
+    def test_label_out_of_range_in_a_late_minibatch(self):
+        _, params = small_net(10)
+        labels = np.zeros(40, dtype=int)
+        labels[-1] = 3  # the net has 3 classes
+        with pytest.raises(ShapeMismatch):
+            train(params, LabeledBatch(np.zeros((40, 2)), labels), TrainConfig(epochs=2, batch_size=8))
+
+    def test_overflowing_run_raises_instead_of_returning_nan(self):
+        _, params = small_net(10)
+        data = random_batch(np.random.default_rng(10), 40, 2, 3)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValues):
+            train(params, data, TrainConfig(epochs=3, batch_size=8, learning_rate=1e308))
+
+    def test_empty_data_returns_the_input(self):
+        _, params = small_net(10)
+        data = LabeledBatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert train(params, data, TrainConfig(epochs=2)) == params
 
 
 def _reference_forward(params, x):

@@ -23,7 +23,7 @@ from .datasets import (
     load_batch_csv,
     save_batch_csv,
 )
-from .errors import MalformedArtifact, MissingArtifact
+from .errors import ConfigError, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
 from .mlp import LabeledBatch, MlpSpec, TrainConfig, evaluate_accuracy, init_params, train
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
@@ -107,6 +107,13 @@ class BundleConfig:
         )
 
 
+def checked_exemplar_count(count: int | None) -> int | None:
+    """``count``, an exemplar count per task: None (the full pools) or >= 0."""
+    if count is not None and count < 0:
+        raise ConfigError(f"exemplar count must be >= 0, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class TaskBundle:
     config: BundleConfig
@@ -135,7 +142,8 @@ class TaskBundle:
         """Per-task absolute-gradient estimates at the pre-trained point.
 
         ``exemplar_count`` trims the exemplar pool; 0 switches every task to
-        the zero-shot surrogate, the task vector's absolute value.
+        the zero-shot surrogate, the task vector's absolute value, and a
+        negative count is a ConfigError.
 
         Exemplar estimates depend only on ``theta_pre`` and the exemplars, so
         they are computed once per bundle and per effective exemplar count
@@ -143,7 +151,7 @@ class TaskBundle:
         memoized; each call returns a new list.  The memo assumes the bundle
         is never mutated: build a new bundle instead.
         """
-        if exemplar_count == 0:
+        if checked_exemplar_count(exemplar_count) == 0:
             return [ew_abs(tv) for tv in self.task_vectors()]
         sizes = tuple(
             len(ex) if exemplar_count is None else min(exemplar_count, len(ex))

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,27 +43,9 @@ _DEFAULT = MergeConfig()  # the flags' defaults
 EXEMPLAR_GRID = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
 
-def _checked(cast, ok, expected: str):
-    """argparse ``type=`` that rejects values outside a range (exit 2)."""
-    def parse(text: str):
-        try:
-            value = cast(text)
-            valid = ok(value)
-        except ValueError:
-            valid = False
-        if not valid:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-    return parse
-
-
-_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
-_finite = _checked(float, math.isfinite, "a finite number")
-_fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
-_keep_fraction = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
-_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_task = _checked(lambda s: None if s == "total" else int(s),
-                 lambda t: t is None or t >= 0, "a task index or 'total'")
+def _task(text: str) -> int | None:
+    """``--task``: a task index, or ``total`` (None) for all tasks."""
+    return None if text == "total" else int(text)
 
 
 def _config_from_flags(args) -> MergeConfig:
@@ -84,16 +65,16 @@ def _config_from_flags(args) -> MergeConfig:
 
 def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=METHODS, default=_DEFAULT.method)
-    parser.add_argument("--lambda", dest="lam", type=_positive, default=_DEFAULT.lam)
-    parser.add_argument("--tau", type=_fraction, default=_DEFAULT.tau)
-    parser.add_argument("--ties-trim-keep", type=_keep_fraction, default=_DEFAULT.ties_trim_keep)
+    parser.add_argument("--lambda", dest="lam", type=float, default=_DEFAULT.lam)
+    parser.add_argument("--tau", type=float, default=_DEFAULT.tau)
+    parser.add_argument("--ties-trim-keep", type=float, default=_DEFAULT.ties_trim_keep)
     parser.add_argument("--ties-mask-from-trimmed", action="store_true")
     parser.add_argument("--variant", choices=VARIANTS, default=_DEFAULT.sensitivity_variant)
-    parser.add_argument("--exemplars", type=_count, default=None,
+    parser.add_argument("--exemplars", type=int, default=None,
                         help="exemplars per task; 0 switches to zero-shot gradients")
-    parser.add_argument("--ada-steps", type=_count, default=_DEFAULT.ada.steps)
-    parser.add_argument("--ada-lr", type=_finite, default=_DEFAULT.ada.learning_rate)
-    parser.add_argument("--ada-init-lambda", type=_finite, default=_DEFAULT.ada.init_lambda)
+    parser.add_argument("--ada-steps", type=int, default=_DEFAULT.ada.steps)
+    parser.add_argument("--ada-lr", type=float, default=_DEFAULT.ada.learning_rate)
+    parser.add_argument("--ada-init-lambda", type=float, default=_DEFAULT.ada.init_lambda)
 
 
 def cmd_gen_train(args) -> int:
@@ -119,8 +100,8 @@ def cmd_gen_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    bundle = load_bundle(args.bundle)
     cfg = _config_from_flags(args)
+    bundle = load_bundle(args.bundle)
     save_merge_result(merge_bundle(bundle, cfg, args.exemplars), args.out)
     print(f"merged model written to {args.out}")
     return 0
@@ -156,22 +137,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conflict(args) -> int:
-    bundle = load_bundle(args.bundle)
     cfg = _config_from_flags(args)
+    bundle = load_bundle(args.bundle)
+    reports = [knowledge_conflict(bundle, cfg, basis, args.exemplars)
+               for basis in ("loss", "accuracy")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # loss and accuracy bases are emitted as separate files, never mixed
-    for basis in ("loss", "accuracy"):
-        report = knowledge_conflict(bundle, cfg, basis, args.exemplars)
-        write_conflict_csv(report, out / f"conflict_{basis}.csv")
+    for report in reports:
+        write_conflict_csv(report, out / f"conflict_{report.basis}.csv")
     print(f"conflict matrices written to {out}")
     return 0
 
 
 def cmd_landscape(args) -> int:
     bundle = load_bundle(args.bundle)
-    if args.task is not None and not 0 <= args.task < bundle.num_tasks:
-        raise ConfigError(f"--task {args.task} is out of range for {bundle.num_tasks} tasks")
     grid = landscape(bundle, args.task, args.decomp_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,26 +173,24 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    base = MergeConfig(method="tatr", lam=args.lam, tau=args.tau)
     bundle = load_bundle(args.bundle)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    def avg_acc(cfg: MergeConfig, exemplars=None) -> float:
+    def avg_acc(cfg: MergeConfig, exemplars) -> float:
         result = merge_bundle(bundle, cfg, exemplars)
         rows = accuracy_table(bundle, [(cfg.method, result)])
         return rows[-1][2]
 
-    with open(out / "tau_sweep.csv", "w") as fh:
-        fh.write("tau,avg_acc\n")
-        for tau in TAU_GRID:
-            cfg = MergeConfig(method="tatr", lam=args.lam, tau=tau)
-            fh.write(f"{tau},{avg_acc(cfg, args.exemplars)!r}\n")
-
-    with open(out / "exemplar_sweep.csv", "w") as fh:
-        fh.write("exemplars,avg_acc\n")
-        for count in EXEMPLAR_GRID:
-            cfg = MergeConfig(method="tatr", lam=args.lam, tau=args.tau)
-            fh.write(f"{count},{avg_acc(cfg, count)!r}\n")
+    # every merge runs before the first file is written
+    taus = [(tau, avg_acc(replace(base, tau=tau), args.exemplars)) for tau in TAU_GRID]
+    counts = [(count, avg_acc(base, count)) for count in EXEMPLAR_GRID]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in (("tau_sweep.csv", "tau", taus),
+                               ("exemplar_sweep.csv", "exemplars", counts)):
+        with open(out / name, "w") as fh:
+            fh.write(f"{header},avg_acc\n")
+            fh.writelines(f"{x},{acc!r}\n" for x, acc in rows)
     print(f"sweeps written to {out}")
     return 0
 
@@ -250,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("landscape", help="loss grid over the component plane")
     p.add_argument("--bundle", required=True)
     p.add_argument("--task", type=_task, default=None, help="task index or 'total'")
-    p.add_argument("--decomp-fraction", type=_fraction, default=0.05,
+    p.add_argument("--decomp-fraction", type=float, default=0.05,
                    help="fraction of lowest |grad*delta| products treated as orthogonal")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_landscape)
@@ -258,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="per-layer mean sensitivity")
     p.add_argument("--bundle", required=True)
     p.add_argument("--variant", choices=VARIANTS, default=_DEFAULT.sensitivity_variant)
-    p.add_argument("--exemplars", type=_count, default=None)
+    p.add_argument("--exemplars", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("sweep", help="tau and exemplar-count grids")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive, default=_DEFAULT.lam)
-    p.add_argument("--tau", type=_fraction, default=_DEFAULT.tau)
-    p.add_argument("--exemplars", type=_count, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=_DEFAULT.lam)
+    p.add_argument("--tau", type=float, default=_DEFAULT.tau)
+    p.add_argument("--exemplars", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -40,6 +40,8 @@ class SyntheticTaskSpec:
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if self.samples_train <= 0 or self.samples_test <= 0:
             raise ValueError("sample counts must be positive")
+        if self.exemplar_count < 0:
+            raise ValueError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
         perm = self.label_perm
         if perm is None:
             perm = tuple(range(self.num_classes))

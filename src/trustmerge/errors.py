@@ -81,5 +81,7 @@ class MissingArtifact(TrustMergeError):
     name = "MissingArtifact"
 
 
-class ConfigError(TrustMergeError):
+class ConfigError(TrustMergeError, ValueError):
+    """A setting outside its documented range; the CLI exits 2 on it."""
+
     name = "ConfigError"

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bundle import TaskBundle
-from .errors import TooFewTasks
+from .bundle import TaskBundle, checked_exemplar_count
+from .errors import ConfigError, TooFewTasks
 from .merging import (
     MergeConfig,
     MergeResult,
@@ -48,7 +48,9 @@ def merge_bundle(
     bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None = None
 ) -> MergeResult:
     """Run the configured merge method on a bundle (or bundle subset); the
-    result records ``cfg`` and ``exemplar_count``."""
+    result records ``cfg`` and ``exemplar_count``, which must be None or >= 0
+    even for the methods that use no exemplars."""
+    checked_exemplar_count(exemplar_count)
     return replace(_run_method(bundle, cfg, exemplar_count), config=cfg, exemplars=exemplar_count)
 
 
@@ -69,10 +71,12 @@ def _run_method(bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None
     if cfg.method == "ties_tatr":
         return ties_tatr(
             bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau,
-            cfg.ties_trim_keep, cfg.ties_mask_from_trimmed,
+            cfg.ties_trim_keep, cfg.ties_mask_from_trimmed, cfg.sensitivity_variant,
         )
     # ada_tatr: the per-task test inputs serve as the unlabeled pools
-    return ada_tatr(bundle.theta_pre, tvs, grads, cfg.tau, bundle.test_sets, cfg.ada)
+    return ada_tatr(
+        bundle.theta_pre, tvs, grads, cfg.tau, bundle.test_sets, cfg.ada, cfg.sensitivity_variant
+    )
 
 
 def _task_metric(merged: Checkpoint, bundle: TaskBundle, j: int, basis: str) -> float:
@@ -135,6 +139,8 @@ def landscape(
     k = bundle.num_tasks
     if k < 2:
         raise TooFewTasks(str(k))
+    if reference_task is not None and not 0 <= reference_task < k:
+        raise ConfigError(f"reference task {reference_task} is out of range for {k} tasks")
     tvs = bundle.task_vectors()
     if reference_task is None:
         delta = sum_in_order(tvs)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyList, EmptyUnlabeledSet, TrimOutOfRange
+from .errors import ConfigError, EmptyList, EmptyUnlabeledSet, TrimOutOfRange
 from .mlp import LabeledBatch, entropy_loss
 from .params import (
     Checkpoint,
@@ -35,9 +35,9 @@ class AdaConfig:
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 0:
-            raise ValueError(f"ada steps must be an integer >= 0, got {self.steps!r}")
+            raise ConfigError(f"ada steps must be an integer >= 0, got {self.steps!r}")
         if not (math.isfinite(self.learning_rate) and math.isfinite(self.init_lambda)):
-            raise ValueError("ada learning rate and initial lambda must be finite")
+            raise ConfigError("ada learning rate and initial lambda must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,19 @@ class MergeConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lambda must be finite and positive")
+            raise ConfigError("lambda must be finite and positive")
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau!r}")
+            raise ConfigError(f"tau must lie in [0, 1], got {self.tau!r}")
         if not 0.0 < self.ties_trim_keep <= 1.0:
-            raise ValueError(f"ties_trim_keep must lie in (0, 1], got {self.ties_trim_keep!r}")
+            raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {self.ties_trim_keep!r}")
         if not isinstance(self.ties_mask_from_trimmed, bool):
-            raise ValueError("ties_mask_from_trimmed must be a bool")
+            raise ConfigError("ties_mask_from_trimmed must be a bool")
         if self.sensitivity_variant not in VARIANTS:
-            raise ValueError(f"unknown sensitivity variant {self.sensitivity_variant!r}")
+            raise ConfigError(f"unknown sensitivity variant {self.sensitivity_variant!r}")
         if not isinstance(self.ada, AdaConfig):
-            raise ValueError(f"ada must be an AdaConfig, got {type(self.ada).__name__}")
+            raise ConfigError(f"ada must be an AdaConfig, got {type(self.ada).__name__}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,7 @@ def ties_tatr(
     tau: float,
     trim_keep: float,
     mask_from_trimmed: bool = False,
+    variant: str = "standard",
 ) -> MergeResult:
     """Ties merging restricted to the trust region.
 
@@ -164,7 +165,7 @@ def ties_tatr(
     aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
     if mask_from_trimmed:
         tvs = [Checkpoint.from_flat(theta_pre, row) for row in aligned]
-    mask = build_mask(compute_sensitivity(grads, tvs, "standard"), tau)
+    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
     step = lam * (_disjoint_mean(aligned) * mask.mask.flat())
     return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
 
@@ -199,13 +200,14 @@ def ada_tatr(
     tau: float,
     unlabeled: list[LabeledBatch],
     ada: AdaConfig,
+    variant: str = "standard",
 ) -> MergeResult:
     """Task-wise coefficients trained by full-batch gradient descent on the
     summed prediction entropy, merging only inside the trust region."""
     deltas = stack(tvs, theta_pre)
     if not unlabeled or any(len(b) == 0 for b in unlabeled):
         raise EmptyUnlabeledSet("need a nonempty unlabeled pool per task")
-    mask = build_mask(compute_sensitivity(grads, tvs, "standard"), tau)
+    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
     masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * mask.mask.flat()]
     coeffs = np.full(len(tvs), float(ada.init_lambda))
     for _ in range(ada.steps):

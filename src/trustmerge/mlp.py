@@ -9,13 +9,12 @@ finite-difference gradient checks are clean); the output is softmax.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .params import Checkpoint
+from .params import Checkpoint, _slices
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,7 @@ def _architecture(layout: tuple) -> tuple[tuple[str, str, slice, tuple, slice], 
     slice and shape, bias slice) in its flat vector.  The tensors may come in
     any order; they must chain as 2-D ``layer{i}.weight`` and 1-D
     ``layer{i}.bias`` with one entry per weight row."""
-    spans, pos = {}, 0
-    for name, shape in layout:
-        size = math.prod(shape)
-        spans[name] = (slice(pos, pos + size), shape)
-        pos += size
+    spans = {name: (slice(start, stop), shape) for name, start, stop, shape in _slices(layout)}
     layers, width = [], None  # width: the previous layer's output
     while (weight := f"layer{len(layers)}.weight") in spans and (
         bias := f"layer{len(layers)}.bias"

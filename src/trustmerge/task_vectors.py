@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleShapes, NegativeTolerance
+from .errors import ConfigError, IncompatibleShapes, NegativeTolerance
 from .params import Checkpoint, ew_combine
 
 
@@ -49,7 +49,7 @@ def percentile_zero_tol(delta: Checkpoint, grad: Checkpoint, fraction: float) ->
     """Tolerance placing the lowest ``fraction`` of |grad * delta| products in
     the orthogonal set (an exact ``zero_tol`` of 0 is measure-zero in floats)."""
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+        raise ConfigError(f"decomposition fraction must lie in [0, 1], got {fraction!r}")
     products = np.abs(grad.flat() * delta.flat())
     if products.size == 0 or fraction == 0.0:
         return 0.0

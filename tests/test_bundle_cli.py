@@ -17,10 +17,10 @@ from trustmerge.bundle import (
     _parse_config_file,
 )
 from trustmerge.cli import _config_from_flags, build_parser, main
-from trustmerge.errors import MissingArtifact
+from trustmerge.errors import ConfigError, MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
-from trustmerge.merging import MergeConfig
+from trustmerge.merging import AdaConfig, MergeConfig
 from trustmerge.mlp import TrainConfig, evaluate_accuracy
 from trustmerge.params import ew_abs
 
@@ -432,17 +432,18 @@ class TestCli:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, code, message", [
-        ("merge --lambda 0", 2, "argument --lambda"),
-        ("merge --lambda nan", 2, "argument --lambda"),
-        ("merge --tau 2", 2, "argument --tau"),
-        ("merge --ties-trim-keep 0", 2, "argument --ties-trim-keep"),
-        ("merge --ada-steps -1", 2, "argument --ada-steps"),
-        ("sweep --lambda 0", 2, "argument --lambda"),
-        ("landscape --decomp-fraction 2", 2, "argument --decomp-fraction"),
+        ("merge --lambda 0", 2, "ConfigError: lambda must be finite and positive"),
+        ("merge --lambda nan", 2, "ConfigError: lambda must be finite and positive"),
+        ("merge --tau 2", 2, "ConfigError: tau must lie in [0, 1]"),
+        ("merge --ties-trim-keep 0", 2, "ConfigError: ties_trim_keep must lie in (0, 1]"),
+        ("merge --ada-steps -1", 2, "ConfigError: ada steps must be an integer >= 0"),
+        ("sweep --lambda 0", 2, "ConfigError: lambda must be finite and positive"),
+        ("landscape --decomp-fraction 2", 2, "ConfigError: decomposition fraction must lie in [0, 1]"),
         ("landscape --task abc", 2, "argument --task"),
-        ("landscape --task 9", 2, "ConfigError: --task 9"),
+        ("landscape --task 9", 2, "ConfigError: reference task 9 is out of range"),
         ("gen-train --set hidden=0", 2, "ConfigError: layer sizes"),
         ("gen-train --set samples_train=0", 2, "ConfigError: sample counts"),
+        ("gen-train --set exemplar_count=-1", 2, "ConfigError: exemplar_count must be >= 0"),
         ("gen-train --set noise_std=nan", 2, "ConfigError: noise_std"),
         ("gen-train --set noise_std=inf", 2, "ConfigError: noise_std"),
         ("gen-train --set pretrain_learning_rate=nan", 2, "ConfigError: learning rate"),
@@ -471,6 +472,51 @@ class TestCli:
         assert message in capsys.readouterr().err
         if command == "gen-train":  # rejected before any data or training
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, make", [
+        ("merge --lambda 0", lambda: MergeConfig(lam=0.0)),
+        ("merge --lambda nan", lambda: MergeConfig(lam=float("nan"))),
+        ("merge --tau 2", lambda: MergeConfig(tau=2.0)),
+        ("merge --tau nan", lambda: MergeConfig(tau=float("nan"))),
+        ("merge --ties-trim-keep 0", lambda: MergeConfig(ties_trim_keep=0.0)),
+        ("merge --ada-steps -1", lambda: AdaConfig(steps=-1)),
+        ("merge --ada-lr inf", lambda: AdaConfig(learning_rate=float("inf"))),
+        ("merge --ada-init-lambda nan", lambda: AdaConfig(init_lambda=float("nan"))),
+        ("sweep --tau 2", lambda: MergeConfig(tau=2.0)),
+    ])
+    def test_flag_ranges_are_the_library_rules(self, bundle_dir, tmp_path, capsys, argv, make):
+        with pytest.raises(ConfigError) as expected:
+            make()
+        command, *flags = argv.split()
+        out = tmp_path / "out"
+        assert main([command, "--bundle", str(bundle_dir), "--out", str(out), *flags]) == 2
+        assert str(expected.value) in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+    def test_bad_setting_exits_2_before_the_bundle_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["merge", "--bundle", str(tmp_path / "absent"), "--out", str(out),
+                     "--tau", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ConfigError: tau")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "merge --method task_arithmetic --exemplars -1",
+        "conflict --exemplars -1",
+        "sensitivity --exemplars -1",
+        "sweep --exemplars -1",
+        "landscape --task -1",
+        "landscape --decomp-fraction nan",
+    ])
+    def test_out_of_range_argument_exits_2_and_writes_nothing(
+        self, bundle_dir, tmp_path, capsys, argv
+    ):
+        command, *flags = argv.split()
+        out = tmp_path / "out"
+        assert main([command, "--bundle", str(bundle_dir), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_TMRG))
     def test_eval_of_corrupt_merged_file_exits_1(self, bundle_dir, tmp_path, capsys, case):

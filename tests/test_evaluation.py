@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trustmerge.bundle import TaskBundle
-from trustmerge.errors import TooFewTasks
+from trustmerge.errors import ConfigError, TooFewTasks
 from trustmerge.evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -16,6 +16,7 @@ from trustmerge.evaluation import (
 from trustmerge.merging import AdaConfig, MergeConfig, tatr_merge
 from trustmerge.mlp import backward, forward
 from trustmerge.params import ew_abs, ew_scale, sum_in_order
+from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
 ALL_METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
@@ -57,6 +58,29 @@ class TestMergeBundle:
         zero_shot = tatr_merge(small_bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau)
         assert result.merged == zero_shot.merged
         assert result.mask_used.mask == zero_shot.mask_used.mask
+
+
+    @pytest.mark.parametrize("method", ["tatr", "ties_tatr", "ada_tatr"])
+    def test_trust_region_follows_the_sensitivity_variant(self, small_bundle, method):
+        cfg = MergeConfig(method=method, sensitivity_variant="ntk", ada=AdaConfig(steps=1))
+        omega = compute_sensitivity(
+            small_bundle.gradient_estimates(), small_bundle.task_vectors(), "ntk"
+        )
+        result = merge_bundle(small_bundle, cfg)
+        assert result.mask_used.mask == build_mask(omega, cfg.tau).mask
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("call", [
+        lambda b: landscape(b, -1),
+        lambda b: landscape(b, b.num_tasks),
+        lambda b: landscape(b, None, 1.5),
+        lambda b: b.gradient_estimates(-1),
+        lambda b: merge_bundle(b, MergeConfig(method="task_arithmetic"), -1),
+    ])
+    def test_raise_config_error(self, small_bundle, call):
+        with pytest.raises(ConfigError):
+            call(small_bundle)
 
 
 class TestKnowledgeConflict:

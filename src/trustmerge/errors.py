@@ -61,14 +61,6 @@ class TooFewTasks(TrustMergeError):
     name = "TooFewTasks"
 
 
-class TauOutOfRange(TrustMergeError):
-    name = "TauOutOfRange"
-
-
-class TrimOutOfRange(TrustMergeError):
-    name = "TrimOutOfRange"
-
-
 class EmptyList(TrustMergeError):
     name = "EmptyList"
 
@@ -85,3 +77,11 @@ class ConfigError(TrustMergeError, ValueError):
     """A setting outside its documented range; the CLI exits 2 on it."""
 
     name = "ConfigError"
+
+
+class TauOutOfRange(ConfigError):
+    name = "TauOutOfRange"
+
+
+class TrimOutOfRange(ConfigError):
+    name = "TrimOutOfRange"

@@ -22,7 +22,7 @@ from .merging import (
 )
 from .mlp import backward, evaluate_accuracy, forward
 from .params import Checkpoint, ew_combine, sum_in_order
-from .task_vectors import decompose, percentile_zero_tol
+from .task_vectors import checked_fraction, decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
 
@@ -141,6 +141,7 @@ def landscape(
         raise TooFewTasks(str(k))
     if reference_task is not None and not 0 <= reference_task < k:
         raise ConfigError(f"reference task {reference_task} is out of range for {k} tasks")
+    checked_fraction(decomposition_fraction)
     tvs = bundle.task_vectors()
     if reference_task is None:
         delta = sum_in_order(tvs)

@@ -141,6 +141,14 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ShapeMismatch("label index out of range")
 
 
+def _checked_layers(params: Checkpoint, batch: LabeledBatch):
+    """``params``' layers, once ``batch``'s input width and labels fit them."""
+    layers = _layers(params)
+    _check_inputs(layers, batch.inputs)
+    _check_labels(batch.labels, layers[-1][0].shape[0])
+    return layers
+
+
 def _forward_pass(layers, x: np.ndarray):
     """Returns (logits, activations) with activations[i] the input to layer i."""
     acts = [x]
@@ -158,45 +166,72 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
-    layers = _layers(params)
-    _check_inputs(layers, batch.inputs)
-    logits, _ = _forward_pass(layers, batch.inputs)
-    _check_labels(batch.labels, logits.shape[1])
+    logits, _ = _forward_pass(_checked_layers(params, batch), batch.inputs)
     logp = _log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
     return logits, loss
 
 
+def _layer_deltas(layers, acts: list[np.ndarray], dlogits: np.ndarray):
+    """Yield (layer index, dZ, H) from the last layer down: H is the layer's
+    input and dZ the loss gradient w.r.t. its pre-activation, one row per
+    sample.  The layer's weight gradient is dZᵀH, its bias gradient dZ's
+    column sums."""
+    dz = dlogits
+    for li in range(len(layers) - 1, -1, -1):
+        yield li, dz, acts[li]
+        if li > 0:
+            dz = (dz @ layers[li][0]) * (1.0 - acts[li] ** 2)  # tanh'
+
+
 def _backprop(layers, acts: list[np.ndarray], dlogits: np.ndarray, grads) -> None:
     """Propagate d(loss)/d(logits) back into ``grads``, the (weight, bias)
     gradient views of each layer."""
-    dz = dlogits
-    for li in range(len(layers) - 1, -1, -1):
+    for li, dz, h in _layer_deltas(layers, acts, dlogits):
         dw, db = grads[li]
-        np.matmul(dz.T, acts[li], out=dw)
+        np.matmul(dz.T, h, out=dw)
         dz.sum(axis=0, out=db)
-        if li > 0:
-            dh = dz @ layers[li][0]
-            dz = dh * (1.0 - acts[li] ** 2)  # tanh'
+
+
+def _cross_entropy_deltas(layers, inputs: np.ndarray, labels: np.ndarray):
+    """Forward pass; returns the log-probabilities, the activations and each
+    row's own d(cross-entropy)/d(logits), ``softmax - onehot``."""
+    logits, acts = _forward_pass(layers, inputs)
+    logp = _log_softmax(logits)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    return logp, acts, dlogits
 
 
 def _cross_entropy_backprop(layers, inputs: np.ndarray, labels: np.ndarray, grads) -> np.ndarray:
     """Write the mean cross-entropy gradient into ``grads``; returns the
     log-probabilities."""
-    logits, acts = _forward_pass(layers, inputs)
-    logp = _log_softmax(logits)
-    dlogits = np.exp(logp)
-    dlogits[np.arange(len(labels)), labels] -= 1.0
+    logp, acts, dlogits = _cross_entropy_deltas(layers, inputs, labels)
     dlogits /= len(labels)
     _backprop(layers, acts, dlogits, grads)
     return logp
 
 
+def _abs_example_gradient_sum(params: Checkpoint, batch: LabeledBatch) -> np.ndarray:
+    """Flat sum over the rows of ``batch`` of |the cross-entropy gradient of
+    that row alone|, from one forward pass and one backprop: row r's weight
+    gradient is the outer product dZ[r]ᵀH[r], so Σ_r |dZ[r]ᵀH[r]| = |dZ|ᵀ|H|,
+    and its bias gradient is dZ[r]."""
+    layers = _checked_layers(params, batch)
+    _, acts, dlogits = _cross_entropy_deltas(layers, batch.inputs, batch.labels)
+    flat = np.empty(params.total_dims)
+    grads = _layers(params, flat)
+    for li, dz, h in _layer_deltas(layers, acts, dlogits):
+        dw, db = grads[li]
+        abs_dz = np.abs(dz)
+        np.matmul(abs_dz.T, np.abs(h), out=dw)
+        abs_dz.sum(axis=0, out=db)
+    return flat
+
+
 def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
     """Mean cross-entropy loss and its analytic gradient w.r.t. all parameters."""
-    layers = _layers(params)
-    _check_inputs(layers, batch.inputs)
-    _check_labels(batch.labels, layers[-1][0].shape[0])
+    layers = _checked_layers(params, batch)
     flat = np.empty(params.total_dims)
     logp = _cross_entropy_backprop(layers, batch.inputs, batch.labels, _layers(params, flat))
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
@@ -229,14 +264,13 @@ def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoin
     step.  Shapes and labels are checked once before the first step, and
     finiteness once, on the returned checkpoint.
     """
+    _checked_layers(params, data)
     rng = np.random.default_rng(cfg.seed)
     flat = params.flat().copy()
     layers = _layers(params, flat)
     grad = np.empty(params.total_dims)
     grads = _layers(params, grad)
     inputs, labels = data.inputs, data.labels
-    _check_inputs(layers, inputs)
-    _check_labels(labels, layers[-1][0].shape[0])
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):

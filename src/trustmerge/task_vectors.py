@@ -45,11 +45,17 @@ def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Dec
     return Decomposition(orth, pos, neg, zero_tol)
 
 
+def checked_fraction(fraction: float) -> float:
+    """``fraction`` if it lies in [0, 1]; a ConfigError otherwise."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"decomposition fraction must lie in [0, 1], got {fraction!r}")
+    return fraction
+
+
 def percentile_zero_tol(delta: Checkpoint, grad: Checkpoint, fraction: float) -> float:
     """Tolerance placing the lowest ``fraction`` of |grad * delta| products in
     the orthogonal set (an exact ``zero_tol`` of 0 is measure-zero in floats)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"decomposition fraction must lie in [0, 1], got {fraction!r}")
+    checked_fraction(fraction)
     products = np.abs(grad.flat() * delta.flat())
     if products.size == 0 or fraction == 0.0:
         return 0.0

@@ -5,8 +5,8 @@ import pytest
 
 from trustmerge.bundle import BundleConfig, make_bundle
 from trustmerge.errors import MalformedArtifact, TruncatedFile
-from trustmerge.mlp import TrainConfig
-from trustmerge.params import Checkpoint
+from trustmerge.mlp import TrainConfig, backward
+from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
 
 
 def random_checkpoint(rng, include_degenerate=False):
@@ -21,6 +21,14 @@ def random_checkpoint(rng, include_degenerate=False):
         tensors.append(("empty", np.empty((0,), dtype=np.float64)))
         tensors.append(("empty2d", np.empty((3, 0), dtype=np.float64)))
     return Checkpoint(tensors)
+
+
+def per_example_reference(params, batch):
+    """``estimate_abs_gradient`` as a loop: one single-row backward per
+    example, summed in ascending example order, then scaled by 1/n."""
+    return ew_scale(sum_in_order([
+        ew_abs(backward(params, batch.take(np.array([i])))[1]) for i in range(len(batch))
+    ]), 1.0 / len(batch))
 
 
 def tmrg_bytes(name=b"x", shape=(2,), payload=struct.pack("<2d", 1.0, 2.0)) -> bytes:

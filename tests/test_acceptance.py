@@ -7,6 +7,7 @@ so everything here is deterministic for the fixed seed set.
 
 import numpy as np
 
+from trustmerge.cli import TAU_GRID
 from trustmerge.evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -43,7 +44,15 @@ from trustmerge.params import (
     sum_in_order,
 )
 from trustmerge.task_vectors import decompose, percentile_zero_tol
-from trustmerge.trust_region import Sensitivity, build_mask, proportion_selection
+from trustmerge.trust_region import (
+    VARIANTS,
+    Sensitivity,
+    build_mask,
+    compute_sensitivity,
+    proportion_selection,
+)
+
+from conftest import per_example_reference
 
 
 def check(name, ok, detail=""):
@@ -389,3 +398,25 @@ def test_12_checkpoint_round_trip(tmp_path):
         if not same:
             check("checkpoint round trip", False, f"case {case}")
     check("checkpoint round trip", True, "100/100 byte-identical round trips")
+
+
+def test_13_one_pass_estimate_keeps_the_masks(bundle_cache):
+    # the one-pass estimate rounds unlike the per-example loop; the trust
+    # region it selects must not notice
+    cases = same = 0
+    for seed in range(5):
+        bundle = bundle_cache(seed)
+        tvs = bundle.task_vectors()
+        for count in (1, 4, 32, 128):
+            one_pass = bundle.gradient_estimates(count)
+            loop = [
+                per_example_reference(bundle.theta_pre, ex.take(np.arange(min(count, len(ex)))))
+                for ex in bundle.exemplar_sets
+            ]
+            for variant in VARIANTS:
+                fast = compute_sensitivity(one_pass, tvs, variant)
+                ref = compute_sensitivity(loop, tvs, variant)
+                for tau in TAU_GRID:
+                    cases += 1
+                    same += build_mask(fast, tau).mask == build_mask(ref, tau).mask
+    check("one-pass estimate keeps the masks", same == cases, f"{same}/{cases} masks identical")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trustmerge.evaluation
 from trustmerge.bundle import TaskBundle
 from trustmerge.errors import ConfigError, TooFewTasks
 from trustmerge.evaluation import (
@@ -182,6 +183,16 @@ class TestLandscape:
     def test_needs_two_tasks(self, small_bundle):
         with pytest.raises(TooFewTasks):
             landscape(small_bundle.subset([0]))
+
+    @pytest.mark.parametrize("fraction", [-0.1, 2.0, float("nan")])
+    def test_bad_fraction_fails_before_any_gradient(self, small_bundle, monkeypatch, fraction):
+        calls = []
+        monkeypatch.setattr(
+            trustmerge.evaluation, "signed_gradient", lambda *a: calls.append(a)
+        )
+        with pytest.raises(ConfigError, match="decomposition fraction"):
+            landscape(small_bundle, None, fraction)
+        assert calls == []
 
 
 class TestAccuracyTable:

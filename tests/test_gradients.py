@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from trustmerge.errors import EmptyExemplarSet
+from trustmerge.errors import EmptyExemplarSet, ShapeMismatch
 from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.mlp import LabeledBatch, MlpSpec, backward, init_params
-from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
+from trustmerge.params import Checkpoint, ew_abs
+
+from conftest import per_example_reference
 
 
 def linear_net():
@@ -42,15 +44,18 @@ class TestExemplarEstimate:
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_equals_per_example_reference_bitwise(self, n):
+        # one row is a one-row product either way, so n = 1 is bit-exact; the
+        # batched products add n > 1 rows in their own order
         rng = np.random.default_rng(n)
         params = init_params(MlpSpec((2, 5, 4, 3)), seed=n)
         batch = LabeledBatch(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n))
-        reference = ew_scale(sum_in_order([
-            ew_abs(backward(params, batch.take(np.array([i])))[1]) for i in range(n)
-        ]), 1.0 / n)
+        reference = per_example_reference(params, batch)
         est = estimate_abs_gradient(params, batch)
         assert est.compatible(reference)
-        assert np.array_equal(est.flat(), reference.flat())
+        if n == 1:
+            assert np.array_equal(est.flat(), reference.flat())
+        else:
+            np.testing.assert_allclose(est.flat(), reference.flat(), rtol=1e-12, atol=0)
 
     def test_duplicating_examples_is_invariant(self):
         rng = np.random.default_rng(1)
@@ -76,3 +81,15 @@ class TestExemplarEstimate:
         with pytest.raises(EmptyExemplarSet):
             estimate_abs_gradient(params, empty)
 
+    def test_wrong_input_width(self):
+        params = linear_net()
+        batch = LabeledBatch(np.zeros((3, 5)), np.zeros(3, dtype=int))
+        with pytest.raises(ShapeMismatch, match="layer0 expects 2 features, got 5"):
+            estimate_abs_gradient(params, batch)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_out_of_range(self, label):
+        params = linear_net()
+        batch = LabeledBatch(np.zeros((3, 2)), np.array([0, label, 1]))
+        with pytest.raises(ShapeMismatch, match="label index out of range"):
+            estimate_abs_gradient(params, batch)

@@ -7,6 +7,7 @@ import pytest
 
 from trustmerge.bundle import BundleConfig, TaskBundle
 from trustmerge.errors import (
+    ConfigError,
     EmptyList,
     EmptyUnlabeledSet,
     IncompatibleShapes,
@@ -141,6 +142,12 @@ class TestTies:
         for keep in (0.0, 1.5, -0.1):
             with pytest.raises(TrimOutOfRange):
                 ties_phi(np.array([[1.0]]), keep)
+
+    def test_trim_out_of_range_is_a_config_error(self):
+        # a range error exits 2 like every other bad setting
+        assert issubclass(TrimOutOfRange, ConfigError)
+        with pytest.raises(ConfigError, match="TrimOutOfRange"):
+            ties_phi(np.array([[1.0]]), 0.0)
 
     def test_ties_tatr_tau_zero_bitwise_equals_ties(self):
         for seed in range(10):

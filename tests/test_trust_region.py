@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustmerge.errors import IncompatibleShapes, TauOutOfRange, TooFewTasks
+from trustmerge.errors import ConfigError, IncompatibleShapes, TauOutOfRange, TooFewTasks
 from trustmerge.params import Checkpoint, ew_scale
 
 from conftest import random_checkpoint
@@ -135,6 +135,12 @@ class TestProportionSelection:
         for tau in (-0.1, 1.1):
             with pytest.raises(TauOutOfRange):
                 proportion_selection(omega, tau)
+
+    def test_tau_out_of_range_is_a_config_error(self):
+        # a range error exits 2 like every other bad setting
+        assert issubclass(TauOutOfRange, ConfigError)
+        with pytest.raises(ConfigError, match="TauOutOfRange"):
+            proportion_selection(Sensitivity(ck([1.0]), "standard"), 2.0)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)

@@ -25,7 +25,7 @@ from .datasets import (
 )
 from .errors import ConfigError, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
-from .mlp import LabeledBatch, MlpSpec, TrainConfig, evaluate_accuracy, init_params, train
+from .mlp import LabeledBatch, MlpSpec, TrainConfig, _layout, evaluate_accuracy, init_params, train
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -361,18 +361,29 @@ def _load_batch(path: Path, rows: int, cfg: BundleConfig) -> LabeledBatch:
     return batch
 
 
+def _load_model(path: Path, cfg: BundleConfig) -> Checkpoint:
+    ckpt = load_checkpoint(path)
+    if ckpt.layout != _layout(cfg.mlp_spec):
+        raise MalformedArtifact(f"{path}: not the layout of a {cfg.mlp_spec.layer_sizes} network")
+    return ckpt
+
+
 def load_bundle(path) -> TaskBundle:
-    """Load a bundle written by save_bundle.  The manifest must list exactly
-    the files the bundle config implies, each with a matching hash, and every
-    CSV must hold the rows, input columns and labels the config implies."""
+    """Load a bundle written by save_bundle.  The manifest must be UTF-8 and
+    list exactly the files the bundle config implies, each once and with a
+    matching hash; the checkpoints must have the layout of the config's
+    network, and every CSV the rows, input columns and labels it implies."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise MissingArtifact(str(manifest))
-    digests = {}
-    for line in manifest.read_text().splitlines():
-        digest, _, name = line.partition("  ")
-        digests[name] = digest
+    try:
+        entries = [line.partition("  ")[::2] for line in manifest.read_text("utf-8").splitlines()]
+    except UnicodeDecodeError as exc:
+        raise MalformedArtifact(f"{manifest}: {exc}") from exc
+    digests = {name: digest for digest, name in entries}
+    if len(digests) != len(entries):
+        raise MalformedArtifact(f"{manifest} lists a file more than once")
 
     def verified(name: str) -> Path:
         if name not in digests:
@@ -396,11 +407,11 @@ def load_bundle(path) -> TaskBundle:
         )
     for name in sorted(expected - {"bundle_config.txt"}):
         verified(name)
-    theta_pre = load_checkpoint(root / "theta_pre.tmrg")
+    theta_pre = _load_model(root / "theta_pre.tmrg", cfg)
     exemplar_rows = min(cfg.exemplar_count, cfg.samples_train)
     experts, trains, tests, exemplars = [], [], [], []
     for k in range(cfg.num_tasks):
-        experts.append(load_checkpoint(root / f"task{k}.tmrg"))
+        experts.append(_load_model(root / f"task{k}.tmrg", cfg))
         trains.append(_load_batch(root / f"task{k}_train.csv", cfg.samples_train, cfg))
         tests.append(_load_batch(root / f"task{k}_test.csv", cfg.samples_test, cfg))
         exemplars.append(_load_batch(root / f"task{k}_exemplars.csv", exemplar_rows, cfg))

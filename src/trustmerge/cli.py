@@ -5,7 +5,6 @@ per-layer sensitivity, hyper-parameter sweeps)."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,13 +17,7 @@ from .bundle import (
     save_bundle,
     _parse_config_file,
 )
-from .errors import (
-    ConfigError,
-    IncompatibleShapes,
-    MalformedArtifact,
-    MissingArtifact,
-    TrustMergeError,
-)
+from .errors import ConfigError, TrustMergeError
 from .evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -34,8 +27,9 @@ from .evaluation import (
     write_conflict_csv,
     write_landscape_csv,
 )
-from .merging import METHODS, AdaConfig, MergeConfig, MergeResult, save_merge_result
-from .params import Checkpoint, load_checkpoint
+from .merging import METHODS, AdaConfig, MergeConfig, load_merge_result, save_merge_result
+# unused here, but perfbench/tests check that the tracer patches this binding
+from .params import load_checkpoint  # noqa: F401
 from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, write_per_layer_csv
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -107,27 +101,12 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _load_merged(root: Path, like: Checkpoint) -> tuple[str, MergeResult]:
-    """A merge directory's merged model, named by its run.json's config.method
-    or, without a record, by the directory."""
-    path, record = root / "merged.tmrg", root / "run.json"
-    if not path.exists():
-        raise MissingArtifact(str(path))
-    merged = load_checkpoint(path)
-    if not merged.compatible(like):
-        raise IncompatibleShapes(f"{path} does not have the bundle's parameter layout")
-    try:
-        config = json.loads(record.read_text("utf-8"))["config"] if record.exists() else None
-        name = root.name if config is None else str(config["method"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedArtifact(f"{record}: no config.method ({exc!r})") from exc
-    return name, MergeResult(merged, None, [])
-
-
 def cmd_eval(args) -> int:
     bundle = load_bundle(args.bundle)
-    results = [_load_merged(Path(p), bundle.theta_pre) for p in args.merged]
-    rows = accuracy_table(bundle, results)
+    results = [load_merge_result(path, bundle.theta_pre) for path in args.merged]
+    named = [(Path(p).name if r.config is None else r.config.method, r)
+             for p, r in zip(args.merged, results)]
+    rows = accuracy_table(bundle, named)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_accuracy_csv(rows, bundle.num_tasks, out / "accuracy.csv")

@@ -47,7 +47,7 @@ class SyntheticTaskSpec:
             perm = tuple(range(self.num_classes))
         else:
             perm = tuple(int(p) for p in perm)
-            if sorted(perm) != list(range(self.num_classes)):
+            if len(perm) != self.num_classes or sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"not a valid permutation of {self.num_classes} labels")
         object.__setattr__(self, "label_perm", perm)
         if self.center_angles_deg is not None:

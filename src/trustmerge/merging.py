@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyList, EmptyUnlabeledSet, TrimOutOfRange
+from .errors import (ConfigError, EmptyList, EmptyUnlabeledSet, IncompatibleShapes,
+                     MalformedArtifact, MissingArtifact, TrimOutOfRange)
 from .mlp import LabeledBatch, entropy_loss
 from .params import (
     Checkpoint,
     ew_dot,
     ew_scale,
+    load_checkpoint,
     save_checkpoint,
     stack,
     sum_in_order,
@@ -240,3 +242,30 @@ def save_merge_result(result: MergeResult, out_dir) -> None:
     if mask is not None:
         save_checkpoint(mask.mask, out / "mask.tmrg")
     (out / "run.json").write_text(text, "utf-8")
+
+
+def load_merge_result(out_dir, like: Checkpoint) -> MergeResult:
+    """The merged model of a directory written by save_merge_result, which
+    must be laid out like ``like``, and the config its run.json records
+    (None without a record or for a null config).  The config is rebuilt
+    through MergeConfig and AdaConfig, so each field passes the checks of a
+    config built in code, and it must hold every field, as save_merge_result
+    writes it."""
+    root = Path(out_dir)
+    path, record = root / "merged.tmrg", root / "run.json"
+    if not path.exists():
+        raise MissingArtifact(str(path))
+    merged = load_checkpoint(path)
+    if not merged.compatible(like):
+        raise IncompatibleShapes(f"{path} does not have the bundle's parameter layout")
+    try:
+        config = json.loads(record.read_text("utf-8"))["config"] if record.exists() else None
+        if config is not None:
+            rebuilt = MergeConfig(**{**config, "ada": AdaConfig(**config["ada"])})
+            if asdict(rebuilt) != config:
+                raise MalformedArtifact(f"{record}: the config does not hold every field")
+            config = rebuilt
+    # ConfigError is a ValueError; OverflowError is an int too large for a float
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise MalformedArtifact(f"{record}: {exc!r}") from exc
+    return MergeResult(merged, None, [], config)

@@ -9,7 +9,7 @@ finite-difference gradient checks are clean); the output is softmax.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class LabeledBatch:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if not np.all(np.isfinite(self.inputs)):
             raise ShapeMismatch("non-finite input rows")
-        self._seal()
-
-    def _seal(self) -> None:
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
             raise ShapeMismatch("inputs must be 2-D and labels 1-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -64,12 +61,8 @@ class LabeledBatch:
         return self.inputs.shape[0]
 
     def take(self, idx: np.ndarray) -> "LabeledBatch":
-        """Rows ``idx``; they were validated with this batch, so only shapes are checked."""
-        batch = object.__new__(LabeledBatch)
-        object.__setattr__(batch, "inputs", self.inputs[idx])
-        object.__setattr__(batch, "labels", self.labels[idx])
-        batch._seal()
-        return batch
+        """The batch of rows ``idx``."""
+        return LabeledBatch(self.inputs[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -86,23 +79,27 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and nonnegative, got {self.learning_rate!r}")
 
 
+def _layout(spec: MlpSpec) -> tuple:
+    """(name, shape) of each tensor of a ``spec`` network, in checkpoint order."""
+    sizes = spec.layer_sizes
+    return tuple(entry for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+                 for entry in ((f"layer{i}.weight", (n_out, n_in)), (f"layer{i}.bias", (n_out,))))
+
+
 def init_params(spec: MlpSpec, seed: int) -> Checkpoint:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    tensors = []
-    for i, (fan_in, fan_out) in enumerate(zip(spec.layer_sizes, spec.layer_sizes[1:])):
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors.append((f"layer{i}.weight", rng.uniform(-bound, bound, (fan_out, fan_in))))
-        tensors.append((f"layer{i}.bias", np.zeros(fan_out)))
-    return Checkpoint(tensors)
+    return Checkpoint((name, np.zeros(shape) if len(shape) == 1 else
+                       rng.uniform(-1.0 / np.sqrt(shape[1]), 1.0 / np.sqrt(shape[1]), shape))
+                      for name, shape in _layout(spec))
 
 
 @functools.lru_cache(maxsize=64)
-def _architecture(layout: tuple) -> tuple[tuple[str, str, slice, tuple, slice], ...]:
-    """Per layer of a checkpoint layout: (weight name, bias name, weight
-    slice and shape, bias slice) in its flat vector.  The tensors may come in
-    any order; they must chain as 2-D ``layer{i}.weight`` and 1-D
-    ``layer{i}.bias`` with one entry per weight row."""
+def _architecture(layout: tuple) -> tuple[tuple[slice, tuple, slice], ...]:
+    """Per layer of a checkpoint layout: the weight slice and shape and the
+    bias slice in its flat vector.  The tensors may come in any order; they
+    must chain as 2-D ``layer{i}.weight`` and 1-D ``layer{i}.bias`` with one
+    entry per weight row."""
     spans = {name: (slice(start, stop), shape) for name, start, stop, shape in _slices(layout)}
     layers, width = [], None  # width: the previous layer's output
     while (weight := f"layer{len(layers)}.weight") in spans and (
@@ -113,7 +110,7 @@ def _architecture(layout: tuple) -> tuple[tuple[str, str, slice, tuple, slice], 
             raise ShapeMismatch(f"{weight} has shape {w_shape} and {bias} {b_shape}")
         if width is not None and w_shape[1] != width:
             raise ShapeMismatch(f"layer{len(layers)} expects {w_shape[1]} features, got {width}")
-        layers.append((weight, bias, w_slice, w_shape, b_slice))
+        layers.append((w_slice, w_shape, b_slice))
         width = w_shape[0]
     if not layers or 2 * len(layers) != len(layout):
         raise ShapeMismatch("checkpoint does not follow the layer{i} naming convention")
@@ -121,31 +118,22 @@ def _architecture(layout: tuple) -> tuple[tuple[str, str, slice, tuple, slice], 
 
 
 def _layers(params: Checkpoint, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) per layer: ``params``' own tensors, or views of a flat
-    vector laid out like ``params``."""
-    arch = _architecture(params.layout)
-    if flat is None:
-        tensors = params.tensors
-        return [(tensors[w], tensors[b]) for w, b, _, _, _ in arch]
-    return [(flat[ws].reshape(shape), flat[bs]) for _, _, ws, shape, bs in arch]
+    """(weight, bias) views per layer of a flat vector laid out like
+    ``params``, by default ``params.flat()``."""
+    flat = params.flat() if flat is None else flat
+    return [(flat[ws].reshape(shape), flat[bs]) for ws, shape, bs in _architecture(params.layout)]
 
 
-def _check_inputs(layers, inputs: np.ndarray) -> None:
+def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray | None = None):
+    """``params``' layers, once ``inputs`` have the first layer's width and
+    ``labels``, when given, index the last layer's classes."""
+    layers = _layers(params)
     expected = layers[0][0].shape[1]
     if inputs.shape[1] != expected:
         raise ShapeMismatch(f"layer0 expects {expected} features, got {inputs.shape[1]}")
-
-
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.size and (labels.max() >= num_classes or labels.min() < 0):
+    classes = layers[-1][0].shape[0]
+    if labels is not None and labels.size and (labels.max() >= classes or labels.min() < 0):
         raise ShapeMismatch("label index out of range")
-
-
-def _checked_layers(params: Checkpoint, batch: LabeledBatch):
-    """``params``' layers, once ``batch``'s input width and labels fit them."""
-    layers = _layers(params)
-    _check_inputs(layers, batch.inputs)
-    _check_labels(batch.labels, layers[-1][0].shape[0])
     return layers
 
 
@@ -166,7 +154,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
-    logits, _ = _forward_pass(_checked_layers(params, batch), batch.inputs)
+    logits, _ = _forward_pass(_checked_layers(params, batch.inputs, batch.labels), batch.inputs)
     logp = _log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
     return logits, loss
@@ -203,21 +191,12 @@ def _cross_entropy_deltas(layers, inputs: np.ndarray, labels: np.ndarray):
     return logp, acts, dlogits
 
 
-def _cross_entropy_backprop(layers, inputs: np.ndarray, labels: np.ndarray, grads) -> np.ndarray:
-    """Write the mean cross-entropy gradient into ``grads``; returns the
-    log-probabilities."""
-    logp, acts, dlogits = _cross_entropy_deltas(layers, inputs, labels)
-    dlogits /= len(labels)
-    _backprop(layers, acts, dlogits, grads)
-    return logp
-
-
 def _abs_example_gradient_sum(params: Checkpoint, batch: LabeledBatch) -> np.ndarray:
     """Flat sum over the rows of ``batch`` of |the cross-entropy gradient of
     that row alone|, from one forward pass and one backprop: row r's weight
     gradient is the outer product dZ[r]ᵀH[r], so Σ_r |dZ[r]ᵀH[r]| = |dZ|ᵀ|H|,
     and its bias gradient is dZ[r]."""
-    layers = _checked_layers(params, batch)
+    layers = _checked_layers(params, batch.inputs, batch.labels)
     _, acts, dlogits = _cross_entropy_deltas(layers, batch.inputs, batch.labels)
     flat = np.empty(params.total_dims)
     grads = _layers(params, flat)
@@ -231,9 +210,11 @@ def _abs_example_gradient_sum(params: Checkpoint, batch: LabeledBatch) -> np.nda
 
 def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
     """Mean cross-entropy loss and its analytic gradient w.r.t. all parameters."""
-    layers = _checked_layers(params, batch)
+    layers = _checked_layers(params, batch.inputs, batch.labels)
+    logp, acts, dlogits = _cross_entropy_deltas(layers, batch.inputs, batch.labels)
+    dlogits /= len(batch)
     flat = np.empty(params.total_dims)
-    logp = _cross_entropy_backprop(layers, batch.inputs, batch.labels, _layers(params, flat))
+    _backprop(layers, acts, dlogits, _layers(params, flat))
     loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
     return loss, Checkpoint.from_flat(params, flat)
 
@@ -243,8 +224,7 @@ def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkp
 
     Labels in ``batch`` are ignored; only the inputs matter.
     """
-    layers = _layers(params)
-    _check_inputs(layers, batch.inputs)
+    layers = _checked_layers(params, batch.inputs)
     logits, acts = _forward_pass(layers, batch.inputs)
     logp = _log_softmax(logits)
     probs = np.exp(logp)
@@ -264,26 +244,25 @@ def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoin
     step.  Shapes and labels are checked once before the first step, and
     finiteness once, on the returned checkpoint.
     """
-    _checked_layers(params, data)
+    _checked_layers(params, data.inputs, data.labels)
     rng = np.random.default_rng(cfg.seed)
     flat = params.flat().copy()
     layers = _layers(params, flat)
     grad = np.empty(params.total_dims)
     grads = _layers(params, grad)
-    inputs, labels = data.inputs, data.labels
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _cross_entropy_backprop(layers, inputs[idx], labels[idx], grads)
+            _, acts, dlogits = _cross_entropy_deltas(layers, data.inputs[idx], data.labels[idx])
+            dlogits /= len(idx)
+            _backprop(layers, acts, dlogits, grads)
             flat -= cfg.learning_rate * grad
     return Checkpoint.from_flat(params, flat)
 
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    layers = _layers(params)
-    _check_inputs(layers, test.inputs)
-    logits, _ = _forward_pass(layers, test.inputs)
+    logits, _ = _forward_pass(_checked_layers(params, test.inputs), test.inputs)
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == test.labels))

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -29,6 +30,19 @@ def per_example_reference(params, batch):
     return ew_scale(sum_in_order([
         ew_abs(backward(params, batch.take(np.array([i])))[1]) for i in range(len(batch))
     ]), 1.0 / len(batch))
+
+
+def rehash(bundle, names) -> None:
+    """Rewrite the manifest hashes of the files ``names`` to match their
+    bytes; every other line stays as it is."""
+    manifest = bundle / "manifest.txt"
+    lines = []
+    for line in manifest.read_text("utf-8").splitlines():
+        digest, sep, name = line.partition("  ")
+        if sep and name in names:
+            digest = hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+        lines.append(f"{digest}{sep}{name}\n")
+    manifest.write_text("".join(lines), "utf-8")
 
 
 def tmrg_bytes(name=b"x", shape=(2,), payload=struct.pack("<2d", 1.0, 2.0)) -> bytes:

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import shutil
 
@@ -24,7 +23,7 @@ from trustmerge.merging import AdaConfig, MergeConfig
 from trustmerge.mlp import TrainConfig, evaluate_accuracy
 from trustmerge.params import ew_abs
 
-from conftest import BAD_TMRG, tiny_bundle_config
+from conftest import BAD_TMRG, rehash, tiny_bundle_config
 
 
 TINY_FLAGS = [
@@ -81,6 +80,15 @@ NON_DEFAULT_CONFIG = BundleConfig(
 def bundle_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundles") / "b3"
     code = main(["gen-train", "--seed", "3", "--out", str(out)] + TINY_FLAGS)
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def hidden5_dir(tmp_path_factory):
+    """``bundle_dir``'s bundle with 5 hidden units in place of 8."""
+    out = tmp_path_factory.mktemp("bundles") / "b3h5"
+    code = main(["gen-train", "--seed", "3", "--out", str(out), *TINY_FLAGS, "--set", "hidden=5"])
     assert code == 0
     return out
 
@@ -449,6 +457,7 @@ class TestCli:
         ("gen-train --set pretrain_learning_rate=nan", 2, "ConfigError: learning rate"),
         ("gen-train --set finetune_learning_rate=inf", 2, "ConfigError: learning rate"),
         ("gen-train --set center_angles=nan,0,1,2", 2, "ConfigError: center angles"),
+        (f"gen-train --set num_classes={'9' * 30}", 2, "ConfigError: not a valid permutation"),
         ("gen-train --set hiden=8", 2, "ConfigError: unknown config key 'hiden'"),
         ("gen-train --seed -1", 2, "ConfigError: seed must be >= 0"),
         ("gen-train --set seed=-1", 2, "ConfigError: seed must be >= 0"),
@@ -534,13 +543,7 @@ class TestCli:
         bundle = tmp_path / "bundle"
         shutil.copytree(bundle_dir, bundle)
         (bundle / "task0_exemplars.csv").write_text(text)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        manifest = bundle / "manifest.txt"
-        manifest.write_text("".join(
-            f"{digest}  task0_exemplars.csv\n" if line.endswith("  task0_exemplars.csv")
-            else line + "\n"
-            for line in manifest.read_text().splitlines()
-        ))
+        rehash(bundle, ["task0_exemplars.csv"])
         code = main(["merge", "--bundle", str(bundle), "--out", str(tmp_path / "m")])
         assert code == 1
         assert "MalformedArtifact: " in capsys.readouterr().err
@@ -569,23 +572,19 @@ class TestCli:
             line.rpartition(",")[0] + ",7\n" for line in lines[1:]]),
         ("merge", "bundle_config.txt", lambda lines: lines + ["hiden=8\n"]),
         ("merge", "bundle_config.txt", lambda lines: lines + ["noise_std\n"]),
+        ("merge", "bundle_config.txt", lambda lines: lines + [f"num_classes={'9' * 30}\n"]),
+        ("merge", "bundle_config.txt", lambda lines: lines + [f"hidden={'9' * 30}\n"]),
     ], ids=["unparsable-config", "eval-header-only-test", "conflict-header-only-test",
             "short-train", "long-exemplars", "label-beyond-classes", "unknown-config-key",
-            "config-line-without-equals"])
+            "config-line-without-equals", "huge-num-classes", "huge-hidden"])
     def test_rehashed_bundle_that_contradicts_its_config_exits_1(
         self, bundle_dir, tmp_path, capsys, command, name, edit
     ):
         bundle = tmp_path / "bundle"
         shutil.copytree(bundle_dir, bundle)
         lines = (bundle / name).read_text().splitlines(keepends=True)
-        data = "".join(edit(lines)).encode()
-        (bundle / name).write_bytes(data)
-        manifest = bundle / "manifest.txt"
-        manifest.write_text("".join(
-            f"{hashlib.sha256(data).hexdigest()}  {name}\n" if line.endswith(f"  {name}")
-            else line + "\n"
-            for line in manifest.read_text().splitlines()
-        ))
+        (bundle / name).write_bytes("".join(edit(lines)).encode())
+        rehash(bundle, [name])
         args = [command, "--bundle", str(bundle), "--out", str(tmp_path / "out")]
         if command == "eval":
             merged = tmp_path / "merged"
@@ -594,6 +593,73 @@ class TestCli:
         capsys.readouterr()
         assert main(args) == 1
         assert "MalformedArtifact: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + b"\xff\xfe  notes.txt\n",
+        lambda text: b"0" * 64 + b"  theta_pre.tmrg\n" + text,
+    ], ids=["not-utf8", "file-listed-twice"])
+    def test_malformed_manifest_exits_1(self, bundle_dir, tmp_path, capsys, edit):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        manifest = bundle / "manifest.txt"
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        out = tmp_path / "out"
+        assert main(["merge", "--bundle", str(bundle), "--out", str(out)]) == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["merge", "conflict"])
+    @pytest.mark.parametrize("names", [
+        ["theta_pre.tmrg", "task0.tmrg", "task1.tmrg", "task2.tmrg", "task3.tmrg"],
+        ["task2.tmrg"],
+    ], ids=["every-checkpoint", "one-expert"])
+    def test_checkpoints_of_another_architecture_exit_1(
+        self, bundle_dir, hidden5_dir, tmp_path, capsys, command, names
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        for name in names:
+            shutil.copy(hidden5_dir / name, bundle / name)
+        rehash(bundle, names)
+        out = tmp_path / "out"
+        assert main([command, "--bundle", str(bundle), "--out", str(out)]) == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda config: config.update(method=["x"]),
+        lambda config: config.update(lam="abc"),
+        lambda config: config.update(tau=2.0),
+        lambda config: config.update(lam=10**400),
+        lambda config: config["ada"].update(steps=-1),
+        lambda config: config["ada"].update(learning_rate=10**400),
+        lambda config: config["ada"].pop("init_lambda"),
+        lambda config: config.pop("tau"),
+        lambda config: config.update(seed=0),
+    ], ids=["method-list", "lambda-string", "tau-out-of-range", "lambda-huge-int",
+            "ada-steps-negative", "ada-lr-huge-int", "ada-field-missing", "field-missing",
+            "unknown-field"])
+    def test_eval_rebuilds_the_recorded_config(self, bundle_dir, tmp_path, capsys, edit):
+        merged = tmp_path / "merged"
+        assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
+        record = json.loads((merged / "run.json").read_text())
+        edit(record["config"])
+        (merged / "run.json").write_text(json.dumps(record))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(out)]) == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_names_a_row_by_its_directory_for_a_null_config(self, bundle_dir, tmp_path):
+        merged = tmp_path / "unconfigured"
+        assert main(["merge", "--bundle", str(bundle_dir), "--out", str(merged)]) == 0
+        (merged / "run.json").write_text('{"config": null}')
+        out = tmp_path / "eval"
+        assert main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
+                     "--out", str(out)]) == 0
+        assert (out / "accuracy.csv").read_text().splitlines()[-1].startswith("unconfigured,")
 
     def test_gen_train_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

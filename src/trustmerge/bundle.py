@@ -69,11 +69,11 @@ class BundleConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_tasks < 1:
-            raise ValueError("need at least one task")
+            raise ConfigError("need at least one task")
         if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
-            raise ValueError("need a rotation and label permutation per task")
+            raise ConfigError("need a rotation and label permutation per task")
         # keep the ones the tasks use, so a saved and reloaded config compares equal
         vars(self).update(rotations=tuple(self.rotations[: self.num_tasks]),
                           label_perms=tuple(self.label_perms[: self.num_tasks]))
@@ -267,14 +267,20 @@ def save_bundle(bundle: TaskBundle, out_dir) -> None:
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
+    """The key=value lines of a config file; a ConfigError naming the file if
+    it is not UTF-8 or has a line of another form."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     out = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"line {number} {line!r} is not key=value")
+            raise ConfigError(f"{path}: line {number} {line!r} is not key=value")
         out[key.strip()] = value.strip()
     return out
 
@@ -283,7 +289,7 @@ def _flag(text: str) -> bool:
     """``true/false``, ``1/0`` or ``yes/no``, in any case."""
     value = text.lower()
     if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected true/false/1/0/yes/no, got {text!r}")
+        raise ConfigError(f"expected true/false/1/0/yes/no, got {text!r}")
     return value in ("1", "true", "yes")
 
 
@@ -329,16 +335,22 @@ def _save_config(cfg: BundleConfig, path: Path) -> None:
 
 def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
     """Build a BundleConfig from flat key=value strings (file or CLI flags).
-    An empty value keeps the default; an unknown key is a ValueError."""
+    An empty value keeps the default; an unknown key, a value that does not
+    parse and a setting out of range are ConfigErrors."""
     unknown = sorted(set(kv) - set(_CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}")
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     top, nested = {}, defaultdict(dict)
     for key, value in kv.items():
         if value != "":
             field_path, parse, _ = _CONFIG_KEYS[key]
             outer, _, name = field_path.rpartition(".")
-            (nested[outer] if outer else top)[name] = parse(value)
+            try:
+                (nested[outer] if outer else top)[name] = parse(value)
+            except ConfigError:
+                raise
+            except ValueError as exc:  # int() or float() of text that is not a number
+                raise ConfigError(f"{key}: {exc}") from exc
     cfg = BundleConfig(**top)
     return replace(cfg, **{outer: replace(getattr(cfg, outer), **kw) for outer, kw in nested.items()})
 
@@ -392,13 +404,18 @@ def load_bundle(path) -> TaskBundle:
         if not target.is_file():
             raise MissingArtifact(str(target))
         if _sha256(target) != digests[name]:
-            raise MissingArtifact(f"{target} does not match its manifest hash")
+            raise MalformedArtifact(f"{target} does not match its manifest hash")
         return target
 
+    config = verified("bundle_config.txt")
     try:
-        cfg = bundle_config_from_mapping(_parse_config_file(verified("bundle_config.txt")))
-    except ValueError as exc:
-        raise MalformedArtifact(f"{root / 'bundle_config.txt'}: {exc}") from exc
+        kv = _parse_config_file(config)
+    except ConfigError as exc:  # its message names the file
+        raise MalformedArtifact(exc.args[0]) from exc
+    try:
+        cfg = bundle_config_from_mapping(kv)
+    except ConfigError as exc:
+        raise MalformedArtifact(f"{config}: {exc.args[0]}") from exc
     expected = _bundle_files(cfg)
     if set(digests) != expected:
         raise MalformedArtifact(

@@ -72,21 +72,15 @@ def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_train(args) -> int:
-    try:
-        kv = _parse_config_file(Path(args.config)) if args.config else {}
-    except ValueError as exc:  # includes a file that is not UTF-8
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    kv = _parse_config_file(Path(args.config)) if args.config else {}
     for override in args.set:
         key, sep, value = override.partition("=")
         if not sep:
             raise ConfigError(f"override {override!r} is not key=value")
         kv[key] = value
-    try:
-        cfg = bundle_config_from_mapping(kv)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = bundle_config_from_mapping(kv)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     bundle = make_bundle(cfg)
     save_bundle(bundle, args.out)
     print(f"bundle written to {args.out}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedArtifact
+from .errors import ConfigError, MalformedArtifact
 from .mlp import LabeledBatch
 
 DEFAULT_EXEMPLARS = 128
@@ -35,27 +35,27 @@ class SyntheticTaskSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.rotation_deg < 360.0:
-            raise ValueError("rotation must lie in [0, 360)")
+            raise ConfigError("rotation must lie in [0, 360)")
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
+            raise ConfigError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if self.samples_train <= 0 or self.samples_test <= 0:
-            raise ValueError("sample counts must be positive")
+            raise ConfigError("sample counts must be positive")
         if self.exemplar_count < 0:
-            raise ValueError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
+            raise ConfigError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
         perm = self.label_perm
         if perm is None:
             perm = tuple(range(self.num_classes))
         else:
             perm = tuple(int(p) for p in perm)
             if len(perm) != self.num_classes or sorted(perm) != list(range(len(perm))):
-                raise ValueError(f"not a valid permutation of {self.num_classes} labels")
+                raise ConfigError(f"not a valid permutation of {self.num_classes} labels")
         object.__setattr__(self, "label_perm", perm)
         if self.center_angles_deg is not None:
             if len(self.center_angles_deg) != self.num_classes:
-                raise ValueError("need one center angle per class")
+                raise ConfigError("need one center angle per class")
             angles = tuple(float(a) for a in self.center_angles_deg)
             if not np.all(np.isfinite(angles)):
-                raise ValueError(f"center angles must be finite, got {angles!r}")
+                raise ConfigError(f"center angles must be finite, got {angles!r}")
             object.__setattr__(self, "center_angles_deg", angles)
 
 
@@ -107,7 +107,8 @@ def save_batch_csv(batch: LabeledBatch, path) -> None:
 
 def load_batch_csv(path) -> LabeledBatch:
     """Read a file written by :func:`save_batch_csv`; any other shape of
-    contents raises :class:`MalformedArtifact`."""
+    contents, or an input that is NaN or inf, raises
+    :class:`MalformedArtifact` naming the file (and the line)."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -115,20 +116,22 @@ def load_batch_csv(path) -> LabeledBatch:
             dim = len(header) - 1
             if dim < 1 or header != [f"x{i}" for i in range(dim)] + ["label"]:
                 raise MalformedArtifact(f"{path}: header is not x0,...,label")
-            inputs, labels = [], []
+            inputs, labels, lines = [], [], []
             for row in reader:
                 try:
                     if len(row) != dim + 1:
                         raise ValueError(f"{len(row)} fields, expected {dim + 1}")
                     inputs.append([float(v) for v in row[:dim]])
                     labels.append(int(row[dim]))
+                    lines.append(reader.line_num)
                     if not 0 <= labels[-1] < 2**63:
                         raise ValueError(f"label {labels[-1]} is not a class index")
                 except ValueError as exc:
                     raise MalformedArtifact(f"{path}, line {reader.line_num}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:  # bytes that do not decode or parse as CSV text
         raise MalformedArtifact(f"{path}: {exc}") from exc
-    return LabeledBatch(
-        np.asarray(inputs, dtype=np.float64).reshape(len(labels), dim),
-        np.asarray(labels, dtype=np.int64),
-    )
+    inputs = np.asarray(inputs, dtype=np.float64).reshape(len(labels), dim)
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        raise MalformedArtifact(f"{path}, line {lines[np.argmin(finite)]}: NaN or inf input")
+    return LabeledBatch(inputs, np.asarray(labels, dtype=np.int64))

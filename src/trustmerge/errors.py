@@ -1,9 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""The toolkit's errors, each named for what the caller has to fix."""
 
 
 class TrustMergeError(Exception):
     """Base class for all toolkit errors; ``name`` is the machine-readable code."""
-
     name = "Error"
 
     def __str__(self) -> str:
@@ -11,77 +10,26 @@ class TrustMergeError(Exception):
         return f"{self.name}: {msg}" if msg else self.name
 
 
-class IncompatibleShapes(TrustMergeError):
-    name = "IncompatibleShapes"
-
-
-class ShapeMismatch(TrustMergeError):
-    name = "ShapeMismatch"
-
-
-class NonFiniteScalar(TrustMergeError):
-    name = "NonFiniteScalar"
-
-
-class NonFiniteValues(TrustMergeError):
-    name = "NonFiniteValues"
-
-
-class DuplicateName(TrustMergeError):
-    name = "DuplicateName"
-
-
-class BadMagic(TrustMergeError):
-    name = "BadMagic"
-
-
-class UnsupportedVersion(TrustMergeError):
-    name = "UnsupportedVersion"
-
-
-class TruncatedFile(TrustMergeError):
-    name = "TruncatedFile"
-
-
-class MalformedArtifact(TrustMergeError):
-    """A TMRG or CSV file whose contents do not follow its format."""
-
-    name = "MalformedArtifact"
-
-
-class NegativeTolerance(TrustMergeError):
-    name = "NegativeTolerance"
-
-
-class EmptyExemplarSet(TrustMergeError):
-    name = "EmptyExemplarSet"
-
-
-class TooFewTasks(TrustMergeError):
-    name = "TooFewTasks"
-
-
-class EmptyList(TrustMergeError):
-    name = "EmptyList"
-
-
-class EmptyUnlabeledSet(TrustMergeError):
-    name = "EmptyUnlabeledSet"
-
-
-class MissingArtifact(TrustMergeError):
-    name = "MissingArtifact"
-
-
 class ConfigError(TrustMergeError, ValueError):
-    """A setting outside its documented range; the CLI exits 2 on it."""
-
+    """A setting out of range, of the wrong type, or unknown; the CLI exits 2."""
     name = "ConfigError"
 
 
-class TauOutOfRange(ConfigError):
-    name = "TauOutOfRange"
+class MalformedArtifact(TrustMergeError):
+    """A file whose bytes or contents fail a check; the message names it."""
+    name = "MalformedArtifact"
 
 
-class TrimOutOfRange(ConfigError):
-    name = "TrimOutOfRange"
+class MissingArtifact(TrustMergeError):
+    """A file that is not there."""
+    name = "MissingArtifact"
+
+
+class IncompatibleShapes(TrustMergeError):
+    """Inputs whose layouts, widths or counts do not fit the operation."""
+    name = "IncompatibleShapes"
+
+
+class NonFiniteValues(TrustMergeError):
+    """NaN or inf where finite numbers are needed."""
+    name = "NonFiniteValues"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import TaskBundle, checked_exemplar_count
-from .errors import ConfigError, TooFewTasks
+from .errors import ConfigError, IncompatibleShapes
 from .merging import (
     MergeConfig,
     MergeResult,
@@ -96,10 +96,10 @@ def knowledge_conflict(
     including task i in the merge.  Loss basis reports L_j(all) - L_j(all
     but i); accuracy basis flips the sign so a drop is reported positive."""
     if basis not in ("loss", "accuracy"):
-        raise ValueError(f"unknown basis {basis!r}")
+        raise ConfigError(f"unknown basis {basis!r}")
     k = bundle.num_tasks
     if k < 2:
-        raise TooFewTasks(str(k))
+        raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
     merged_all = merge_bundle(bundle, cfg, exemplar_count).merged
     metric_all = [_task_metric(merged_all, bundle, j, basis) for j in range(k)]
     pairwise = np.full((k, k), np.nan)
@@ -138,7 +138,7 @@ def landscape(
     """
     k = bundle.num_tasks
     if k < 2:
-        raise TooFewTasks(str(k))
+        raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
     if reference_task is not None and not 0 <= reference_task < k:
         raise ConfigError(f"reference task {reference_task} is out of range for {k} tasks")
     checked_fraction(decomposition_fraction)

@@ -12,7 +12,7 @@ bias term is Σ_r |dZ[r]| / n.  The zero-shot surrogate needs no data: it is
 
 from __future__ import annotations
 
-from .errors import EmptyExemplarSet
+from .errors import IncompatibleShapes
 from .mlp import LabeledBatch, _abs_example_gradient_sum
 from .params import Checkpoint
 
@@ -29,5 +29,5 @@ def estimate_abs_gradient(theta_pre: Checkpoint, exemplars: LabeledBatch) -> Che
     """
     n = len(exemplars)
     if n == 0:
-        raise EmptyExemplarSet("no exemplars supplied")
+        raise IncompatibleShapes("no exemplars supplied")
     return Checkpoint.from_flat(theta_pre, (1.0 / n) * _abs_example_gradient_sum(theta_pre, exemplars))

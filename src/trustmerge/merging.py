@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyList, EmptyUnlabeledSet, IncompatibleShapes,
-                     MalformedArtifact, MissingArtifact, TrimOutOfRange)
-from .mlp import LabeledBatch, entropy_loss
+from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
+from .mlp import LabeledBatch, entropy_loss, is_count, is_finite_number
 from .params import (
     Checkpoint,
     ew_dot,
@@ -36,9 +35,9 @@ class AdaConfig:
     init_lambda: float = 0.3
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 0:
+        if not (is_count(self.steps) and self.steps >= 0):
             raise ConfigError(f"ada steps must be an integer >= 0, got {self.steps!r}")
-        if not (math.isfinite(self.learning_rate) and math.isfinite(self.init_lambda)):
+        if not (is_finite_number(self.learning_rate) and is_finite_number(self.init_lambda)):
             raise ConfigError("ada learning rate and initial lambda must be finite")
 
 
@@ -55,11 +54,11 @@ class MergeConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
+        if not (is_finite_number(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be finite and positive")
-        if not 0.0 <= self.tau <= 1.0:
+        if not (is_finite_number(self.tau) and 0.0 <= self.tau <= 1.0):
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau!r}")
-        if not 0.0 < self.ties_trim_keep <= 1.0:
+        if not (is_finite_number(self.ties_trim_keep) and 0.0 < self.ties_trim_keep <= 1.0):
             raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {self.ties_trim_keep!r}")
         if not isinstance(self.ties_mask_from_trimmed, bool):
             raise ConfigError("ties_mask_from_trimmed must be a bool")
@@ -86,7 +85,7 @@ def _shifted(theta_pre: Checkpoint, step: np.ndarray) -> Checkpoint:
 def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     """Coordinate-wise arithmetic mean of compatible checkpoints."""
     if not checkpoints:
-        raise EmptyList("no checkpoints to average")
+        raise IncompatibleShapes("no checkpoints to average")
     return ew_scale(sum_in_order(checkpoints), 1.0 / len(checkpoints))
 
 
@@ -121,24 +120,26 @@ def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarr
 
     Trim keeps, per task, the ceil(trim_keep*N) globally largest |values|
     (ties by ascending flat index); the elected sign at each coordinate is
-    the sign of the summed trimmed values (0 maps to +1); alignment zeroes
-    coordinates whose trimmed sign disagrees with the elected sign.
+    the sign of the trimmed values summed in ascending task order (0 maps to
+    +1); alignment zeroes coordinates whose trimmed sign disagrees with the
+    elected sign.
     """
     if not 0.0 < trim_keep <= 1.0:
-        raise TrimOutOfRange(repr(trim_keep))
+        raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {trim_keep!r}")
     keep = int(np.ceil(trim_keep * deltas.shape[1]))
     kept_idx = np.argsort(-np.abs(deltas), axis=1, kind="stable")[:, :keep]
     trimmed = np.zeros(deltas.shape)
     np.put_along_axis(trimmed, kept_idx, np.take_along_axis(deltas, kept_idx, axis=1), axis=1)
-    elected = np.where(trimmed.sum(axis=0) < 0.0, -1.0, 1.0)
+    elected = np.where(sum_rows(trimmed) < 0.0, -1.0, 1.0)
     agree = np.sign(trimmed) * elected >= 0.0  # zeros never disagree
     return np.where(agree, trimmed, 0.0), elected
 
 
 def _disjoint_mean(aligned: np.ndarray) -> np.ndarray:
-    """Per coordinate: mean of the aligned nonzero values (0 when none survive)."""
+    """Per coordinate: mean of the aligned nonzero values, summed in ascending
+    task order (0 when none survive)."""
     counts = (aligned != 0.0).sum(axis=0)
-    sums = aligned.sum(axis=0)
+    sums = sum_rows(aligned)
     return np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
 
 
@@ -208,7 +209,7 @@ def ada_tatr(
     summed prediction entropy, merging only inside the trust region."""
     deltas = stack(tvs, theta_pre)
     if not unlabeled or any(len(b) == 0 for b in unlabeled):
-        raise EmptyUnlabeledSet("need a nonempty unlabeled pool per task")
+        raise IncompatibleShapes("need a nonempty unlabeled pool per task")
     mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
     masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * mask.mask.flat()]
     coeffs = np.full(len(tvs), float(ada.init_lambda))
@@ -265,7 +266,7 @@ def load_merge_result(out_dir, like: Checkpoint) -> MergeResult:
             if asdict(rebuilt) != config:
                 raise MalformedArtifact(f"{record}: the config does not hold every field")
             config = rebuilt
-    # ConfigError is a ValueError; OverflowError is an int too large for a float
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    # ConfigError is a ValueError; TypeError is a non-mapping or an unknown field
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedArtifact(f"{record}: {exc!r}") from exc
     return MergeResult(merged, None, [], config)

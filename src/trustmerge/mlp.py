@@ -9,12 +9,28 @@ finite-difference gradient checks are clean); the output is softmax.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigError, IncompatibleShapes, NonFiniteValues
 from .params import Checkpoint, _slices
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a number, not a bool, whose float is finite.  The
+    settings check their types with it, so a string, None or an int too large
+    for a float fails as their ConfigError and not as a TypeError."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -23,11 +39,11 @@ class MlpSpec:
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
-            raise ValueError("need at least input and output layer")
-        if any(s <= 0 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
+            raise ConfigError("need at least input and output layer")
+        if not all(is_count(s) and s > 0 for s in self.layer_sizes):
+            raise ConfigError(f"layer sizes must be positive integers, got {self.layer_sizes!r}")
         if self.layer_sizes[-1] < 2:
-            raise ValueError("need at least 2 classes")
+            raise ConfigError("need at least 2 classes")
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
 
     @property
@@ -48,11 +64,11 @@ class LabeledBatch:
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if not np.all(np.isfinite(self.inputs)):
-            raise ShapeMismatch("non-finite input rows")
+            raise NonFiniteValues("non-finite input rows")
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ShapeMismatch("inputs must be 2-D and labels 1-D")
+            raise IncompatibleShapes("inputs must be 2-D and labels 1-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeMismatch("inputs and labels disagree on sample count")
+            raise IncompatibleShapes("inputs and labels disagree on sample count")
         # frozen like Checkpoint tensors, so estimates memoized on a bundle stay valid
         self.inputs.flags.writeable = False
         self.labels.flags.writeable = False
@@ -73,10 +89,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs/batch_size must be positive")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning rate must be finite and nonnegative, got {self.learning_rate!r}")
+        if not all(is_count(n) and n > 0 for n in (self.epochs, self.batch_size)):
+            raise ConfigError(f"epochs/batch_size must be positive integers, "
+                              f"got {self.epochs!r}/{self.batch_size!r}")
+        if not (is_finite_number(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning rate must be finite and nonnegative, got {self.learning_rate!r}")
 
 
 def _layout(spec: MlpSpec) -> tuple:
@@ -107,13 +124,13 @@ def _architecture(layout: tuple) -> tuple[tuple[slice, tuple, slice], ...]:
     ) in spans:
         (w_slice, w_shape), (b_slice, b_shape) = spans[weight], spans[bias]
         if len(w_shape) != 2 or b_shape != w_shape[:1]:
-            raise ShapeMismatch(f"{weight} has shape {w_shape} and {bias} {b_shape}")
+            raise IncompatibleShapes(f"{weight} has shape {w_shape} and {bias} {b_shape}")
         if width is not None and w_shape[1] != width:
-            raise ShapeMismatch(f"layer{len(layers)} expects {w_shape[1]} features, got {width}")
+            raise IncompatibleShapes(f"layer{len(layers)} expects {w_shape[1]} features, got {width}")
         layers.append((w_slice, w_shape, b_slice))
         width = w_shape[0]
     if not layers or 2 * len(layers) != len(layout):
-        raise ShapeMismatch("checkpoint does not follow the layer{i} naming convention")
+        raise IncompatibleShapes("checkpoint does not follow the layer{i} naming convention")
     return tuple(layers)
 
 
@@ -130,10 +147,10 @@ def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray |
     layers = _layers(params)
     expected = layers[0][0].shape[1]
     if inputs.shape[1] != expected:
-        raise ShapeMismatch(f"layer0 expects {expected} features, got {inputs.shape[1]}")
+        raise IncompatibleShapes(f"layer0 expects {expected} features, got {inputs.shape[1]}")
     classes = layers[-1][0].shape[0]
     if labels is not None and labels.size and (labels.max() >= classes or labels.min() < 0):
-        raise ShapeMismatch("label index out of range")
+        raise IncompatibleShapes("label index out of range")
     return layers
 
 

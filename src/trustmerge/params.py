@@ -18,17 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DuplicateName,
-    EmptyList,
-    IncompatibleShapes,
-    MalformedArtifact,
-    NonFiniteScalar,
-    NonFiniteValues,
-    TruncatedFile,
-    UnsupportedVersion,
-)
+from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, NonFiniteValues
 
 _MAGIC = b"TMRG"
 _VERSION = 1
@@ -57,9 +47,9 @@ class Checkpoint:
         layout, arrays = [], []
         for name, arr in tensors:
             if not name:
-                raise DuplicateName("tensor name must be non-empty")
+                raise IncompatibleShapes("tensor name must be non-empty")
             if name in seen:
-                raise DuplicateName(name)
+                raise IncompatibleShapes(f"duplicate tensor name {name!r}")
             seen.add(name)
             arr = np.asarray(arr, dtype=np.float64)
             layout.append((name, arr.shape))
@@ -158,13 +148,13 @@ def ew_combine(a: Checkpoint, b: Checkpoint, op: str) -> Checkpoint:
     """Element-wise add / sub / hadamard over two compatible checkpoints."""
     _check_compat(a, b)
     if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
+        raise ConfigError(f"unknown op {op!r}")
     return Checkpoint._over(a._layout, _OPS[op](a._flat, b._flat))
 
 
 def ew_scale(a: Checkpoint, c: float) -> Checkpoint:
     if not math.isfinite(c):
-        raise NonFiniteScalar(repr(c))
+        raise NonFiniteValues(f"non-finite scalar {c!r}")
     return Checkpoint._over(a._layout, c * a._flat)
 
 
@@ -187,7 +177,7 @@ def stack(maps: list[Checkpoint], like: Checkpoint) -> np.ndarray:
     C-contiguous (K, N) float64 array; each map must be laid out like
     ``like``."""
     if not maps:
-        raise EmptyList("nothing to stack")
+        raise IncompatibleShapes("nothing to stack")
     for m in maps:
         _check_compat(like, m)
     return np.array([m._flat for m in maps])
@@ -207,7 +197,7 @@ def sum_in_order(maps: Iterable[Checkpoint]) -> Checkpoint:
     """Sum checkpoint-shaped maps in the given order (ascending task index)."""
     maps = list(maps)
     if not maps:
-        raise ValueError("nothing to sum")
+        raise IncompatibleShapes("nothing to sum")
     return Checkpoint._over(maps[0]._layout, sum_rows(stack(maps, maps[0])))
 
 
@@ -230,10 +220,10 @@ def _read_exact(fh, n: int) -> bytes:
     # bounded by the bytes left, so a corrupt size never reaches read()
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise TruncatedFile(f"wanted {n} bytes, {left} left")
+        raise MalformedArtifact(f"{fh.name}: truncated: wanted {n} bytes, {left} left")
     buf = fh.read(n)
     if len(buf) != n:
-        raise TruncatedFile(f"wanted {n} bytes, got {len(buf)}")
+        raise MalformedArtifact(f"{fh.name}: truncated: wanted {n} bytes, got {len(buf)}")
     return buf
 
 
@@ -241,10 +231,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a TMRG file back into a checkpoint, preserving tensor order."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise BadMagic(str(path))
+            raise MalformedArtifact(f"{path}: bad magic, not a TMRG file")
         version, count = struct.unpack("<II", _read_exact(fh, 8))
         if version != _VERSION:
-            raise UnsupportedVersion(str(version))
+            raise MalformedArtifact(f"{path}: unsupported TMRG version {version}")
         tensors: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
@@ -263,4 +253,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise MalformedArtifact(f"{path}: shape {shape}: {exc}") from exc
         if fh.read(1):
             raise MalformedArtifact(f"{path}: trailing bytes after the last tensor")
-    return Checkpoint(tensors)
+    try:
+        return Checkpoint(tensors)
+    except (IncompatibleShapes, NonFiniteValues) as exc:  # a repeated name, NaN or inf
+        raise MalformedArtifact(f"{path}: {exc}") from exc

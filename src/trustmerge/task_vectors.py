@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleShapes, NegativeTolerance
+from .errors import ConfigError, IncompatibleShapes
 from .params import Checkpoint, ew_combine
 
 
@@ -34,7 +34,7 @@ def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Dec
     p < 0 to negative; the three parts sum back to the delta exactly.
     """
     if zero_tol < 0:
-        raise NegativeTolerance(repr(zero_tol))
+        raise ConfigError(f"zero_tol must be >= 0, got {zero_tol!r}")
     if not grad.compatible(delta):
         raise IncompatibleShapes("gradient does not match the task vector's structure")
     d = delta.flat()

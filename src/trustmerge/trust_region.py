@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import TauOutOfRange, TooFewTasks
+from .errors import ConfigError, IncompatibleShapes
 from .params import Checkpoint, stack
 
 # variant -> (task-j factor, task-i factor) of the pair term, each computed
@@ -55,10 +55,10 @@ def compute_sensitivity(
     try:
         factor_j, factor_i = _PAIR_FACTORS[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+        raise ConfigError(f"unknown sensitivity variant {variant!r}") from None
     k = len(tvs)
     if k < 2 or len(grads) != k:
-        raise TooFewTasks(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
+        raise IncompatibleShapes(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
     g, d = stack(grads, tvs[0]), stack(tvs, tvs[0])
     fj, fi = factor_j(g, d), factor_i(g, d)
     acc = np.zeros(d.shape[1])
@@ -75,7 +75,7 @@ def proportion_selection(omega: Sensitivity, tau: float) -> tuple[float, np.ndar
     smallest excluded value, +inf when nothing is excluded.
     """
     if not 0.0 <= tau <= 1.0:
-        raise TauOutOfRange(repr(tau))
+        raise ConfigError(f"tau must lie in [0, 1], got {tau!r}")
     values = omega.values.flat()
     n = values.size
     m = int(np.ceil(tau * n))

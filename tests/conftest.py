@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from trustmerge.bundle import BundleConfig, make_bundle
-from trustmerge.errors import MalformedArtifact, TruncatedFile
 from trustmerge.mlp import TrainConfig, backward
 from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
 
@@ -45,24 +44,28 @@ def rehash(bundle, names) -> None:
     manifest.write_text("".join(lines), "utf-8")
 
 
-def tmrg_bytes(name=b"x", shape=(2,), payload=struct.pack("<2d", 1.0, 2.0)) -> bytes:
-    """A one-tensor TMRG file written field by field, so any field can be corrupt."""
-    return (
-        b"TMRG" + struct.pack("<II", 1, 1)
-        + struct.pack("<H", len(name)) + name
+def tmrg_bytes(name=b"x", shape=(2,), payload=struct.pack("<2d", 1.0, 2.0), copies=1) -> bytes:
+    """A TMRG file of ``copies`` equal tensors written field by field, so any
+    field can be corrupt."""
+    tensor = (
+        struct.pack("<H", len(name)) + name
         + struct.pack("<B", len(shape)) + b"".join(struct.pack("<I", d) for d in shape)
         + payload
     )
+    return b"TMRG" + struct.pack("<II", 1, copies) + copies * tensor
 
 
-# corrupt TMRG files and the error each must raise
+# corrupt TMRG files, each a MalformedArtifact, and the detail its message must give
 BAD_TMRG = {
-    "numel-wraps-int64": (tmrg_bytes(shape=(2**31, 2**31, 2**31)), TruncatedFile),
-    "16-GB-payload": (tmrg_bytes(shape=(2**31,)), TruncatedFile),
-    "non-utf8-name": (tmrg_bytes(name=b"\xff\xfe"), MalformedArtifact),
-    "trailing-bytes": (tmrg_bytes() + b"\x00", MalformedArtifact),
-    "65-dims": (tmrg_bytes(shape=(1,) * 65, payload=struct.pack("<d", 1.0)), MalformedArtifact),
-    "empty-but-too-big": (tmrg_bytes(shape=(0,) + (2**32 - 1,) * 3, payload=b""), MalformedArtifact),
+    "numel-wraps-int64": (tmrg_bytes(shape=(2**31, 2**31, 2**31)), "truncated"),
+    "16-GB-payload": (tmrg_bytes(shape=(2**31,)), "truncated"),
+    "non-utf8-name": (tmrg_bytes(name=b"\xff\xfe"), "tensor name is not UTF-8"),
+    "trailing-bytes": (tmrg_bytes() + b"\x00", "trailing bytes"),
+    "65-dims": (tmrg_bytes(shape=(1,) * 65, payload=struct.pack("<d", 1.0)), "shape"),
+    "empty-but-too-big": (tmrg_bytes(shape=(0,) + (2**32 - 1,) * 3, payload=b""), "shape"),
+    "repeated-name": (tmrg_bytes(copies=2), "duplicate tensor name 'x'"),
+    "non-finite-value": (tmrg_bytes(payload=struct.pack("<2d", 1.0, float("inf"))),
+                         "NonFiniteValues: x"),
 }
 
 

@@ -1,7 +1,8 @@
 """Byte-level fuzzing of the TMRG and CSV readers.
 
 Whatever the bytes on disk, ``load_checkpoint`` and ``load_batch_csv`` either
-return a value or raise a ``TrustMergeError``; no other exception escapes.
+return a value or raise ``MalformedArtifact``, the error that blames the file;
+no other exception escapes.
 Mutations start from a valid file: truncation, overwritten bytes, spliced-in
 bytes, a corrupted header, and (for TMRG) count, length, rank and dimension
 fields set to arbitrary, mostly oversized, values.
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustmerge.datasets import load_batch_csv, save_batch_csv
-from trustmerge.errors import TrustMergeError
+from trustmerge.errors import MalformedArtifact
 from trustmerge.mlp import LabeledBatch
 from trustmerge.params import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -80,12 +81,13 @@ def load_or_reject(load, path: Path, data: bytes) -> None:
     path.write_bytes(data)
     try:
         load(path)
-    except TrustMergeError:
+    except MalformedArtifact:
         pass
 
 
 @FUZZ
 @given(data=st.one_of(byte_mutations(TMRG, header_len=12), tmrg_field_edits()))
+@example(data=TMRG[:-8] + struct.pack("<d", float("nan")))  # not a finite value
 def test_tmrg_reader_raises_only_toolkit_errors(artifact, data):
     load_or_reject(load_checkpoint, artifact, data)
 
@@ -95,5 +97,7 @@ def test_tmrg_reader_raises_only_toolkit_errors(artifact, data):
 @example(data=CSV.replace(b"0.5", b"0\x005"))  # NUL byte
 @example(data=CSV.replace(b"0.5", b"\xff\xfe"))  # not UTF-8
 @example(data=CSV.replace(b"0.5", b"9" * 200_000))  # field over the csv size limit
+@example(data=CSV.replace(b"0.5", b"nan"))  # not a finite input
+@example(data=CSV.replace(b"-1.25", b"1e400"))  # overflows to inf
 def test_csv_reader_raises_only_toolkit_errors(artifact, data):
     load_or_reject(load_batch_csv, artifact, data)

@@ -16,7 +16,7 @@ from trustmerge.bundle import (
     _parse_config_file,
 )
 from trustmerge.cli import _config_from_flags, build_parser, main
-from trustmerge.errors import ConfigError, MissingArtifact
+from trustmerge.errors import ConfigError, MalformedArtifact, MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.merging import AdaConfig, MergeConfig
@@ -236,7 +236,7 @@ class TestBundleRoundTrip:
         save_bundle(small_bundle, out)
         target = out / "task0_test.csv"
         target.write_text(target.read_text().replace("0", "1", 1))
-        with pytest.raises(MissingArtifact):
+        with pytest.raises(MalformedArtifact, match="task0_test.csv does not match its manifest hash"):
             load_bundle(out)
 
     def test_config_mapping_round_trip(self, small_bundle, tmp_path):
@@ -529,14 +529,15 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_TMRG))
     def test_eval_of_corrupt_merged_file_exits_1(self, bundle_dir, tmp_path, capsys, case):
-        data, error = BAD_TMRG[case]
+        data, detail = BAD_TMRG[case]
         merged = tmp_path / "merged"
         merged.mkdir()
         (merged / "merged.tmrg").write_bytes(data)
         code = main(["eval", "--bundle", str(bundle_dir), "--merged", str(merged),
                      "--out", str(tmp_path / "out")])
         assert code == 1
-        assert f"{error.name}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"MalformedArtifact: {merged / 'merged.tmrg'}: " in err and detail in err
 
     @pytest.mark.parametrize("text", ["", "x0,x1,label\n0.5,0.5\n", "x0,x1,label\n0.5,abc,1\n"])
     def test_merge_with_malformed_exemplar_csv_exits_1(self, bundle_dir, tmp_path, capsys, text):
@@ -547,6 +548,19 @@ class TestCli:
         code = main(["merge", "--bundle", str(bundle), "--out", str(tmp_path / "m")])
         assert code == 1
         assert "MalformedArtifact: " in capsys.readouterr().err
+
+    def test_merge_with_a_nan_exemplar_blames_the_file(self, bundle_dir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        target = bundle / "task0_exemplars.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        lines[2] = "nan," + lines[2].partition(",")[2]
+        target.write_text("".join(lines))
+        rehash(bundle, ["task0_exemplars.csv"])
+        out = tmp_path / "m"
+        assert main(["merge", "--bundle", str(bundle), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"MalformedArtifact: {target}, line 3: NaN or inf")
+        assert not out.exists()
 
     def test_manifest_must_list_every_bundle_file(self, bundle_dir, tmp_path, capsys):
         bundle = tmp_path / "bundle"

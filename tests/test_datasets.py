@@ -130,3 +130,10 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(MalformedArtifact):
             load_batch_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_input_names_the_file_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,x1,label\n0.5,0.5,1\n0.5,{value},1\n0.5,0.5,0\n")
+        with pytest.raises(MalformedArtifact, match=r"bad\.csv, line 3: NaN or inf input"):
+            load_batch_csv(path)

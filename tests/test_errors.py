@@ -1,0 +1,80 @@
+"""Six error classes, each named for what the caller must fix, and every
+``raise`` in the package names one of them."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import trustmerge
+from trustmerge import errors
+from trustmerge.errors import ConfigError, TrustMergeError
+from trustmerge.merging import AdaConfig, MergeConfig
+from trustmerge.mlp import MlpSpec, TrainConfig
+
+SIX = {"TrustMergeError", "ConfigError", "MalformedArtifact", "MissingArtifact",
+       "IncompatibleShapes", "NonFiniteValues"}
+# functions whose parser raises a ValueError that the same function catches
+# and raises again as MalformedArtifact
+TRANSLATE_THEIR_OWN_VALUE_ERRORS = {"load_batch_csv"}
+
+
+def test_errors_defines_exactly_the_six_classes():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert defined == SIX
+    assert all(issubclass(getattr(errors, name), TrustMergeError) for name in SIX)
+    assert issubclass(ConfigError, ValueError)  # a bad setting is still a ValueError to callers
+
+
+def _raises():
+    """(file, innermost enclosing function, Raise node) for every raise in the package."""
+    found = []
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                found.append((path.name, func, child))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if is_def else func)
+
+    for path in sorted(Path(trustmerge.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), path, None)
+    return found
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_every_raise_names_a_toolkit_error_or_re_raises():
+    raises = _raises()
+    assert len(raises) > 50  # the walk found the package's raises
+    stray = [
+        f"{path}:{node.lineno} in {func}: {ast.unparse(node)}"
+        for path, func, node in raises
+        if node.exc is not None
+        and _raised_name(node) not in SIX
+        and not (_raised_name(node) == "ValueError" and func in TRANSLATE_THEIR_OWN_VALUE_ERRORS)
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize("make, detail", [
+    (lambda: MergeConfig(lam="abc"), "lambda"),
+    (lambda: MergeConfig(lam=10**400), "lambda"),
+    (lambda: MergeConfig(tau=None), "tau"),
+    (lambda: MergeConfig(ties_trim_keep="0.5"), "ties_trim_keep"),
+    (lambda: AdaConfig(learning_rate=10**400), "learning rate"),
+    (lambda: AdaConfig(init_lambda="0.3"), "initial lambda"),
+    (lambda: TrainConfig(epochs="3"), "epochs"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size"),
+    (lambda: TrainConfig(learning_rate="0.1"), "learning rate"),
+    (lambda: MlpSpec((2, "4", 3)), "layer sizes"),
+], ids=["lambda-string", "lambda-huge-int", "tau-none", "trim-string", "ada-lr-huge-int",
+        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string"])
+def test_a_setting_of_the_wrong_type_is_a_config_error(make, detail):
+    with pytest.raises(ConfigError, match=detail):
+        make()

@@ -3,7 +3,7 @@ import pytest
 
 import trustmerge.evaluation
 from trustmerge.bundle import TaskBundle
-from trustmerge.errors import ConfigError, TooFewTasks
+from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.evaluation import (
     accuracy_table,
     knowledge_conflict,
@@ -130,12 +130,12 @@ class TestKnowledgeConflict:
         assert report.basis == "accuracy"
 
     def test_unknown_basis(self, small_bundle):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown basis 'f1'"):
             knowledge_conflict(small_bundle, MergeConfig(), basis="f1")
 
     def test_needs_two_tasks(self, small_bundle):
         single = small_bundle.subset([0])
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):
             knowledge_conflict(single, MergeConfig())
 
 
@@ -181,7 +181,7 @@ class TestLandscape:
         assert by_coord[(0.0, 0.0)] == pytest.approx(direct, abs=1e-12)
 
     def test_needs_two_tasks(self, small_bundle):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):
             landscape(small_bundle.subset([0]))
 
     @pytest.mark.parametrize("fraction", [-0.1, 2.0, float("nan")])

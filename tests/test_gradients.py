@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trustmerge.errors import EmptyExemplarSet, ShapeMismatch
+from trustmerge.errors import IncompatibleShapes
 from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.mlp import LabeledBatch, MlpSpec, backward, init_params
 from trustmerge.params import Checkpoint, ew_abs
@@ -78,18 +78,18 @@ class TestExemplarEstimate:
     def test_empty_exemplars(self):
         params = linear_net()
         empty = LabeledBatch(np.empty((0, 2)), np.empty(0, dtype=int))
-        with pytest.raises(EmptyExemplarSet):
+        with pytest.raises(IncompatibleShapes, match="no exemplars supplied"):
             estimate_abs_gradient(params, empty)
 
     def test_wrong_input_width(self):
         params = linear_net()
         batch = LabeledBatch(np.zeros((3, 5)), np.zeros(3, dtype=int))
-        with pytest.raises(ShapeMismatch, match="layer0 expects 2 features, got 5"):
+        with pytest.raises(IncompatibleShapes, match="layer0 expects 2 features, got 5"):
             estimate_abs_gradient(params, batch)
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_label_out_of_range(self, label):
         params = linear_net()
         batch = LabeledBatch(np.zeros((3, 2)), np.array([0, label, 1]))
-        with pytest.raises(ShapeMismatch, match="label index out of range"):
+        with pytest.raises(IncompatibleShapes, match="label index out of range"):
             estimate_abs_gradient(params, batch)

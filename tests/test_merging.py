@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from trustmerge.bundle import BundleConfig, TaskBundle
-from trustmerge.errors import (
-    ConfigError,
-    EmptyList,
-    EmptyUnlabeledSet,
-    IncompatibleShapes,
-    TrimOutOfRange,
-)
+from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.evaluation import merge_bundle
 from trustmerge.merging import (
     AdaConfig,
@@ -62,7 +56,7 @@ class TestWeightAverage:
         assert np.array_equal(avg["x"], [2.0, 4.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(IncompatibleShapes, match="no checkpoints to average"):
             weight_average([])
 
     def test_incompatible(self):
@@ -84,7 +78,7 @@ class TestTaskArithmetic:
         assert (recorded.config, recorded.exemplars) == (cfg, None)
 
     def test_no_tasks(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(IncompatibleShapes, match="nothing to stack"):
             task_arithmetic(ck([1.0]), [], 0.3)
 
 
@@ -140,14 +134,16 @@ class TestTies:
 
     def test_trim_out_of_range(self):
         for keep in (0.0, 1.5, -0.1):
-            with pytest.raises(TrimOutOfRange):
+            with pytest.raises(ConfigError, match=r"ties_trim_keep must lie in \(0, 1\]"):
                 ties_phi(np.array([[1.0]]), keep)
 
     def test_trim_out_of_range_is_a_config_error(self):
-        # a range error exits 2 like every other bad setting
-        assert issubclass(TrimOutOfRange, ConfigError)
-        with pytest.raises(ConfigError, match="TrimOutOfRange"):
+        # a range error exits 2 like every other bad setting, with MergeConfig's message
+        with pytest.raises(ConfigError) as raised:
             ties_phi(np.array([[1.0]]), 0.0)
+        with pytest.raises(ConfigError) as config:
+            MergeConfig(ties_trim_keep=0.0)
+        assert str(raised.value) == str(config.value)
 
     def test_ties_tatr_tau_zero_bitwise_equals_ties(self):
         for seed in range(10):
@@ -220,7 +216,7 @@ class TestAdaTatr:
 
     def test_empty_pool_rejected(self):
         pre, tvs, _ = self._setup(3)
-        with pytest.raises(EmptyUnlabeledSet):
+        with pytest.raises(IncompatibleShapes, match="nonempty unlabeled pool"):
             ada_tatr(pre, tvs, zs_grads(tvs), 0.0, [], AdaConfig())
 
 
@@ -261,6 +257,40 @@ class TestSummationOrder:
         assert self.fold(tvs)["x"][0] == 1.0
         self.assert_in_order(ck([0.0]), tvs, np.array([1.0] * 7 + [2.0]))
 
+
+class TestTiesSummationOrder:
+    """ties adds the tasks one at a time in ascending order too: its elected
+    sign and its disjoint mean equal a left fold of the trimmed and the
+    aligned rows, bit for bit."""
+
+    @staticmethod
+    def reference(pre, tvs, lam, keep):
+        deltas = np.array([tv.flat() for tv in tvs])
+        trimmed = np.zeros_like(deltas)
+        for row, delta in zip(trimmed, deltas):
+            kept = np.argsort(-np.abs(delta), kind="stable")[: int(np.ceil(keep * delta.size))]
+            row[kept] = delta[kept]
+        elected = np.where(functools.reduce(np.add, trimmed) < 0.0, -1.0, 1.0)
+        aligned = np.where(np.sign(trimmed) * elected >= 0.0, trimmed, 0.0)
+        counts = (aligned != 0.0).sum(axis=0)
+        mean = np.where(counts > 0, functools.reduce(np.add, aligned) / np.maximum(counts, 1), 0.0)
+        return pre.flat() + lam * mean
+
+    @pytest.mark.parametrize("n", [1, 2, 388])
+    def test_random_tasks_match_a_left_fold(self, n):
+        # one scale, so that no task's terms absorb the others' rounding
+        rng = np.random.default_rng(n)
+        for k in range(2, 17):
+            tvs = [ck(rng.normal(size=n)) for _ in range(k)]
+            pre = ck(rng.normal(size=n))
+            for keep in (1.0, 0.5):
+                merged = ties_merge(pre, tvs, 0.3, keep).merged
+                assert merged.flat().tobytes() == self.reference(pre, tvs, 0.3, keep).tobytes()
+
+    def test_one_then_seven_tiny_terms(self):
+        # in order, 1.0 absorbs each 2**-53, so the mean of the 8 survivors is 1/8
+        tvs = [ck([1.0])] + [ck([2.0**-53])] * 7
+        assert ties_merge(ck([0.0]), tvs, 1.0, 1.0).merged["x"][0] == 0.125
 
 class TestMergeConfig:
     def test_unknown_method(self):

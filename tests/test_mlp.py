@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trustmerge.errors import NonFiniteValues, ShapeMismatch
+from trustmerge.errors import IncompatibleShapes, NonFiniteValues
 from trustmerge.mlp import (
     LabeledBatch,
     MlpSpec,
@@ -60,11 +60,11 @@ class TestSpecAndBatch:
         assert MlpSpec((2, 4, 3)).input_dim == 2
 
     def test_batch_validation(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="disagree on sample count"):
             LabeledBatch(np.zeros((3, 2)), np.zeros(2, dtype=int))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="inputs must be 2-D"):
             LabeledBatch(np.zeros(3), np.zeros(3, dtype=int))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(NonFiniteValues, match="non-finite input rows"):
             LabeledBatch(np.array([[np.inf, 0.0]]), np.array([0]))
 
     def test_batch_arrays_are_read_only(self):
@@ -108,29 +108,32 @@ class TestForward:
     def test_label_out_of_range(self):
         spec, params = small_net()
         batch = LabeledBatch(np.zeros((1, 2)), np.array([3]))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="label index out of range"):
             forward(params, batch)
 
     def test_wrong_input_width(self):
         spec, params = small_net()
         batch = LabeledBatch(np.zeros((1, 5)), np.array([0]))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="layer0 expects 2 features, got 5"):
             forward(params, batch)
 
-    @pytest.mark.parametrize("tensors", [
-        [("layer0.weight", np.zeros((3, 2))), ("layer0.bias", np.zeros(1))],
-        [("layer0.weight", np.zeros(6)), ("layer0.bias", np.zeros(6))],
-        [("layer0.weight", np.zeros((4, 2))), ("layer0.bias", np.zeros(4)),
-         ("layer1.weight", np.zeros((3, 5))), ("layer1.bias", np.zeros(3))],
-        [("layer0.weight", np.zeros((3, 2)))],
+    @pytest.mark.parametrize("tensors, detail", [
+        ([("layer0.weight", np.zeros((3, 2))), ("layer0.bias", np.zeros(1))],
+         r"layer0.weight has shape \(3, 2\) and layer0.bias \(1,\)"),
+        ([("layer0.weight", np.zeros(6)), ("layer0.bias", np.zeros(6))],
+         r"layer0.weight has shape \(6,\)"),
+        ([("layer0.weight", np.zeros((4, 2))), ("layer0.bias", np.zeros(4)),
+          ("layer1.weight", np.zeros((3, 5))), ("layer1.bias", np.zeros(3))],
+         "layer1 expects 5 features, got 4"),
+        ([("layer0.weight", np.zeros((3, 2)))], "naming convention"),
     ], ids=["bias-per-row", "weight-2d", "widths-chain", "naming"])
-    def test_malformed_layers(self, tensors):
+    def test_malformed_layers(self, tensors, detail):
         params = Checkpoint(tensors)
         batch = LabeledBatch(np.zeros((2, 2)), np.array([0, 1]))
         for fn in (forward, backward, entropy_loss, evaluate_accuracy):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(IncompatibleShapes, match=detail):
                 fn(params, batch)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match=detail):
             train(params, batch, TrainConfig(epochs=1))
 
     def test_softmax_shift_invariance(self):
@@ -228,14 +231,14 @@ class TestTraining:
     def test_wrong_input_width(self):
         _, params = small_net(10)
         data = LabeledBatch(np.zeros((40, 5)), np.zeros(40, dtype=int))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="layer0 expects 2 features, got 5"):
             train(params, data, TrainConfig(epochs=2, batch_size=8))
 
     def test_label_out_of_range_in_a_late_minibatch(self):
         _, params = small_net(10)
         labels = np.zeros(40, dtype=int)
         labels[-1] = 3  # the net has 3 classes
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IncompatibleShapes, match="label index out of range"):
             train(params, LabeledBatch(np.zeros((40, 2)), labels), TrainConfig(epochs=2, batch_size=8))
 
     def test_overflowing_run_raises_instead_of_returning_nan(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustmerge.errors import IncompatibleShapes, NegativeTolerance
+from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.params import Checkpoint, ew_combine, sum_in_order
 from trustmerge.task_vectors import compute_task_vector, decompose, percentile_zero_tol
 
@@ -51,7 +51,7 @@ class TestDecompose:
 
     def test_negative_tolerance(self):
         delta = ck([1.0])
-        with pytest.raises(NegativeTolerance):
+        with pytest.raises(ConfigError, match="zero_tol must be >= 0"):
             decompose(delta, ck([1.0]), zero_tol=-1e-9)
 
     def test_incompatible_gradient(self):

@@ -25,7 +25,8 @@ from .datasets import (
 )
 from .errors import ConfigError, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
-from .mlp import LabeledBatch, MlpSpec, TrainConfig, _layout, evaluate_accuracy, init_params, train
+from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, evaluate_accuracy, init_params,
+                  is_count, train)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -68,10 +69,10 @@ class BundleConfig:
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=120))
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.num_tasks < 1:
-            raise ConfigError("need at least one task")
+        if not (is_count(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if not (is_count(self.num_tasks) and self.num_tasks >= 1):
+            raise ConfigError(f"need at least one task, got {self.num_tasks!r}")
         if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
             raise ConfigError("need a rotation and label permutation per task")
         # keep the ones the tasks use, so a saved and reloaded config compares equal
@@ -108,9 +109,9 @@ class BundleConfig:
 
 
 def checked_exemplar_count(count: int | None) -> int | None:
-    """``count``, an exemplar count per task: None (the full pools) or >= 0."""
-    if count is not None and count < 0:
-        raise ConfigError(f"exemplar count must be >= 0, got {count}")
+    """``count``, an exemplar count per task: None (the full pools) or an int >= 0."""
+    if count is not None and not (is_count(count) and count >= 0):
+        raise ConfigError(f"exemplar count must be None or an integer >= 0, got {count!r}")
     return count
 
 

@@ -17,6 +17,7 @@ from .bundle import (
     save_bundle,
     _parse_config_file,
 )
+from .datasets import write_csv
 from .errors import ConfigError, TrustMergeError
 from .evaluation import (
     accuracy_table,
@@ -95,15 +96,20 @@ def cmd_merge(args) -> int:
     return 0
 
 
+def _out_dir(args) -> Path:
+    """``--out``, created: call it once the work is done, so a failed command writes nothing."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_eval(args) -> int:
     bundle = load_bundle(args.bundle)
     results = [load_merge_result(path, bundle.theta_pre) for path in args.merged]
     named = [(Path(p).name if r.config is None else r.config.method, r)
              for p, r in zip(args.merged, results)]
     rows = accuracy_table(bundle, named)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_accuracy_csv(rows, bundle.num_tasks, out / "accuracy.csv")
+    write_accuracy_csv(rows, bundle.num_tasks, _out_dir(args) / "accuracy.csv")
     for name, _, avg in rows[2:]:
         print(f"{name} avg_acc={avg}")
     return 0
@@ -114,8 +120,7 @@ def cmd_conflict(args) -> int:
     bundle = load_bundle(args.bundle)
     reports = [knowledge_conflict(bundle, cfg, basis, args.exemplars)
                for basis in ("loss", "accuracy")]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     # loss and accuracy bases are emitted as separate files, never mixed
     for report in reports:
         write_conflict_csv(report, out / f"conflict_{report.basis}.csv")
@@ -126,10 +131,9 @@ def cmd_conflict(args) -> int:
 def cmd_landscape(args) -> int:
     bundle = load_bundle(args.bundle)
     grid = landscape(bundle, args.task, args.decomp_fraction)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_landscape_csv(grid, out / "landscape.csv")
-    print(f"landscape grid written to {out / 'landscape.csv'}")
+    path = _out_dir(args) / "landscape.csv"
+    write_landscape_csv(grid, path)
+    print(f"landscape grid written to {path}")
     return 0
 
 
@@ -138,8 +142,7 @@ def cmd_sensitivity(args) -> int:
     omega = compute_sensitivity(
         bundle.gradient_estimates(args.exemplars), bundle.task_vectors(), args.variant
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_per_layer_csv(per_layer_sensitivity(omega), out / "sensitivity_per_layer.csv")
     print(f"per-layer sensitivity written to {out}")
     return 0
@@ -157,13 +160,9 @@ def cmd_sweep(args) -> int:
     # every merge runs before the first file is written
     taus = [(tau, avg_acc(replace(base, tau=tau), args.exemplars)) for tau in TAU_GRID]
     counts = [(count, avg_acc(base, count)) for count in EXEMPLAR_GRID]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, header, rows in (("tau_sweep.csv", "tau", taus),
-                               ("exemplar_sweep.csv", "exemplars", counts)):
-        with open(out / name, "w") as fh:
-            fh.write(f"{header},avg_acc\n")
-            fh.writelines(f"{x},{acc!r}\n" for x, acc in rows)
+    out = _out_dir(args)
+    write_csv(out / "tau_sweep.csv", ["tau", "avg_acc"], taus)
+    write_csv(out / "exemplar_sweep.csv", ["exemplars", "avg_acc"], counts)
     print(f"sweeps written to {out}")
     return 0
 
@@ -171,6 +170,10 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trustmerge")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every command that reads a bundle
+    bundle_io = argparse.ArgumentParser(add_help=False)
+    bundle_io.add_argument("--bundle", required=True)
+    bundle_io.add_argument("--out", required=True)
 
     p = sub.add_parser("gen-train", help="generate synthetic tasks and train the experts")
     p.add_argument("--config", help="flat key=value config file")
@@ -180,45 +183,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_train)
 
-    p = sub.add_parser("merge", help="merge a bundle's experts")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("merge", parents=[bundle_io], help="merge a bundle's experts")
     _add_merge_flags(p)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("eval", help="accuracy table for merged models")
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("eval", parents=[bundle_io], help="accuracy table for merged models")
     p.add_argument("--merged", nargs="+", required=True, help="merge output directories")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("conflict", help="knowledge-conflict matrices")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("conflict", parents=[bundle_io], help="knowledge-conflict matrices")
     _add_merge_flags(p)
     p.set_defaults(func=cmd_conflict)
 
-    p = sub.add_parser("landscape", help="loss grid over the component plane")
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("landscape", parents=[bundle_io], help="loss grid over the component plane")
     p.add_argument("--task", type=_task, default=None, help="task index or 'total'")
     p.add_argument("--decomp-fraction", type=float, default=0.05,
                    help="fraction of lowest |grad*delta| products treated as orthogonal")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_landscape)
 
-    p = sub.add_parser("sensitivity", help="per-layer mean sensitivity")
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("sensitivity", parents=[bundle_io], help="per-layer mean sensitivity")
     p.add_argument("--variant", choices=VARIANTS, default=_DEFAULT.sensitivity_variant)
     p.add_argument("--exemplars", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("sweep", help="tau and exemplar-count grids")
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("sweep", parents=[bundle_io], help="tau and exemplar-count grids")
     p.add_argument("--lambda", dest="lam", type=float, default=_DEFAULT.lam)
     p.add_argument("--tau", type=float, default=_DEFAULT.tau)
     p.add_argument("--exemplars", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     return parser

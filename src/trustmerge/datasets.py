@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MalformedArtifact
-from .mlp import LabeledBatch
+from .mlp import LabeledBatch, is_count, is_finite_number
 
 DEFAULT_EXEMPLARS = 128
 _CENTER_RADIUS = 2.0
@@ -34,14 +34,18 @@ class SyntheticTaskSpec:
     center_angles_deg: tuple[float, ...] | None = None  # None = evenly spaced
 
     def __post_init__(self):
-        if not 0.0 <= self.rotation_deg < 360.0:
-            raise ConfigError("rotation must lie in [0, 360)")
-        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+        if not (all(map(is_count, (self.task_id, self.num_classes, self.seed)))
+                and self.num_classes > 0 and self.seed >= 0):
+            raise ConfigError(f"task_id, num_classes > 0 and seed >= 0 must be integers, got "
+                              f"{self.task_id!r}, {self.num_classes!r}, {self.seed!r}")
+        if not (is_finite_number(self.rotation_deg) and 0.0 <= self.rotation_deg < 360.0):
+            raise ConfigError(f"rotation must lie in [0, 360), got {self.rotation_deg!r}")
+        if not (is_finite_number(self.noise_std) and self.noise_std >= 0):
             raise ConfigError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
-        if self.samples_train <= 0 or self.samples_test <= 0:
-            raise ConfigError("sample counts must be positive")
-        if self.exemplar_count < 0:
-            raise ConfigError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
+        if not all(is_count(n) and n > 0 for n in (self.samples_train, self.samples_test)):
+            raise ConfigError("sample counts must be positive integers")
+        if not (is_count(self.exemplar_count) and self.exemplar_count >= 0):
+            raise ConfigError(f"exemplar_count must be >= 0, got {self.exemplar_count!r}")
         perm = self.label_perm
         if perm is None:
             perm = tuple(range(self.num_classes))
@@ -53,10 +57,9 @@ class SyntheticTaskSpec:
         if self.center_angles_deg is not None:
             if len(self.center_angles_deg) != self.num_classes:
                 raise ConfigError("need one center angle per class")
-            angles = tuple(float(a) for a in self.center_angles_deg)
-            if not np.all(np.isfinite(angles)):
-                raise ConfigError(f"center angles must be finite, got {angles!r}")
-            object.__setattr__(self, "center_angles_deg", angles)
+            if not all(map(is_finite_number, self.center_angles_deg)):
+                raise ConfigError(f"center angles must be finite, got {self.center_angles_deg!r}")
+            object.__setattr__(self, "center_angles_deg", tuple(map(float, self.center_angles_deg)))
 
 
 def class_centers(num_classes: int, angles_deg: tuple[float, ...] | None = None) -> np.ndarray:
@@ -95,14 +98,20 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[LabeledBatch, LabeledBatch, 
     return train, test, exemplars
 
 
-def save_batch_csv(batch: LabeledBatch, path) -> None:
-    """Header "x0,x1,...,label", one row per sample."""
-    dim = batch.inputs.shape[1]
+def write_csv(path, header: list, rows) -> None:
+    """Every CSV the package writes: ``header``, then ``rows``, in the csv
+    module's default dialect (comma-separated, ``\\r\\n`` line ends)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dim)] + ["label"])
-        for row, label in zip(batch.inputs, batch.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_batch_csv(batch: LabeledBatch, path) -> None:
+    """Header "x0,x1,...,label", one row per sample."""
+    write_csv(path, [f"x{i}" for i in range(batch.inputs.shape[1])] + ["label"],
+              ([repr(float(v)) for v in row] + [int(label)]
+               for row, label in zip(batch.inputs, batch.labels)))
 
 
 def load_batch_csv(path) -> LabeledBatch:

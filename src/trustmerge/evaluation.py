@@ -3,12 +3,12 @@ grid over the orthogonal/positive/negative task-vector plane."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundle import TaskBundle, checked_exemplar_count
+from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
 from .merging import (
     MergeConfig,
@@ -20,7 +20,7 @@ from .merging import (
     ties_tatr,
     weight_average,
 )
-from .mlp import backward, evaluate_accuracy, forward
+from .mlp import backward, evaluate_accuracy, forward, is_count
 from .params import Checkpoint, ew_combine, sum_in_order
 from .task_vectors import checked_fraction, decompose, percentile_zero_tol
 
@@ -80,10 +80,10 @@ def _run_method(bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None
 
 
 def _task_metric(merged: Checkpoint, bundle: TaskBundle, j: int, basis: str) -> float:
+    """Task j's test loss, or its accuracy negated: larger is worse on both bases."""
     if basis == "loss":
-        _, loss = forward(merged, bundle.test_sets[j])
-        return loss
-    return evaluate_accuracy(merged, bundle.test_sets[j])
+        return forward(merged, bundle.test_sets[j])[1]
+    return -evaluate_accuracy(merged, bundle.test_sets[j])
 
 
 def knowledge_conflict(
@@ -93,8 +93,9 @@ def knowledge_conflict(
     exemplar_count: int | None = None,
 ) -> ConflictReport:
     """Per ordered pair (i, j): the change in task j's metric caused by
-    including task i in the merge.  Loss basis reports L_j(all) - L_j(all
-    but i); accuracy basis flips the sign so a drop is reported positive."""
+    including task i in the merge, metric(all) - metric(all but i).  The
+    accuracy basis negates accuracy, so a drop is reported positive as a loss
+    rise is; (-a) - (-b) equals b - a exactly."""
     if basis not in ("loss", "accuracy"):
         raise ConfigError(f"unknown basis {basis!r}")
     k = bundle.num_tasks
@@ -107,11 +108,7 @@ def knowledge_conflict(
         rest = [t for t in range(k) if t != i]
         merged_excl = merge_bundle(bundle.subset(rest), cfg, exemplar_count).merged
         for j in rest:
-            metric_excl = _task_metric(merged_excl, bundle, j, basis)
-            if basis == "loss":
-                pairwise[i, j] = metric_all[j] - metric_excl
-            else:
-                pairwise[i, j] = metric_excl - metric_all[j]
+            pairwise[i, j] = metric_all[j] - _task_metric(merged_excl, bundle, j, basis)
     total = float(np.nansum(pairwise))
     return ConflictReport(pairwise, total, total / (k * (k - 1)), basis)
 
@@ -130,44 +127,34 @@ def landscape(
 ) -> LandscapeGrid:
     """15x15 loss grid on the plane through the three component anchors.
 
-    The cumulative delta (all tasks but the reference, or all tasks for the
-    total view) is split against the reference gradient; the lowest
-    ``decomposition_fraction`` of |grad * delta| products forms the
-    orthogonal set.  Plane point (u, v) is
+    The grid shows the loss of ``loss_tasks``: the reference task, or every
+    task for the total view (None).  The delta, the sum of every task vector
+    but the reference's, is split against the sum of ``loss_tasks``'
+    gradients; the lowest ``decomposition_fraction`` of |grad * delta|
+    products forms the orthogonal set.  Plane point (u, v) is
     theta_neg + u (theta_orth - theta_neg) + v (theta_pos - theta_neg).
     """
     k = bundle.num_tasks
     if k < 2:
         raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
-    if reference_task is not None and not 0 <= reference_task < k:
-        raise ConfigError(f"reference task {reference_task} is out of range for {k} tasks")
+    if reference_task is not None and not (is_count(reference_task) and 0 <= reference_task < k):
+        raise ConfigError(f"reference task {reference_task!r} is out of range for {k} tasks")
     checked_fraction(decomposition_fraction)
-    tvs = bundle.task_vectors()
-    if reference_task is None:
-        delta = sum_in_order(tvs)
-        grad = sum_in_order([signed_gradient(bundle, j) for j in range(k)])
-        loss_tasks = list(range(k))
-    else:
-        delta = sum_in_order([tv for j, tv in enumerate(tvs) if j != reference_task])
-        grad = signed_gradient(bundle, reference_task)
-        loss_tasks = [reference_task]
+    loss_tasks = range(k) if reference_task is None else [reference_task]
+    delta = sum_in_order(tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task)
+    grad = sum_in_order(signed_gradient(bundle, j) for j in loss_tasks)
     tol = percentile_zero_tol(delta, grad, decomposition_fraction)
     dec = decompose(delta, grad, tol)
 
-    theta_pos = ew_combine(bundle.theta_pre, dec.positive, "add")
-    theta_neg = ew_combine(bundle.theta_pre, dec.negative, "add")
-    theta_orth = ew_combine(bundle.theta_pre, dec.orthogonal, "add")
+    theta_pos, theta_neg, theta_orth = (ew_combine(bundle.theta_pre, part, "add")
+                                        for part in (dec.positive, dec.negative, dec.orthogonal))
     neg = theta_neg.flat()
     axis_u, axis_v = theta_orth.flat() - neg, theta_pos.flat() - neg
-
-    def loss_at(point: Checkpoint) -> float:
-        return sum(forward(point, bundle.test_sets[j])[1] for j in loss_tasks)
-
     rows = []
     for u in GRID_COORDS:
         for v in GRID_COORDS:
             point = Checkpoint.from_flat(theta_neg, neg + u * axis_u + v * axis_v)
-            rows.append((u, v, loss_at(point)))
+            rows.append((u, v, sum(forward(point, bundle.test_sets[j])[1] for j in loss_tasks)))
     return LandscapeGrid(theta_pos, theta_neg, theta_orth, rows, reference_task)
 
 
@@ -176,39 +163,24 @@ def accuracy_table(
 ) -> list[tuple[str, list[float], float]]:
     """Rows of (method, per-task accuracies, average); always includes the
     pre-trained reference row and the per-task individual upper bound."""
-    def row(name: str, accs: list[float]):
-        return (name, accs, float(np.mean(accs)))
-
-    rows = [row(name, accs) for name, accs in bundle.baseline_accuracies()]
-    for name, result in results:
-        rows.append(row(name, [evaluate_accuracy(result.merged, t) for t in bundle.test_sets]))
-    return rows
+    named = bundle.baseline_accuracies() + [
+        (name, [evaluate_accuracy(result.merged, t) for t in bundle.test_sets])
+        for name, result in results
+    ]
+    return [(name, accs, float(np.mean(accs))) for name, accs in named]
 
 
 def write_conflict_csv(report: ConflictReport, path) -> None:
     k = report.pairwise.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "C"])
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    writer.writerow([i, j, repr(float(report.pairwise[i, j]))])
-        writer.writerow(["total", "", repr(report.total)])
-        writer.writerow(["normalized", "", repr(report.normalized)])
+    rows = [(i, j, repr(float(report.pairwise[i, j]))) for i in range(k) for j in range(k) if i != j]
+    rows += [("total", "", repr(report.total)), ("normalized", "", repr(report.normalized))]
+    write_csv(path, ["i", "j", "C"], rows)
 
 
 def write_landscape_csv(grid: LandscapeGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "loss"])
-        for u, v, loss in grid.rows:
-            writer.writerow([repr(u), repr(v), repr(loss)])
+    write_csv(path, ["u", "v", "loss"], (map(repr, row) for row in grid.rows))
 
 
 def write_accuracy_csv(rows, num_tasks: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method"] + [f"task{j}" for j in range(num_tasks)] + ["avg"])
-        for name, accs, avg in rows:
-            writer.writerow([name] + [repr(a) for a in accs] + [repr(avg)])
+    write_csv(path, ["method"] + [f"task{j}" for j in range(num_tasks)] + ["avg"],
+              ([name, *map(repr, accs), repr(avg)] for name, accs, avg in rows))

@@ -94,6 +94,8 @@ class TrainConfig:
                               f"got {self.epochs!r}/{self.batch_size!r}")
         if not (is_finite_number(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning rate must be finite and nonnegative, got {self.learning_rate!r}")
+        if not (is_count(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _layout(spec: MlpSpec) -> tuple:
@@ -280,6 +282,6 @@ def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoin
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    logits, _ = _forward_pass(_checked_layers(params, test.inputs), test.inputs)
+    logits, _ = _forward_pass(_checked_layers(params, test.inputs, test.labels), test.inputs)
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == test.labels))

@@ -33,7 +33,7 @@ def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Dec
     |p| <= zero_tol goes to the orthogonal component, p > 0 to positive,
     p < 0 to negative; the three parts sum back to the delta exactly.
     """
-    if zero_tol < 0:
+    if not zero_tol >= 0:  # NaN fails too
         raise ConfigError(f"zero_tol must be >= 0, got {zero_tol!r}")
     if not grad.compatible(delta):
         raise IncompatibleShapes("gradient does not match the task vector's structure")

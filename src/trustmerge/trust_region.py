@@ -9,12 +9,12 @@ tau-fraction of dimensions is excluded from merging.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
+from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
 from .params import Checkpoint, stack
 
@@ -102,8 +102,4 @@ def per_layer_sensitivity(omega: Sensitivity) -> list[tuple[str, float]]:
 
 
 def write_per_layer_csv(rows: list[tuple[str, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "mean_sensitivity"])
-        for name, mean in rows:
-            writer.writerow([name, repr(mean)])
+    write_csv(path, ["layer", "mean_sensitivity"], ((name, repr(mean)) for name, mean in rows))

@@ -412,6 +412,40 @@ class TestCli:
         assert ex_lines[0] == "exemplars,avg_acc"
         assert len(ex_lines) == 10
 
+    def test_every_pipeline_csv_starts_with_its_header_and_ends_lines_with_crlf(
+        self, bundle_dir, tmp_path
+    ):
+        """Every CSV goes through ``write_csv``: header first, the csv module's
+        ``\\r\\n`` line ends."""
+        for argv in (
+            ["merge", "--out", str(tmp_path / "tatr")],
+            ["merge", "--method", "task_arithmetic", "--out", str(tmp_path / "ta")],
+            ["eval", "--merged", str(tmp_path / "tatr"), str(tmp_path / "ta"),
+             "--out", str(tmp_path / "eval")],
+            ["conflict", "--method", "task_arithmetic", "--out", str(tmp_path / "conflict")],
+            ["landscape", "--out", str(tmp_path / "scape")],
+            ["sensitivity", "--out", str(tmp_path / "sens")],
+            ["sweep", "--exemplars", "4", "--out", str(tmp_path / "sweep")],
+        ):
+            assert main([*argv, "--bundle", str(bundle_dir)]) == 0
+        headers = {
+            "accuracy.csv": "method,task0,task1,task2,task3,avg",
+            "conflict_loss.csv": "i,j,C",
+            "conflict_accuracy.csv": "i,j,C",
+            "landscape.csv": "u,v,loss",
+            "sensitivity_per_layer.csv": "layer,mean_sensitivity",
+            "tau_sweep.csv": "tau,avg_acc",
+            "exemplar_sweep.csv": "exemplars,avg_acc",
+        }
+        headers.update({f"task{k}_{split}.csv": "x0,x1,label"
+                        for k in range(4) for split in ("train", "test", "exemplars")})
+        written = sorted(bundle_dir.glob("*.csv")) + sorted(tmp_path.rglob("*.csv"))
+        assert sorted(p.name for p in written) == sorted(headers)
+        for path in written:
+            data = path.read_bytes()
+            assert data.startswith(headers[path.name].encode() + b"\r\n"), path.name
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path.name
+
     @pytest.mark.parametrize("command", ["merge", "conflict"])
     def test_merge_flag_defaults_are_the_library_defaults(self, command):
         args = build_parser().parse_args([command, "--bundle", "x", "--out", "y"])

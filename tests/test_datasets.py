@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trustmerge
 from trustmerge.errors import MalformedArtifact
 from trustmerge.datasets import (
     SyntheticTaskSpec,
@@ -100,6 +104,23 @@ class TestGeneration:
 
 
 class TestCsv:
+    def test_csv_writer_is_used_only_inside_write_csv(self):
+        """Every CSV the package writes goes through ``datasets.write_csv``."""
+        found = []
+
+        def visit(node, path, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute) and child.attr == "writer" and (
+                    isinstance(child.value, ast.Name) and child.value.id == "csv"
+                ):
+                    found.append(f"{path.name}:{func}")
+                is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, path, child.name if is_def else func)
+
+        for path in sorted(Path(trustmerge.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text("utf-8")), path, None)
+        assert found == ["datasets.py:write_csv"]
+
     def test_round_trip_exact(self, tmp_path):
         train, _, _ = generate_task(SyntheticTaskSpec(task_id=0, samples_train=30))
         path = tmp_path / "t.csv"

@@ -2,6 +2,7 @@
 ``raise`` in the package names one of them."""
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -9,9 +10,14 @@ import pytest
 
 import trustmerge
 from trustmerge import errors
+from trustmerge.bundle import BundleConfig, make_bundle
+from trustmerge.datasets import SyntheticTaskSpec
 from trustmerge.errors import ConfigError, TrustMergeError
+from trustmerge.evaluation import landscape, merge_bundle
 from trustmerge.merging import AdaConfig, MergeConfig
 from trustmerge.mlp import MlpSpec, TrainConfig
+
+from conftest import tiny_bundle_config
 
 SIX = {"TrustMergeError", "ConfigError", "MalformedArtifact", "MissingArtifact",
        "IncompatibleShapes", "NonFiniteValues"}
@@ -26,6 +32,11 @@ def test_errors_defines_exactly_the_six_classes():
     assert defined == SIX
     assert all(issubclass(getattr(errors, name), TrustMergeError) for name in SIX)
     assert issubclass(ConfigError, ValueError)  # a bad setting is still a ValueError to callers
+
+
+@functools.cache
+def _tiny_bundle():
+    return make_bundle(tiny_bundle_config())
 
 
 def _raises():
@@ -73,8 +84,17 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: TrainConfig(batch_size=2.5), "batch_size"),
     (lambda: TrainConfig(learning_rate="0.1"), "learning rate"),
     (lambda: MlpSpec((2, "4", 3)), "layer sizes"),
+    (lambda: merge_bundle(_tiny_bundle(), MergeConfig(), 2.5), "exemplar count"),
+    (lambda: merge_bundle(_tiny_bundle(), MergeConfig(), True), "exemplar count"),
+    (lambda: landscape(_tiny_bundle(), True), "reference task"),
+    (lambda: TrainConfig(seed=-1), "seed"),
+    (lambda: SyntheticTaskSpec(task_id=0, noise_std="0.3"), "noise_std"),
+    (lambda: SyntheticTaskSpec(task_id=0, rotation_deg=None), "rotation"),
+    (lambda: BundleConfig(seed="0"), "seed"),
 ], ids=["lambda-string", "lambda-huge-int", "tau-none", "trim-string", "ada-lr-huge-int",
-        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string"])
+        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string",
+        "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",
+        "noise-string", "rotation-none", "bundle-seed-string"])
 def test_a_setting_of_the_wrong_type_is_a_config_error(make, detail):
     with pytest.raises(ConfigError, match=detail):
         make()

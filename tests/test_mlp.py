@@ -107,9 +107,11 @@ class TestForward:
 
     def test_label_out_of_range(self):
         spec, params = small_net()
-        batch = LabeledBatch(np.zeros((1, 2)), np.array([3]))
-        with pytest.raises(IncompatibleShapes, match="label index out of range"):
-            forward(params, batch)
+        for label in (3, 99):
+            batch = LabeledBatch(np.zeros((1, 2)), np.array([label]))
+            for fn in (forward, evaluate_accuracy):  # neither scores a label it cannot predict
+                with pytest.raises(IncompatibleShapes, match="label index out of range"):
+                    fn(params, batch)
 
     def test_wrong_input_width(self):
         spec, params = small_net()

@@ -51,8 +51,9 @@ class TestDecompose:
 
     def test_negative_tolerance(self):
         delta = ck([1.0])
-        with pytest.raises(ConfigError, match="zero_tol must be >= 0"):
-            decompose(delta, ck([1.0]), zero_tol=-1e-9)
+        for tol in (-1e-9, float("nan")):  # NaN compares false to any bound
+            with pytest.raises(ConfigError, match="zero_tol must be >= 0"):
+                decompose(delta, ck([1.0]), zero_tol=tol)
 
     def test_incompatible_gradient(self):
         delta = ck([1.0])

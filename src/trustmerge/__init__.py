@@ -36,6 +36,7 @@ from .merging import (
     MergeConfig,
     MergeResult,
     ada_tatr,
+    merge_bundle,
     task_arithmetic,
     tatr_merge,
     ties_merge,
@@ -50,7 +51,6 @@ from .evaluation import (
     accuracy_table,
     knowledge_conflict,
     landscape,
-    merge_bundle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

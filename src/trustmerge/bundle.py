@@ -23,10 +23,10 @@ from .datasets import (
     load_batch_csv,
     save_batch_csv,
 )
-from .errors import ConfigError, MalformedArtifact, MissingArtifact
+from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
-from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, evaluate_accuracy, init_params,
-                  is_count, train)
+from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, checked_tuple, evaluate_accuracy,
+                  init_params, is_count, train)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -73,25 +73,32 @@ class BundleConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not (is_count(self.num_tasks) and self.num_tasks >= 1):
             raise ConfigError(f"need at least one task, got {self.num_tasks!r}")
-        if len(self.rotations) < self.num_tasks or len(self.label_perms) < self.num_tasks:
+        if not (isinstance(self.pretrain_on_mixture, bool) and isinstance(self.pretrain, TrainConfig)
+                and isinstance(self.finetune, TrainConfig)):
+            raise ConfigError(f"pretrain_on_mixture must be a bool and pretrain and finetune "
+                              f"TrainConfigs, got {self.pretrain_on_mixture!r}, {self.pretrain!r}, "
+                              f"{self.finetune!r}")
+        hidden, rotations, perms = (checked_tuple(getattr(self, name), name)
+                                    for name in ("hidden", "rotations", "label_perms"))
+        if len(rotations) < self.num_tasks or len(perms) < self.num_tasks:
             raise ConfigError("need a rotation and label permutation per task")
-        # keep the ones the tasks use, so a saved and reloaded config compares equal
-        vars(self).update(rotations=tuple(self.rotations[: self.num_tasks]),
-                          label_perms=tuple(self.label_perms[: self.num_tasks]))
-        # built here so bad sizes or task settings fail as config errors, not mid-run
-        object.__setattr__(self, "_mlp_spec", MlpSpec((2, *self.hidden, self.num_classes)))
-        for k in range(self.num_tasks):
-            self.task_spec(k)
+        # tuples of the values the tasks use, so the config hashes and a saved and
+        # reloaded config compares equal.  The network and the task specs are built
+        # here so bad settings fail as config errors, not mid-run; each task's spec
+        # checks its permutation and makes it a tuple.
+        vars(self).update(
+            hidden=hidden,
+            rotations=rotations[: self.num_tasks],
+            label_perms=perms[: self.num_tasks],
+            center_angles=None if self.center_angles is None
+            else checked_tuple(self.center_angles, "center_angles"),
+            _mlp_spec=MlpSpec((2, *hidden, self.num_classes)),
+        )
+        vars(self).update(label_perms=tuple(self.task_spec(k).label_perm for k in range(self.num_tasks)))
 
     @property
     def mlp_spec(self) -> MlpSpec:
         return self._mlp_spec
-
-    @property
-    def resolved_center_angles(self) -> tuple[float, ...] | None:
-        if self.center_angles is not None:
-            return self.center_angles
-        return DEFAULT_CENTER_ANGLES if self.num_classes == 4 else None
 
     def task_spec(self, k: int) -> SyntheticTaskSpec:
         return SyntheticTaskSpec(
@@ -104,7 +111,8 @@ class BundleConfig:
             samples_test=self.samples_test,
             exemplar_count=self.exemplar_count,
             seed=self.seed * 1000 + 101 + k,
-            center_angles_deg=self.resolved_center_angles,
+            center_angles_deg=DEFAULT_CENTER_ANGLES
+            if self.center_angles is None and self.num_classes == 4 else self.center_angles,
         )
 
 
@@ -189,37 +197,22 @@ class TaskBundle:
 
 
 def _pretrain_data(cfg: BundleConfig) -> LabeledBatch:
-    if not cfg.pretrain_on_mixture:
-        base_spec = SyntheticTaskSpec(
-            task_id=-1,
-            num_classes=cfg.num_classes,
-            noise_std=cfg.noise_std,
-            samples_train=cfg.samples_train,
-            samples_test=cfg.samples_test,
-            exemplar_count=cfg.exemplar_count,
-            seed=cfg.seed * 1000 + 7,
-            center_angles_deg=cfg.resolved_center_angles,
-        )
-        base_train, _, _ = generate_task(base_spec)
-        return base_train
-    # balanced sample from every task's distribution, drawn with seeds
-    # disjoint from the fine-tuning splits
-    parts = []
-    per_task = max(1, cfg.samples_train // cfg.num_tasks)
-    for k in range(cfg.num_tasks):
-        spec = replace(
-            cfg.task_spec(k),
-            samples_train=per_task,
-            samples_test=1,
-            exemplar_count=0,
-            seed=cfg.seed * 1000 + 601 + k,
-        )
-        tr, _, _ = generate_task(spec)
-        parts.append(tr)
-    inputs = np.concatenate([p.inputs for p in parts])
-    labels = np.concatenate([p.labels for p in parts])
-    order = np.random.default_rng(cfg.seed * 1000 + 5).permutation(len(labels))
-    return LabeledBatch(inputs[order], labels[order])
+    """A shuffled, balanced sample of every task's distribution, or the
+    unrotated, unpermuted base task; seeds disjoint from the fine-tuning
+    splits.  Only train splits are used, and each is drawn first."""
+    if cfg.pretrain_on_mixture:
+        per_task = max(1, cfg.samples_train // cfg.num_tasks)
+        specs = [replace(cfg.task_spec(k), samples_train=per_task, seed=cfg.seed * 1000 + 601 + k)
+                 for k in range(cfg.num_tasks)]
+    else:
+        specs = [replace(cfg.task_spec(0), task_id=-1, rotation_deg=0.0, label_perm=None,
+                         seed=cfg.seed * 1000 + 7)]
+    parts = [generate_task(replace(spec, samples_test=1, exemplar_count=0))[0] for spec in specs]
+    data = LabeledBatch(np.concatenate([p.inputs for p in parts]),
+                        np.concatenate([p.labels for p in parts]))
+    if cfg.pretrain_on_mixture:
+        data = data.take(np.random.default_rng(cfg.seed * 1000 + 5).permutation(len(data)))
+    return data
 
 
 def make_bundle(cfg: BundleConfig) -> TaskBundle:
@@ -229,15 +222,10 @@ def make_bundle(cfg: BundleConfig) -> TaskBundle:
     theta_init = init_params(cfg.mlp_spec, seed=cfg.seed * 1000 + 13)
     theta_pre = train(theta_init, base_train, replace(cfg.pretrain, seed=cfg.seed * 1000 + 17))
 
-    experts, trains, tests, exemplars = [], [], [], []
-    for k in range(cfg.num_tasks):
-        tr, te, ex = generate_task(cfg.task_spec(k))
-        theta_k = train(theta_pre, tr, replace(cfg.finetune, seed=cfg.seed * 1000 + 31 + k))
-        experts.append(theta_k)
-        trains.append(tr)
-        tests.append(te)
-        exemplars.append(ex)
-    return TaskBundle(cfg, theta_pre, experts, trains, tests, exemplars)
+    splits = [generate_task(cfg.task_spec(k)) for k in range(cfg.num_tasks)]
+    experts = [train(theta_pre, tr, replace(cfg.finetune, seed=cfg.seed * 1000 + 31 + k))
+               for k, (tr, _, _) in enumerate(splits)]
+    return TaskBundle(cfg, theta_pre, experts, *map(list, zip(*splits)))
 
 
 def _sha256(path: Path) -> str:
@@ -246,25 +234,20 @@ def _sha256(path: Path) -> str:
 
 def save_bundle(bundle: TaskBundle, out_dir) -> None:
     """Checkpoints as TMRG, datasets as CSV, and a hash manifest."""
+    if bundle.num_tasks != bundle.config.num_tasks:
+        raise IncompatibleShapes("a subset bundle cannot be saved: its config names every task")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
-
-    def emit(name: str, save, value) -> None:
-        save(value, out / name)
-        files.append(out / name)
-
-    emit("theta_pre.tmrg", save_checkpoint, bundle.theta_pre)
+    save_checkpoint(bundle.theta_pre, out / "theta_pre.tmrg")
     for k in range(bundle.num_tasks):
-        emit(f"task{k}.tmrg", save_checkpoint, bundle.experts[k])
-        emit(f"task{k}_train.csv", save_batch_csv, bundle.train_sets[k])
-        emit(f"task{k}_test.csv", save_batch_csv, bundle.test_sets[k])
-        emit(f"task{k}_exemplars.csv", save_batch_csv, bundle.exemplar_sets[k])
-    emit("bundle_config.txt", _save_config, bundle.config)
-
+        save_checkpoint(bundle.experts[k], out / f"task{k}.tmrg")
+        save_batch_csv(bundle.train_sets[k], out / f"task{k}_train.csv")
+        save_batch_csv(bundle.test_sets[k], out / f"task{k}_test.csv")
+        save_batch_csv(bundle.exemplar_sets[k], out / f"task{k}_exemplars.csv")
+    _save_config(bundle.config, out / "bundle_config.txt")
     with open(out / "manifest.txt", "w") as fh:
-        for path in files:
-            fh.write(f"{_sha256(path)}  {path.name}\n")
+        for name in _bundle_files(bundle.config):
+            fh.write(f"{_sha256(out / name)}  {name}\n")
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -356,11 +339,11 @@ def bundle_config_from_mapping(kv: dict[str, str]) -> BundleConfig:
     return replace(cfg, **{outer: replace(getattr(cfg, outer), **kw) for outer, kw in nested.items()})
 
 
-def _bundle_files(cfg: BundleConfig) -> set[str]:
-    tasks = range(cfg.num_tasks)
-    return {"bundle_config.txt", "theta_pre.tmrg"} | {f"task{k}.tmrg" for k in tasks} | {
-        f"task{k}_{split}.csv" for k in tasks for split in ("train", "test", "exemplars")
-    }
+def _bundle_files(cfg: BundleConfig) -> list[str]:
+    """The files of a bundle, in manifest order."""
+    per_task = (f"task{k}{suffix}" for k in range(cfg.num_tasks)
+                for suffix in (".tmrg", "_train.csv", "_test.csv", "_exemplars.csv"))
+    return ["theta_pre.tmrg", *per_task, "bundle_config.txt"]
 
 
 def _load_batch(path: Path, rows: int, cfg: BundleConfig) -> LabeledBatch:
@@ -383,9 +366,10 @@ def _load_model(path: Path, cfg: BundleConfig) -> Checkpoint:
 
 def load_bundle(path) -> TaskBundle:
     """Load a bundle written by save_bundle.  The manifest must be UTF-8 and
-    list exactly the files the bundle config implies, each once and with a
-    matching hash; the checkpoints must have the layout of the config's
-    network, and every CSV the rows, input columns and labels it implies."""
+    list exactly the files the bundle config implies, each once and in any
+    order; each file must match its hash, checked just before it is parsed.
+    The checkpoints must have the layout of the config's network, and every
+    CSV the rows, input columns and labels it implies."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -395,8 +379,6 @@ def load_bundle(path) -> TaskBundle:
     except UnicodeDecodeError as exc:
         raise MalformedArtifact(f"{manifest}: {exc}") from exc
     digests = {name: digest for digest, name in entries}
-    if len(digests) != len(entries):
-        raise MalformedArtifact(f"{manifest} lists a file more than once")
 
     def verified(name: str) -> Path:
         if name not in digests:
@@ -418,19 +400,14 @@ def load_bundle(path) -> TaskBundle:
     except ConfigError as exc:
         raise MalformedArtifact(f"{config}: {exc.args[0]}") from exc
     expected = _bundle_files(cfg)
-    if set(digests) != expected:
-        raise MalformedArtifact(
-            f"{manifest} lists {sorted(set(digests) - expected)} and omits "
-            f"{sorted(expected - set(digests))}"
-        )
-    for name in sorted(expected - {"bundle_config.txt"}):
-        verified(name)
-    theta_pre = _load_model(root / "theta_pre.tmrg", cfg)
+    if sorted(name for _, name in entries) != sorted(expected):
+        raise MalformedArtifact(f"{manifest} does not list each of {', '.join(expected)} once")
+    theta_pre = _load_model(verified("theta_pre.tmrg"), cfg)
     exemplar_rows = min(cfg.exemplar_count, cfg.samples_train)
     experts, trains, tests, exemplars = [], [], [], []
     for k in range(cfg.num_tasks):
-        experts.append(_load_model(root / f"task{k}.tmrg", cfg))
-        trains.append(_load_batch(root / f"task{k}_train.csv", cfg.samples_train, cfg))
-        tests.append(_load_batch(root / f"task{k}_test.csv", cfg.samples_test, cfg))
-        exemplars.append(_load_batch(root / f"task{k}_exemplars.csv", exemplar_rows, cfg))
+        experts.append(_load_model(verified(f"task{k}.tmrg"), cfg))
+        trains.append(_load_batch(verified(f"task{k}_train.csv"), cfg.samples_train, cfg))
+        tests.append(_load_batch(verified(f"task{k}_test.csv"), cfg.samples_test, cfg))
+        exemplars.append(_load_batch(verified(f"task{k}_exemplars.csv"), exemplar_rows, cfg))
     return TaskBundle(cfg, theta_pre, experts, trains, tests, exemplars)

@@ -10,8 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bundle import (
-    BundleConfig,
     bundle_config_from_mapping,
+    checked_exemplar_count,
     load_bundle,
     make_bundle,
     save_bundle,
@@ -23,14 +23,15 @@ from .evaluation import (
     accuracy_table,
     knowledge_conflict,
     landscape,
-    merge_bundle,
     write_accuracy_csv,
     write_conflict_csv,
     write_landscape_csv,
 )
-from .merging import METHODS, AdaConfig, MergeConfig, load_merge_result, save_merge_result
+from .merging import (METHODS, AdaConfig, MergeConfig, load_merge_result, merge_bundle,
+                      save_merge_result)
 # unused here, but perfbench/tests check that the tracer patches this binding
 from .params import load_checkpoint  # noqa: F401
+from .task_vectors import checked_fraction
 from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, write_per_layer_csv
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -219,6 +220,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # settings that need no bundle, before any bundle is read (--task needs its task count)
+        checked_exemplar_count(getattr(args, "exemplars", None))
+        checked_fraction(getattr(args, "decomp_fraction", 0.0))
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

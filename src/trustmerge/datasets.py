@@ -9,12 +9,12 @@ models from a common starting point.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, MalformedArtifact
-from .mlp import LabeledBatch, is_count, is_finite_number
+from .mlp import LabeledBatch, checked_tuple, is_count, is_finite_number
 
 DEFAULT_EXEMPLARS = 128
 _CENTER_RADIUS = 2.0
@@ -46,20 +46,20 @@ class SyntheticTaskSpec:
             raise ConfigError("sample counts must be positive integers")
         if not (is_count(self.exemplar_count) and self.exemplar_count >= 0):
             raise ConfigError(f"exemplar_count must be >= 0, got {self.exemplar_count!r}")
-        perm = self.label_perm
-        if perm is None:
-            perm = tuple(range(self.num_classes))
-        else:
-            perm = tuple(int(p) for p in perm)
-            if len(perm) != self.num_classes or sorted(perm) != list(range(len(perm))):
-                raise ConfigError(f"not a valid permutation of {self.num_classes} labels")
+        perm = (tuple(range(self.num_classes)) if self.label_perm is None
+                else checked_tuple(self.label_perm, "label_perm"))
+        # lengths first: range() of a 30-digit num_classes would overflow
+        if (len(perm) != self.num_classes or not all(map(is_count, perm))
+                or sorted(perm) != list(range(len(perm)))):
+            raise ConfigError(f"not a valid permutation of {self.num_classes} labels")
         object.__setattr__(self, "label_perm", perm)
         if self.center_angles_deg is not None:
-            if len(self.center_angles_deg) != self.num_classes:
+            angles = checked_tuple(self.center_angles_deg, "center angles")
+            if len(angles) != self.num_classes:
                 raise ConfigError("need one center angle per class")
-            if not all(map(is_finite_number, self.center_angles_deg)):
-                raise ConfigError(f"center angles must be finite, got {self.center_angles_deg!r}")
-            object.__setattr__(self, "center_angles_deg", tuple(map(float, self.center_angles_deg)))
+            if not all(map(is_finite_number, angles)):
+                raise ConfigError(f"center angles must be finite, got {angles!r}")
+            object.__setattr__(self, "center_angles_deg", tuple(map(float, angles)))
 
 
 def class_centers(num_classes: int, angles_deg: tuple[float, ...] | None = None) -> np.ndarray:

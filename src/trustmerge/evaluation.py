@@ -3,23 +3,15 @@ grid over the orthogonal/positive/negative task-vector plane."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import TaskBundle, checked_exemplar_count
+from .bundle import TaskBundle
 from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
-from .merging import (
-    MergeConfig,
-    MergeResult,
-    ada_tatr,
-    task_arithmetic,
-    tatr_merge,
-    ties_merge,
-    ties_tatr,
-    weight_average,
-)
+# perfbench traces knowledge_conflict's merges through this binding
+from .merging import MergeConfig, MergeResult, merge_bundle
 from .mlp import backward, evaluate_accuracy, forward, is_count
 from .params import Checkpoint, ew_combine, sum_in_order
 from .task_vectors import checked_fraction, decompose, percentile_zero_tol
@@ -42,41 +34,6 @@ class LandscapeGrid:
     anchor_orthogonal: Checkpoint  # plane coordinate (1, 0)
     rows: list[tuple[float, float, float]]  # (u, v, loss)
     reference_task: int | None  # None = total loss over all tasks
-
-
-def merge_bundle(
-    bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None = None
-) -> MergeResult:
-    """Run the configured merge method on a bundle (or bundle subset); the
-    result records ``cfg`` and ``exemplar_count``, which must be None or >= 0
-    even for the methods that use no exemplars."""
-    checked_exemplar_count(exemplar_count)
-    return replace(_run_method(bundle, cfg, exemplar_count), config=cfg, exemplars=exemplar_count)
-
-
-def _run_method(bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None) -> MergeResult:
-    tvs = bundle.task_vectors()
-    if cfg.method == "average":
-        k = bundle.num_tasks
-        return MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k)
-    if cfg.method == "task_arithmetic":
-        return task_arithmetic(bundle.theta_pre, tvs, cfg.lam)
-    if cfg.method == "ties":
-        return ties_merge(bundle.theta_pre, tvs, cfg.lam, cfg.ties_trim_keep)
-    grads = bundle.gradient_estimates(exemplar_count)
-    if cfg.method == "tatr":
-        return tatr_merge(
-            bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau, cfg.sensitivity_variant
-        )
-    if cfg.method == "ties_tatr":
-        return ties_tatr(
-            bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau,
-            cfg.ties_trim_keep, cfg.ties_mask_from_trimmed, cfg.sensitivity_variant,
-        )
-    # ada_tatr: the per-task test inputs serve as the unlabeled pools
-    return ada_tatr(
-        bundle.theta_pre, tvs, grads, cfg.tau, bundle.test_sets, cfg.ada, cfg.sensitivity_variant
-    )
 
 
 def _task_metric(merged: Checkpoint, bundle: TaskBundle, j: int, basis: str) -> float:

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .bundle import TaskBundle, checked_exemplar_count
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .mlp import LabeledBatch, entropy_loss, is_count, is_finite_number
 from .params import (
@@ -218,6 +219,33 @@ def ada_tatr(
         coeffs = coeffs - ada.learning_rate * dcoeffs
     merged = _assemble(theta_pre, masked, coeffs)
     return MergeResult(merged, mask, [float(c) for c in coeffs])
+
+
+def merge_bundle(
+    bundle: TaskBundle, cfg: MergeConfig, exemplar_count: int | None = None
+) -> MergeResult:
+    """Run the configured merge method on a bundle (or bundle subset); the
+    result records ``cfg`` and ``exemplar_count``, which must be None or >= 0
+    even for the methods that use no exemplars."""
+    checked_exemplar_count(exemplar_count)
+    pre, tvs, k = bundle.theta_pre, bundle.task_vectors(), bundle.num_tasks
+    if cfg.method == "average":
+        result = MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k)
+    elif cfg.method == "task_arithmetic":
+        result = task_arithmetic(pre, tvs, cfg.lam)
+    elif cfg.method == "ties":
+        result = ties_merge(pre, tvs, cfg.lam, cfg.ties_trim_keep)
+    else:  # the trust-region methods
+        grads = bundle.gradient_estimates(exemplar_count)
+        if cfg.method == "tatr":
+            result = tatr_merge(pre, tvs, grads, cfg.lam, cfg.tau, cfg.sensitivity_variant)
+        elif cfg.method == "ties_tatr":
+            result = ties_tatr(pre, tvs, grads, cfg.lam, cfg.tau, cfg.ties_trim_keep,
+                               cfg.ties_mask_from_trimmed, cfg.sensitivity_variant)
+        else:  # ada_tatr: the per-task test inputs serve as the unlabeled pools
+            result = ada_tatr(pre, tvs, grads, cfg.tau, bundle.test_sets, cfg.ada,
+                              cfg.sensitivity_variant)
+    return replace(result, config=cfg, exemplars=exemplar_count)
 
 
 def save_merge_result(result: MergeResult, out_dir) -> None:

@@ -33,6 +33,13 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def checked_tuple(value, name: str) -> tuple:
+    """``value``, a tuple or list, as a tuple; a ConfigError naming ``name`` otherwise."""
+    if not isinstance(value, (tuple, list)):
+        raise ConfigError(f"{name} must be a tuple or list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     layer_sizes: tuple[int, ...]  # (input, hidden..., classes)

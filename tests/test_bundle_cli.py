@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -16,7 +17,7 @@ from trustmerge.bundle import (
     _parse_config_file,
 )
 from trustmerge.cli import _config_from_flags, build_parser, main
-from trustmerge.errors import ConfigError, MalformedArtifact, MissingArtifact
+from trustmerge.errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
 from trustmerge.merging import AdaConfig, MergeConfig
@@ -213,6 +214,14 @@ class TestBundle:
         base = make_bundle(replace(tiny_bundle_config(), pretrain_on_mixture=False))
         assert mix.theta_pre != base.theta_pre
 
+    def test_base_task_pretraining_writes_the_pinned_bytes(self, tmp_path):
+        """The manifest pins the sha256 of all 17 files of a bundle pretrained
+        on the base task, which test_golden.py does not cover."""
+        cfg = dataclasses.replace(tiny_bundle_config(seed=3), pretrain_on_mixture=False)
+        save_bundle(make_bundle(cfg), tmp_path)
+        assert hashlib.sha256((tmp_path / "manifest.txt").read_bytes()).hexdigest() == (
+            "44d40e54a10ebb6456ef3194c186c9bbdb339bcc94bb013875097350338da103")
+
 
 class TestBundleRoundTrip:
     def test_save_load(self, small_bundle, tmp_path):
@@ -267,6 +276,30 @@ class TestBundleRoundTrip:
         assert loaded.config == NON_DEFAULT_CONFIG
         assert loaded.theta_pre == bundle.theta_pre
         assert loaded.experts == bundle.experts
+
+    def test_config_of_lists_is_stored_as_tuples_and_survives_save_and_load(
+        self, small_bundle, tmp_path
+    ):
+        cfg = dataclasses.replace(small_bundle.config, hidden=[8],
+                                  rotations=list(DEFAULT_ROTATIONS),
+                                  label_perms=[list(p) for p in small_bundle.config.label_perms],
+                                  center_angles=[0.0, 30.0, 60.0, 90.0])
+        assert (cfg.hidden, cfg.rotations) == ((8,), DEFAULT_ROTATIONS)
+        assert all(type(p) is tuple for p in cfg.label_perms)
+        assert hash(cfg) == hash(dataclasses.replace(cfg))
+        save_bundle(dataclasses.replace(small_bundle, config=cfg), tmp_path)
+        assert load_bundle(tmp_path).config == cfg
+
+    def test_a_reordered_manifest_still_loads(self, small_bundle, tmp_path):
+        save_bundle(small_bundle, tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(reversed(manifest.read_text().splitlines(keepends=True))))
+        assert load_bundle(tmp_path).experts == small_bundle.experts
+
+    def test_a_subset_bundle_is_not_saved(self, small_bundle, tmp_path):
+        with pytest.raises(IncompatibleShapes, match="subset"):
+            save_bundle(small_bundle.subset([0, 1]), tmp_path / "sub")
+        assert not (tmp_path / "sub").exists()
 
     def test_config_keeps_the_rotations_and_perms_its_tasks_use(self):
         cfg = BundleConfig(num_tasks=2)
@@ -536,12 +569,21 @@ class TestCli:
         assert str(expected.value) in capsys.readouterr().err.splitlines()
         assert not out.exists()
 
-    def test_bad_setting_exits_2_before_the_bundle_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        ("merge --tau 2", "tau"),
+        ("merge --exemplars -1", "exemplar count"),
+        ("conflict --exemplars -1", "exemplar count"),
+        ("sensitivity --exemplars -1", "exemplar count"),
+        ("sweep --exemplars -1", "exemplar count"),
+        ("landscape --decomp-fraction 2", "decomposition fraction"),
+    ], ids=["merge-tau", "merge-exemplars", "conflict-exemplars", "sensitivity-exemplars",
+            "sweep-exemplars", "landscape-fraction"])
+    def test_bad_setting_exits_2_before_the_bundle_is_read(self, tmp_path, capsys, argv, message):
+        command, *flags = argv.split()
         out = tmp_path / "out"
-        code = main(["merge", "--bundle", str(tmp_path / "absent"), "--out", str(out),
-                     "--tau", "2"])
+        code = main([command, "--bundle", str(tmp_path / "absent"), "--out", str(out), *flags])
         assert code == 2
-        assert capsys.readouterr().err.startswith("ConfigError: tau")
+        assert capsys.readouterr().err.startswith(f"ConfigError: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -645,7 +687,10 @@ class TestCli:
     @pytest.mark.parametrize("edit", [
         lambda text: text + b"\xff\xfe  notes.txt\n",
         lambda text: b"0" * 64 + b"  theta_pre.tmrg\n" + text,
-    ], ids=["not-utf8", "file-listed-twice"])
+        lambda text: b"".join(line for line in text.splitlines(keepends=True)
+                              if not line.endswith(b"  bundle_config.txt\n")),
+        lambda text: text + text.splitlines(keepends=True)[-1],
+    ], ids=["not-utf8", "file-listed-twice", "config-omitted", "config-listed-twice"])
     def test_malformed_manifest_exits_1(self, bundle_dir, tmp_path, capsys, edit):
         bundle = tmp_path / "bundle"
         shutil.copytree(bundle_dir, bundle)

@@ -91,10 +91,24 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: SyntheticTaskSpec(task_id=0, noise_std="0.3"), "noise_std"),
     (lambda: SyntheticTaskSpec(task_id=0, rotation_deg=None), "rotation"),
     (lambda: BundleConfig(seed="0"), "seed"),
+    (lambda: BundleConfig(hidden=None), "hidden"),
+    (lambda: BundleConfig(rotations=None), "rotations"),
+    (lambda: BundleConfig(label_perms=None), "label_perms"),
+    (lambda: BundleConfig(label_perms=(0, 1, 2, 3)), "label_perm"),
+    (lambda: BundleConfig(center_angles=30.0), "center_angles"),
+    (lambda: BundleConfig(pretrain_on_mixture="no"), "pretrain_on_mixture"),
+    (lambda: BundleConfig(pretrain=3), "TrainConfigs"),
+    (lambda: BundleConfig(finetune=None), "TrainConfigs"),
+    (lambda: SyntheticTaskSpec(task_id=0, label_perm=(0.5, 1, 2, 3)), "permutation"),
+    (lambda: SyntheticTaskSpec(task_id=0, label_perm=("a", 1, 2, 3)), "permutation"),
+    (lambda: SyntheticTaskSpec(task_id=0, label_perm=4), "label_perm"),
 ], ids=["lambda-string", "lambda-huge-int", "tau-none", "trim-string", "ada-lr-huge-int",
         "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string",
         "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",
-        "noise-string", "rotation-none", "bundle-seed-string"])
+        "noise-string", "rotation-none", "bundle-seed-string", "hidden-none", "rotations-none",
+        "perms-none", "perm-not-a-sequence", "center-angles-float", "mixture-flag-string",
+        "pretrain-int", "finetune-none", "perm-entry-float", "perm-entry-string",
+        "spec-perm-int"])
 def test_a_setting_of_the_wrong_type_is_a_config_error(make, detail):
     with pytest.raises(ConfigError, match=detail):
         make()

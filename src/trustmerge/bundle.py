@@ -26,7 +26,7 @@ from .datasets import (
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
 from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, checked_tuple, evaluate_accuracy,
-                  init_params, is_count, train)
+                  init_params, is_count, train, train_experts)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -223,8 +223,9 @@ def make_bundle(cfg: BundleConfig) -> TaskBundle:
     theta_pre = train(theta_init, base_train, replace(cfg.pretrain, seed=cfg.seed * 1000 + 17))
 
     splits = [generate_task(cfg.task_spec(k)) for k in range(cfg.num_tasks)]
-    experts = [train(theta_pre, tr, replace(cfg.finetune, seed=cfg.seed * 1000 + 31 + k))
-               for k, (tr, _, _) in enumerate(splits)]
+    experts = train_experts(theta_pre, [tr for tr, _, _ in splits],
+                            [replace(cfg.finetune, seed=cfg.seed * 1000 + 31 + k)
+                             for k in range(cfg.num_tasks)])
     return TaskBundle(cfg, theta_pre, experts, *map(list, zip(*splits)))
 
 

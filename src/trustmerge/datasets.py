@@ -17,6 +17,7 @@ from .errors import ConfigError, MalformedArtifact
 from .mlp import LabeledBatch, checked_tuple, is_count, is_finite_number
 
 DEFAULT_EXEMPLARS = 128
+MAX_CLASSES = 2**16  # checked before the identity permutation of num_classes labels is built
 _CENTER_RADIUS = 2.0
 
 
@@ -46,13 +47,13 @@ class SyntheticTaskSpec:
             raise ConfigError("sample counts must be positive integers")
         if not (is_count(self.exemplar_count) and self.exemplar_count >= 0):
             raise ConfigError(f"exemplar_count must be >= 0, got {self.exemplar_count!r}")
-        perm = (tuple(range(self.num_classes)) if self.label_perm is None
-                else checked_tuple(self.label_perm, "label_perm"))
-        # lengths first: range() of a 30-digit num_classes would overflow
-        if (len(perm) != self.num_classes or not all(map(is_count, perm))
-                or sorted(perm) != list(range(len(perm)))):
+        perm = None if self.label_perm is None else checked_tuple(self.label_perm, "label_perm")
+        if perm is not None and (len(perm) != self.num_classes or not all(map(is_count, perm))
+                                 or sorted(perm) != list(range(len(perm)))):
             raise ConfigError(f"not a valid permutation of {self.num_classes} labels")
-        object.__setattr__(self, "label_perm", perm)
+        if self.num_classes > MAX_CLASSES:
+            raise ConfigError(f"num_classes must be at most {MAX_CLASSES}, got {self.num_classes}")
+        object.__setattr__(self, "label_perm", tuple(range(self.num_classes)) if perm is None else perm)
         if self.center_angles_deg is not None:
             angles = checked_tuple(self.center_angles_deg, "center angles")
             if len(angles) != self.num_classes:

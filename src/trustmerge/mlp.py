@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,13 +45,14 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]  # (input, hidden..., classes)
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2:
+        sizes = checked_tuple(self.layer_sizes, "layer_sizes")
+        if len(sizes) < 2:
             raise ConfigError("need at least input and output layer")
-        if not all(is_count(s) and s > 0 for s in self.layer_sizes):
-            raise ConfigError(f"layer sizes must be positive integers, got {self.layer_sizes!r}")
-        if self.layer_sizes[-1] < 2:
+        if not all(is_count(s) and s > 0 for s in sizes):
+            raise ConfigError(f"layer sizes must be positive integers, got {sizes!r}")
+        if sizes[-1] < 2:
             raise ConfigError("need at least 2 classes")
-        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", sizes)
 
     @property
     def num_classes(self) -> int:
@@ -145,9 +146,13 @@ def _architecture(layout: tuple) -> tuple[tuple[slice, tuple, slice], ...]:
 
 def _layers(params: Checkpoint, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views per layer of a flat vector laid out like
-    ``params``, by default ``params.flat()``."""
+    ``params``, by default ``params.flat()``, or of a (K, N) stack of such
+    vectors: weights (..., out, in) and biases (..., 1, out), so a bias
+    broadcasts over the rows of a batch."""
     flat = params.flat() if flat is None else flat
-    return [(flat[ws].reshape(shape), flat[bs]) for ws, shape, bs in _architecture(params.layout)]
+    lead = flat.shape[:-1]
+    return [(flat[..., ws].reshape(lead + shape), flat[..., None, bs])
+            for ws, shape, bs in _architecture(params.layout)]
 
 
 def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray | None = None):
@@ -164,18 +169,20 @@ def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray |
 
 
 def _forward_pass(layers, x: np.ndarray):
-    """Returns (logits, activations) with activations[i] the input to layer i."""
+    """Returns (logits, activations) with activations[i] the input to layer i.
+    ``x`` is (samples, in), or (K, samples, in) for a (K, N) stack of layers;
+    every array below keeps that leading stack axis."""
     acts = [x]
     for w, b in layers[:-1]:
-        x = np.tanh(x @ w.T + b)
+        x = np.tanh(x @ w.swapaxes(-1, -2) + b)
         acts.append(x)
     w, b = layers[-1]
-    return x @ w.T + b, acts
+    return x @ w.swapaxes(-1, -2) + b, acts
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
@@ -203,8 +210,8 @@ def _backprop(layers, acts: list[np.ndarray], dlogits: np.ndarray, grads) -> Non
     gradient views of each layer."""
     for li, dz, h in _layer_deltas(layers, acts, dlogits):
         dw, db = grads[li]
-        np.matmul(dz.T, h, out=dw)
-        dz.sum(axis=0, out=db)
+        np.matmul(dz.swapaxes(-1, -2), h, out=dw)
+        dz.sum(axis=-2, keepdims=True, out=db)
 
 
 def _cross_entropy_deltas(layers, inputs: np.ndarray, labels: np.ndarray):
@@ -213,7 +220,8 @@ def _cross_entropy_deltas(layers, inputs: np.ndarray, labels: np.ndarray):
     logits, acts = _forward_pass(layers, inputs)
     logp = _log_softmax(logits)
     dlogits = np.exp(logp)
-    dlogits[np.arange(len(labels)), labels] -= 1.0
+    rows = dlogits.reshape(-1, dlogits.shape[-1])  # a view: np.exp returns a contiguous array
+    rows[np.arange(len(rows)), labels.reshape(-1)] -= 1.0
     return logp, acts, dlogits
 
 
@@ -230,7 +238,7 @@ def _abs_example_gradient_sum(params: Checkpoint, batch: LabeledBatch) -> np.nda
         dw, db = grads[li]
         abs_dz = np.abs(dz)
         np.matmul(abs_dz.T, np.abs(h), out=dw)
-        abs_dz.sum(axis=0, out=db)
+        abs_dz.sum(axis=0, keepdims=True, out=db)
     return flat
 
 
@@ -265,26 +273,48 @@ def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkp
 
 def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoint:
     """Plain SGD over seeded shuffled minibatches; deterministic for a fixed seed.
+    One expert of :func:`train_experts`, which makes every check."""
+    return train_experts(params, [data], [cfg])[0]
 
-    The parameters and their gradient are two flat vectors reused by every
-    step.  Shapes and labels are checked once before the first step, and
-    finiteness once, on the returned checkpoint.
+
+def train_experts(params: Checkpoint, datasets: list[LabeledBatch],
+                  cfgs: list[TrainConfig]) -> list[Checkpoint]:
+    """``train(params, datasets[k], cfgs[k])`` for every k, all K experts
+    stepped together and bit for bit the same as K separate runs.
+
+    The K parameter vectors are the rows of one (K, N) array, updated in
+    place, and their gradients the rows of a second, reused by every step.
+    Each expert draws its minibatch order from its own ``cfg.seed``; the sets
+    have one size and the configs differ only in ``seed``, so every step
+    takes equal-sized batches.  Shapes and labels are checked once per set
+    before the first step, and finiteness once, on each returned checkpoint.
     """
-    _checked_layers(params, data.inputs, data.labels)
-    rng = np.random.default_rng(cfg.seed)
-    flat = params.flat().copy()
+    if not datasets or len(datasets) != len(cfgs):
+        raise ConfigError(f"need one config per dataset, got {len(datasets)} datasets "
+                          f"and {len(cfgs)} configs")
+    if len({len(data) for data in datasets}) != 1:
+        raise ConfigError(f"datasets must have one size, got {[len(d) for d in datasets]}")
+    if len({replace(c, seed=0) for c in cfgs}) != 1:
+        raise ConfigError(f"configs may differ only in seed, got {cfgs!r}")
+    for data in datasets:
+        _checked_layers(params, data.inputs, data.labels)
+    cfg, size = cfgs[0], len(datasets[0])
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    flat = np.tile(params.flat(), (len(datasets), 1))
     layers = _layers(params, flat)
-    grad = np.empty(params.total_dims)
+    grad = np.empty_like(flat)
     grads = _layers(params, grad)
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, acts, dlogits = _cross_entropy_deltas(layers, data.inputs[idx], data.labels[idx])
-            dlogits /= len(idx)
+        orders = [rng.permutation(size) for rng in rngs]
+        xs = np.stack([data.inputs[order] for data, order in zip(datasets, orders)])
+        ys = np.stack([data.labels[order] for data, order in zip(datasets, orders)])
+        for start in range(0, size, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            _, acts, dlogits = _cross_entropy_deltas(layers, xs[:, batch], ys[:, batch])
+            dlogits /= dlogits.shape[-2]
             _backprop(layers, acts, dlogits, grads)
             flat -= cfg.learning_rate * grad
-    return Checkpoint.from_flat(params, flat)
+    return [Checkpoint.from_flat(params, row) for row in flat]
 
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:

@@ -1,12 +1,17 @@
 import ast
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trustmerge
-from trustmerge.errors import MalformedArtifact
+from trustmerge.errors import ConfigError, MalformedArtifact
 from trustmerge.datasets import (
+    MAX_CLASSES,
     SyntheticTaskSpec,
     class_centers,
     generate_task,
@@ -29,6 +34,33 @@ class TestSpecValidation:
     def test_invalid_perm(self):
         with pytest.raises(ValueError):
             SyntheticTaskSpec(task_id=0, num_classes=3, label_perm=(0, 1, 1))
+
+    @pytest.mark.parametrize("classes", [MAX_CLASSES + 1, 10**30])
+    def test_too_many_classes_fail_before_the_identity_permutation_is_built(self, classes):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="num_classes"):
+                SyntheticTaskSpec(task_id=0, num_classes=classes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the identity permutation of MAX_CLASSES + 1 labels takes over 2 MB
+
+    def test_a_billion_classes_fail_without_allocating_them(self):
+        # A child process with its address space capped at 1 GiB: code that built the
+        # billion-entry permutation would die there with MemoryError, not fill the host's memory.
+        script = ("import resource\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                  "from trustmerge.datasets import SyntheticTaskSpec\n"
+                  "from trustmerge.errors import ConfigError\n"
+                  "try:\n"
+                  "    SyntheticTaskSpec(task_id=0, num_classes=10**9)\n"
+                  "except ConfigError:\n"
+                  "    print('ConfigError')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(trustmerge.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.stdout == "ConfigError\n", run.stderr
 
     def test_negative_noise(self):
         with pytest.raises(ValueError):

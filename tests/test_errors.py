@@ -84,6 +84,7 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: TrainConfig(batch_size=2.5), "batch_size"),
     (lambda: TrainConfig(learning_rate="0.1"), "learning rate"),
     (lambda: MlpSpec((2, "4", 3)), "layer sizes"),
+    (lambda: MlpSpec(5), "layer_sizes"),
     (lambda: merge_bundle(_tiny_bundle(), MergeConfig(), 2.5), "exemplar count"),
     (lambda: merge_bundle(_tiny_bundle(), MergeConfig(), True), "exemplar count"),
     (lambda: landscape(_tiny_bundle(), True), "reference task"),
@@ -103,7 +104,7 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=("a", 1, 2, 3)), "permutation"),
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=4), "label_perm"),
 ], ids=["lambda-string", "lambda-huge-int", "tau-none", "trim-string", "ada-lr-huge-int",
-        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string",
+        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string", "layer-sizes-int",
         "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",
         "noise-string", "rotation-none", "bundle-seed-string", "hidden-none", "rotations-none",
         "perms-none", "perm-not-a-sequence", "center-angles-float", "mixture-flag-string",

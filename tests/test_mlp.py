@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from trustmerge.errors import IncompatibleShapes, NonFiniteValues
+from conftest import tiny_bundle_config
+from trustmerge.bundle import make_bundle
+from trustmerge.errors import ConfigError, IncompatibleShapes, NonFiniteValues
 from trustmerge.mlp import (
     LabeledBatch,
     MlpSpec,
@@ -12,6 +16,7 @@ from trustmerge.mlp import (
     forward,
     init_params,
     train,
+    train_experts,
 )
 from trustmerge.params import Checkpoint
 
@@ -355,6 +360,84 @@ class TestBitwiseReference:
         data = random_batch(np.random.default_rng(14), 50, 2, 3)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.3, seed=5)
         assert_bitwise(train(net, data, cfg), reference_train(net, data, cfg))
+
+
+class TestTrainExperts:
+    """K experts stepped together against K runs of the per-tensor
+    ``reference_train``, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(params, datasets, cfgs):
+        experts = train_experts(params, datasets, cfgs)
+        assert len(experts) == len(datasets)
+        for expert, data, cfg in zip(experts, datasets, cfgs):
+            assert_bitwise(expert, reference_train(params, data, cfg))
+        return experts
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tiny_bundle_experts(self, seed):
+        cfg = tiny_bundle_config(seed)
+        bundle = make_bundle(cfg)
+        cfgs = [replace(cfg.finetune, seed=seed * 1000 + 31 + k) for k in range(cfg.num_tasks)]
+        experts = self.assert_matches_reference(bundle.theta_pre, bundle.train_sets, cfgs)
+        for expert, ours in zip(bundle.experts, experts):
+            assert_bitwise(expert, ours)
+
+    @pytest.mark.parametrize("samples, batch_size, k", [
+        (50, 16, 3),  # a ragged last batch of 2 rows
+        (33, 8, 2),   # a one-row last batch
+        (12, 1, 3),   # one row per step
+        (40, 16, 1),  # a single expert
+    ], ids=["ragged", "one-row-tail", "batch-1", "k-1"])
+    def test_batch_shapes(self, samples, batch_size, k):
+        _, params = small_net(15, sizes=(2, 6, 5, 3))
+        rng = np.random.default_rng(16)
+        datasets = [random_batch(rng, samples, 2, 3) for _ in range(k)]
+        cfgs = [TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.3, seed=20 + i)
+                for i in range(k)]
+        self.assert_matches_reference(params, datasets, cfgs)
+
+    def test_reordered_checkpoint_layout(self):
+        _, params = small_net(11, sizes=(2, 6, 5, 3))
+        names = params.names
+        params = Checkpoint((n, params[n]) for n in names[3:] + names[:3][::-1])
+        rng = np.random.default_rng(17)
+        datasets = [random_batch(rng, 50, 2, 3) for _ in range(3)]
+        cfgs = [TrainConfig(epochs=3, batch_size=16, learning_rate=0.3, seed=i) for i in range(3)]
+        self.assert_matches_reference(params, datasets, cfgs)
+
+    @pytest.mark.parametrize("sizes, cfgs", [
+        ((40, 41), [TrainConfig(seed=0), TrainConfig(seed=1)]),
+        ((40, 40), [TrainConfig(seed=0), TrainConfig(seed=1, epochs=3)]),
+        ((40, 40), [TrainConfig(seed=0), TrainConfig(seed=1, learning_rate=0.1)]),
+        ((40, 40), [TrainConfig(seed=0)]),
+        ((), []),
+    ], ids=["set-sizes", "epochs", "learning-rate", "config-count", "empty"])
+    def test_config_errors(self, sizes, cfgs):
+        _, params = small_net(18)
+        rng = np.random.default_rng(18)
+        with pytest.raises(ConfigError):
+            train_experts(params, [random_batch(rng, n, 2, 3) for n in sizes], cfgs)
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_label_out_of_range_in_any_set(self, bad):
+        _, params = small_net(19)
+        rng = np.random.default_rng(19)
+        datasets = [random_batch(rng, 40, 2, 3) for _ in range(3)]
+        labels = datasets[bad].labels.copy()
+        labels[-1] = 3  # the net has 3 classes
+        datasets[bad] = LabeledBatch(datasets[bad].inputs, labels)
+        cfgs = [TrainConfig(epochs=2, batch_size=8, seed=i) for i in range(3)]
+        with pytest.raises(IncompatibleShapes, match="label index out of range"):
+            train_experts(params, datasets, cfgs)
+
+    def test_overflowing_run_raises_instead_of_returning_nan(self):
+        _, params = small_net(20)
+        rng = np.random.default_rng(20)
+        datasets = [random_batch(rng, 40, 2, 3) for _ in range(2)]
+        cfgs = [TrainConfig(epochs=3, batch_size=8, learning_rate=1e308, seed=i) for i in range(2)]
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValues):
+            train_experts(params, datasets, cfgs)
 
 
 class TestAccuracy:

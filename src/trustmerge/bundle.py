@@ -3,7 +3,8 @@ fine-tuned experts, with exemplar and test sets, and their on-disk layout.
 
 Fine-tuning always starts from the shared pre-trained checkpoint (trained on
 a balanced mixture of all task distributions by default) so every expert
-descends from a common ancestor.
+descends from a common ancestor.  The K experts are fine-tuned in lockstep by
+one ``train_experts`` call, bit for bit as K separate ``train`` runs would.
 """
 
 from __future__ import annotations

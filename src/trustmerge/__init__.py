@@ -1,57 +1,16 @@
-"""Trust-region task-vector merging toolkit with a synthetic training harness."""
+"""Trust-region task-vector merging toolkit with a synthetic training harness.
 
-from .params import (
-    Checkpoint,
-    ew_abs,
-    ew_combine,
-    ew_dot,
-    ew_scale,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .mlp import (
-    LabeledBatch,
-    MlpSpec,
-    TrainConfig,
-    backward,
-    entropy_loss,
-    evaluate_accuracy,
-    forward,
-    init_params,
-    train,
-)
-from .datasets import SyntheticTaskSpec, generate_task
-from .task_vectors import Decomposition, compute_task_vector, decompose
-from .gradients import estimate_abs_gradient
-from .trust_region import (
-    Sensitivity,
-    TrustRegionMask,
-    build_mask,
-    compute_sensitivity,
-    per_layer_sensitivity,
-    proportion_selection,
-)
-from .merging import (
-    AdaConfig,
-    MergeConfig,
-    MergeResult,
-    ada_tatr,
-    merge_bundle,
-    task_arithmetic,
-    tatr_merge,
-    ties_merge,
-    ties_phi,
-    ties_tatr,
-    weight_average,
-)
-from .bundle import BundleConfig, TaskBundle, load_bundle, make_bundle, save_bundle
-from .evaluation import (
-    ConflictReport,
-    LandscapeGrid,
-    accuracy_table,
-    knowledge_conflict,
-    landscape,
-)
+The package exports the names below; every other name is imported from its
+module (``trustmerge.params``, ``trustmerge.merging``, ...)."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from .bundle import BundleConfig, load_bundle, make_bundle, save_bundle
+from .evaluation import accuracy_table, knowledge_conflict, landscape
+from .merging import MergeConfig, merge_bundle
+from .params import Checkpoint
+from .trust_region import compute_sensitivity
+
+__all__ = [
+    "BundleConfig", "Checkpoint", "MergeConfig", "accuracy_table", "compute_sensitivity",
+    "knowledge_conflict", "landscape", "load_bundle", "make_bundle", "merge_bundle", "save_bundle",
+]
 __version__ = "0.1.0"

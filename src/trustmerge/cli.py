@@ -29,9 +29,9 @@ from .evaluation import (
 )
 from .merging import (METHODS, AdaConfig, MergeConfig, load_merge_result, merge_bundle,
                       save_merge_result)
+from .mlp import checked_fraction
 # unused here, but perfbench/tests check that the tracer patches this binding
 from .params import load_checkpoint  # noqa: F401
-from .task_vectors import checked_fraction
 from .trust_region import VARIANTS, compute_sensitivity, per_layer_sensitivity, write_per_layer_csv
 
 TAU_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     try:
         # settings that need no bundle, before any bundle is read (--task needs its task count)
         checked_exemplar_count(getattr(args, "exemplars", None))
-        checked_fraction(getattr(args, "decomp_fraction", 0.0))
+        checked_fraction(getattr(args, "decomp_fraction", 0.0), "decomposition fraction")
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

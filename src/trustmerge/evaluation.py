@@ -12,9 +12,9 @@ from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
 # perfbench traces knowledge_conflict's merges through this binding
 from .merging import MergeConfig, MergeResult, merge_bundle
-from .mlp import backward, evaluate_accuracy, forward, is_count
+from .mlp import backward, checked_fraction, evaluate_accuracy, forward, is_count
 from .params import Checkpoint, ew_combine, sum_in_order
-from .task_vectors import checked_fraction, decompose, percentile_zero_tol
+from .task_vectors import decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
 
@@ -96,7 +96,7 @@ def landscape(
         raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
     if reference_task is not None and not (is_count(reference_task) and 0 <= reference_task < k):
         raise ConfigError(f"reference task {reference_task!r} is out of range for {k} tasks")
-    checked_fraction(decomposition_fraction)
+    checked_fraction(decomposition_fraction, "decomposition fraction")
     loss_tasks = range(k) if reference_task is None else [reference_task]
     delta = sum_in_order(tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task)
     grad = sum_in_order(signed_gradient(bundle, j) for j in loss_tasks)

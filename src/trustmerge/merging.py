@@ -13,7 +13,7 @@ import numpy as np
 
 from .bundle import TaskBundle, checked_exemplar_count
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
-from .mlp import LabeledBatch, entropy_loss, is_count, is_finite_number
+from .mlp import LabeledBatch, checked_fraction, entropy_loss, is_count, is_finite_number
 from .params import (
     Checkpoint,
     ew_dot,
@@ -42,6 +42,12 @@ class AdaConfig:
             raise ConfigError("ada learning rate and initial lambda must be finite")
 
 
+def _checked_trim_keep(keep: float) -> float:
+    if not (is_finite_number(keep) and 0.0 < keep <= 1.0):
+        raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {keep!r}")
+    return keep
+
+
 @dataclass(frozen=True)
 class MergeConfig:
     method: str = "tatr"
@@ -57,10 +63,8 @@ class MergeConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not (is_finite_number(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be finite and positive")
-        if not (is_finite_number(self.tau) and 0.0 <= self.tau <= 1.0):
-            raise ConfigError(f"tau must lie in [0, 1], got {self.tau!r}")
-        if not (is_finite_number(self.ties_trim_keep) and 0.0 < self.ties_trim_keep <= 1.0):
-            raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {self.ties_trim_keep!r}")
+        checked_fraction(self.tau, "tau")
+        _checked_trim_keep(self.ties_trim_keep)
         if not isinstance(self.ties_mask_from_trimmed, bool):
             raise ConfigError("ties_mask_from_trimmed must be a bool")
         if self.sensitivity_variant not in VARIANTS:
@@ -125,9 +129,7 @@ def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarr
     +1); alignment zeroes coordinates whose trimmed sign disagrees with the
     elected sign.
     """
-    if not 0.0 < trim_keep <= 1.0:
-        raise ConfigError(f"ties_trim_keep must lie in (0, 1], got {trim_keep!r}")
-    keep = int(np.ceil(trim_keep * deltas.shape[1]))
+    keep = int(np.ceil(_checked_trim_keep(trim_keep) * deltas.shape[1]))
     kept_idx = np.argsort(-np.abs(deltas), axis=1, kind="stable")[:, :keep]
     trimmed = np.zeros(deltas.shape)
     np.put_along_axis(trimmed, kept_idx, np.take_along_axis(deltas, kept_idx, axis=1), axis=1)

@@ -33,6 +33,14 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def checked_fraction(value, name: str) -> float:
+    """``value`` if it is a number in [0, 1] (see is_finite_number); a
+    ConfigError naming ``name`` otherwise."""
+    if not (is_finite_number(value) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 def checked_tuple(value, name: str) -> tuple:
     """``value``, a tuple or list, as a tuple; a ConfigError naming ``name`` otherwise."""
     if not isinstance(value, (tuple, list)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import struct
 from typing import Iterable, Iterator
 
@@ -134,7 +133,7 @@ class Checkpoint:
         return cls._over(reference._layout, flat)
 
 
-_OPS = {"add": np.add, "sub": np.subtract, "hadamard": np.multiply}
+_OPS = {"add": np.add, "sub": np.subtract}
 
 
 def _check_compat(a: Checkpoint, b: Checkpoint) -> None:
@@ -145,7 +144,7 @@ def _check_compat(a: Checkpoint, b: Checkpoint) -> None:
 
 
 def ew_combine(a: Checkpoint, b: Checkpoint, op: str) -> Checkpoint:
-    """Element-wise add / sub / hadamard over two compatible checkpoints."""
+    """Element-wise add / sub over two compatible checkpoints."""
     _check_compat(a, b)
     if op not in _OPS:
         raise ConfigError(f"unknown op {op!r}")
@@ -216,43 +215,41 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    # bounded by the bytes left, so a corrupt size never reaches read()
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise MalformedArtifact(f"{fh.name}: truncated: wanted {n} bytes, {left} left")
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise MalformedArtifact(f"{fh.name}: truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a TMRG file back into a checkpoint, preserving tensor order."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise MalformedArtifact(f"{path}: bad magic, not a TMRG file")
-        version, count = struct.unpack("<II", _read_exact(fh, 8))
-        if version != _VERSION:
-            raise MalformedArtifact(f"{path}: unsupported TMRG version {version}")
-        tensors: list[tuple[str, np.ndarray]] = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            try:
-                name = _read_exact(fh, name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedArtifact(f"{path}: tensor name is not UTF-8") from exc
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
-            )
-            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
-            try:
-                tensors.append((name, data.reshape(shape)))
-            except ValueError as exc:  # over 64 dims, or a size-0 shape numpy cannot hold
-                raise MalformedArtifact(f"{path}: shape {shape}: {exc}") from exc
-        if fh.read(1):
-            raise MalformedArtifact(f"{path}: trailing bytes after the last tensor")
+        buf = fh.read()
+    if buf[:4] != _MAGIC:
+        raise MalformedArtifact(f"{path}: bad magic, not a TMRG file")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        # every length is checked against the bytes left, so a corrupt size never builds an array
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise MalformedArtifact(f"{path}: truncated: wanted {n} bytes, {len(buf) - pos} left")
+        pos += n
+        return buf[pos - n:pos]
+
+    version, count = struct.unpack("<II", take(8))
+    if version != _VERSION:
+        raise MalformedArtifact(f"{path}: unsupported TMRG version {version}")
+    tensors: list[tuple[str, np.ndarray]] = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedArtifact(f"{path}: tensor name is not UTF-8") from exc
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            tensors.append((name, data.reshape(shape)))
+        except ValueError as exc:  # over 64 dims, or a size-0 shape numpy cannot hold
+            raise MalformedArtifact(f"{path}: shape {shape}: {exc}") from exc
+    if pos != len(buf):
+        raise MalformedArtifact(f"{path}: trailing bytes after the last tensor")
     try:
         return Checkpoint(tensors)
     except (IncompatibleShapes, NonFiniteValues) as exc:  # a repeated name, NaN or inf

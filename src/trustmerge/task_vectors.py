@@ -3,11 +3,13 @@ three-way decomposition into orthogonal / positive / negative components."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, IncompatibleShapes
+from .mlp import checked_fraction, is_finite_number
 from .params import Checkpoint, ew_combine
 
 
@@ -22,8 +24,6 @@ class Decomposition:
 
 
 def compute_task_vector(theta_k: Checkpoint, theta_pre: Checkpoint) -> Checkpoint:
-    if not theta_k.compatible(theta_pre):
-        raise IncompatibleShapes("fine-tuned and pre-trained checkpoints differ in structure")
     return ew_combine(theta_k, theta_pre, "sub")
 
 
@@ -33,7 +33,8 @@ def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Dec
     |p| <= zero_tol goes to the orthogonal component, p > 0 to positive,
     p < 0 to negative; the three parts sum back to the delta exactly.
     """
-    if not zero_tol >= 0:  # NaN fails too
+    # +inf is in range (every coordinate orthogonal); NaN, bools and strings are not
+    if not ((is_finite_number(zero_tol) or zero_tol == math.inf) and zero_tol >= 0):
         raise ConfigError(f"zero_tol must be >= 0, got {zero_tol!r}")
     if not grad.compatible(delta):
         raise IncompatibleShapes("gradient does not match the task vector's structure")
@@ -45,17 +46,10 @@ def decompose(delta: Checkpoint, grad: Checkpoint, zero_tol: float = 0.0) -> Dec
     return Decomposition(orth, pos, neg, zero_tol)
 
 
-def checked_fraction(fraction: float) -> float:
-    """``fraction`` if it lies in [0, 1]; a ConfigError otherwise."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"decomposition fraction must lie in [0, 1], got {fraction!r}")
-    return fraction
-
-
 def percentile_zero_tol(delta: Checkpoint, grad: Checkpoint, fraction: float) -> float:
     """Tolerance placing the lowest ``fraction`` of |grad * delta| products in
     the orthogonal set (an exact ``zero_tol`` of 0 is measure-zero in floats)."""
-    checked_fraction(fraction)
+    checked_fraction(fraction, "decomposition fraction")
     products = np.abs(grad.flat() * delta.flat())
     if products.size == 0 or fraction == 0.0:
         return 0.0

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
+from .mlp import checked_fraction
 from .params import Checkpoint, stack
 
 # variant -> (task-j factor, task-i factor) of the pair term, each computed
@@ -74,11 +75,8 @@ def proportion_selection(omega: Sensitivity, tau: float) -> tuple[float, np.ndar
     is exact.  Returns (epsilon, excluded flat indices); epsilon is the
     smallest excluded value, +inf when nothing is excluded.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {tau!r}")
     values = omega.values.flat()
-    n = values.size
-    m = int(np.ceil(tau * n))
+    m = int(np.ceil(checked_fraction(tau, "tau") * values.size))
     if m == 0:
         return float("inf"), np.empty(0, dtype=np.int64)
     # stable argsort of -values: descending by value, ascending index on ties

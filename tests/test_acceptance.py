@@ -7,6 +7,7 @@ so everything here is deterministic for the fixed seed set.
 
 import numpy as np
 
+from trustmerge.bundle import TaskBundle
 from trustmerge.cli import TAU_GRID
 from trustmerge.evaluation import (
     accuracy_table,
@@ -420,3 +421,75 @@ def test_13_one_pass_estimate_keeps_the_masks(bundle_cache):
                     cases += 1
                     same += build_mask(fast, tau).mask == build_mask(ref, tau).mask
     check("one-pass estimate keeps the masks", same == cases, f"{same}/{cases} masks identical")
+
+
+def permuted(ckpt, perms):
+    """``ckpt`` with the units of hidden layer i reordered by ``perms[i]``: the
+    rows of layer i's weight and bias, and the columns of layer i+1's weight."""
+    t = dict(ckpt.tensors)
+    for i, perm in enumerate(perms):
+        t[f"layer{i}.weight"] = t[f"layer{i}.weight"][perm]
+        t[f"layer{i}.bias"] = t[f"layer{i}.bias"][perm]
+        t[f"layer{i + 1}.weight"] = t[f"layer{i + 1}.weight"][:, perm]
+    return Checkpoint((name, t[name]) for name in ckpt.names)
+
+
+def assert_no_tie_at_the_selection_boundary(bundle, tau):
+    # selection breaks ties by flat index, which neither symmetry preserves
+    values = compute_sensitivity(bundle.gradient_estimates(), bundle.task_vectors()).values.flat()
+    ranked = np.sort(values)[::-1]
+    m = int(np.ceil(tau * ranked.size))
+    assert m in (0, ranked.size) or ranked[m - 1] > ranked[m], (
+        f"seed {bundle.config.seed}, tau {tau}: a tie straddles the selection boundary")
+
+
+def test_14_hidden_unit_permutation_equivariance(bundle_cache):
+    # relabelling the hidden units of every model permutes the sensitivity, so
+    # the mask and the merged model must be the permuted ones
+    cases = same = 0
+    worst = 0.0
+    for seed in range(3):
+        bundle = bundle_cache(seed)
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(h) for h in bundle.config.hidden]
+        twin = TaskBundle(bundle.config, permuted(bundle.theta_pre, perms),
+                          [permuted(e, perms) for e in bundle.experts],
+                          bundle.train_sets, bundle.test_sets, bundle.exemplar_sets)
+        cfgs = [MergeConfig(method=method, tau=tau)
+                for method in ("tatr", "ties_tatr") for tau in (0.01, 0.05, 0.2)]
+        for cfg in cfgs + [MergeConfig(method="ada_tatr", tau=0.01)]:
+            assert_no_tie_at_the_selection_boundary(bundle, cfg.tau)
+            ref, got = merge_bundle(bundle, cfg), merge_bundle(twin, cfg)
+            worst = max(worst, np.max(np.abs(permuted(ref.merged, perms).flat()
+                                              - got.merged.flat())))
+            cases += 1
+            same += (permuted(ref.mask_used.mask, perms) == got.mask_used.mask
+                     and [evaluate_accuracy(ref.merged, t) for t in bundle.test_sets]
+                     == [evaluate_accuracy(got.merged, t) for t in bundle.test_sets])
+    ok = same == cases and worst <= 1e-12
+    check("hidden-unit permutation equivariance", ok,
+          f"{same}/{cases} masks and accuracies equal, max merged diff {worst:.1e}")
+
+
+def test_15_task_order_invariance(bundle_cache):
+    # the sensitivity sums over ordered task pairs, so no task order may move the mask
+    cases = same = 0
+    worst = 0.0
+    for seed in range(5):
+        bundle = bundle_cache(seed)
+        rng = np.random.default_rng(seed)
+        k = bundle.num_tasks
+        orders = [tuple(range(k))[::-1]] + [tuple(int(i) for i in rng.permutation(k)) for _ in range(2)]
+        for tau in (0.01, 0.05, 0.2):
+            assert_no_tie_at_the_selection_boundary(bundle, tau)
+            for method in ("tatr", "ties_tatr"):
+                cfg = MergeConfig(method=method, tau=tau)
+                ref = merge_bundle(bundle, cfg)
+                for order in orders:
+                    got = merge_bundle(bundle.subset(order), cfg)
+                    worst = max(worst, np.max(np.abs(ref.merged.flat() - got.merged.flat())))
+                    cases += 1
+                    same += ref.mask_used.mask == got.mask_used.mask
+    ok = same == cases and worst <= 1e-12
+    check("task-order invariance", ok,
+          f"{same}/{cases} masks equal, max merged diff {worst:.1e}")

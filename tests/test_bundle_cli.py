@@ -248,6 +248,18 @@ class TestBundleRoundTrip:
         with pytest.raises(MalformedArtifact, match="task0_test.csv does not match its manifest hash"):
             load_bundle(out)
 
+    def test_a_csv_with_another_input_width_exits_1(self, small_bundle, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        save_bundle(small_bundle, out)
+        target = out / "task0_test.csv"
+        header, *rows = target.read_text().splitlines()
+        wide = ["x0,x1,x2,label", *(f"0.0,{row}" for row in rows)]
+        target.write_text("\n".join(wide) + "\n")
+        rehash(out, {"task0_test.csv"})
+        assert main(["merge", "--bundle", str(out), "--out", str(tmp_path / "m")]) == 1
+        assert "MalformedArtifact: " in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_config_mapping_round_trip(self, small_bundle, tmp_path):
         out = tmp_path / "bundle"
         save_bundle(small_bundle, out)
@@ -526,6 +538,7 @@ class TestCli:
         ("gen-train --set center_angles=nan,0,1,2", 2, "ConfigError: center angles"),
         (f"gen-train --set num_classes={'9' * 30}", 2, "ConfigError: not a valid permutation"),
         ("gen-train --set hiden=8", 2, "ConfigError: unknown config key 'hiden'"),
+        ("gen-train --set seed", 2, "ConfigError: override 'seed' is not key=value"),
         ("gen-train --seed -1", 2, "ConfigError: seed must be >= 0"),
         ("gen-train --set seed=-1", 2, "ConfigError: seed must be >= 0"),
         ("gen-train --set pretrain_on_mixture=ture", 2, "ConfigError: expected true/false"),

@@ -62,6 +62,12 @@ class TestSpecValidation:
                              text=True, timeout=60)
         assert run.stdout == "ConfigError\n", run.stderr
 
+    @pytest.mark.parametrize("field", [{"num_classes": 0}, {"seed": -1}, {"task_id": "a"}],
+                             ids=["no-classes", "negative-seed", "string-task-id"])
+    def test_out_of_range_id_counts_and_seed(self, field):
+        with pytest.raises(ConfigError, match="task_id, num_classes > 0 and seed >= 0"):
+            SyntheticTaskSpec(**{"task_id": 0, **field})
+
     def test_negative_noise(self):
         with pytest.raises(ValueError):
             SyntheticTaskSpec(task_id=0, noise_std=-0.1)

@@ -6,16 +6,20 @@ import functools
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trustmerge
-from trustmerge import errors
+from trustmerge import errors, mlp
 from trustmerge.bundle import BundleConfig, make_bundle
 from trustmerge.datasets import SyntheticTaskSpec
 from trustmerge.errors import ConfigError, TrustMergeError
 from trustmerge.evaluation import landscape, merge_bundle
-from trustmerge.merging import AdaConfig, MergeConfig
+from trustmerge.merging import AdaConfig, MergeConfig, ties_phi
 from trustmerge.mlp import MlpSpec, TrainConfig
+from trustmerge.params import Checkpoint
+from trustmerge.task_vectors import decompose, percentile_zero_tol
+from trustmerge.trust_region import Sensitivity, build_mask, proportion_selection
 
 from conftest import tiny_bundle_config
 
@@ -32,6 +36,10 @@ def test_errors_defines_exactly_the_six_classes():
     assert defined == SIX
     assert all(issubclass(getattr(errors, name), TrustMergeError) for name in SIX)
     assert issubclass(ConfigError, ValueError)  # a bad setting is still a ValueError to callers
+
+
+_VEC = Checkpoint([("x", np.array([1.0, -2.0, 3.0]))])
+_OMEGA = Sensitivity(_VEC, "standard")
 
 
 @functools.cache
@@ -103,13 +111,30 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=(0.5, 1, 2, 3)), "permutation"),
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=("a", 1, 2, 3)), "permutation"),
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=4), "label_perm"),
+    (lambda: proportion_selection(_OMEGA, True), "tau"),
+    (lambda: proportion_selection(_OMEGA, None), "tau"),
+    (lambda: build_mask(_OMEGA, True), "tau"),
+    (lambda: build_mask(_OMEGA, "0.5"), "tau"),
+    (lambda: mlp.checked_fraction(True, "fraction"), "fraction"),
+    (lambda: mlp.checked_fraction("0.5", "fraction"), "fraction"),
+    (lambda: percentile_zero_tol(_VEC, _VEC, True), "decomposition fraction"),
+    (lambda: percentile_zero_tol(_VEC, _VEC, None), "decomposition fraction"),
+    (lambda: landscape(_tiny_bundle(), None, True), "decomposition fraction"),
+    (lambda: landscape(_tiny_bundle(), None, "0.5"), "decomposition fraction"),
+    (lambda: ties_phi(np.ones((2, 3)), True), "ties_trim_keep"),
+    (lambda: ties_phi(np.ones((2, 3)), "0.5"), "ties_trim_keep"),
+    (lambda: decompose(_VEC, _VEC, True), "zero_tol"),
+    (lambda: decompose(_VEC, _VEC, None), "zero_tol"),
 ], ids=["lambda-string", "lambda-huge-int", "tau-none", "trim-string", "ada-lr-huge-int",
         "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string", "layer-sizes-int",
         "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",
         "noise-string", "rotation-none", "bundle-seed-string", "hidden-none", "rotations-none",
         "perms-none", "perm-not-a-sequence", "center-angles-float", "mixture-flag-string",
         "pretrain-int", "finetune-none", "perm-entry-float", "perm-entry-string",
-        "spec-perm-int"])
+        "spec-perm-int", "selection-tau-bool", "selection-tau-none", "mask-tau-bool",
+        "mask-tau-string", "fraction-bool", "fraction-string", "percentile-fraction-bool",
+        "percentile-fraction-none", "landscape-fraction-bool", "landscape-fraction-string",
+        "ties-keep-bool", "ties-keep-string", "zero-tol-bool", "zero-tol-none"])
 def test_a_setting_of_the_wrong_type_is_a_config_error(make, detail):
     with pytest.raises(ConfigError, match=detail):
         make()

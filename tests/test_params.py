@@ -100,7 +100,6 @@ class TestElementwiseOps:
         b = ck(x=[3.0, 5.0])
         assert np.array_equal(ew_combine(a, b, "add")["x"], [4.0, 7.0])
         assert np.array_equal(ew_combine(a, b, "sub")["x"], [-2.0, -3.0])
-        assert np.array_equal(ew_combine(a, b, "hadamard")["x"], [3.0, 10.0])
 
     def test_unknown_op(self):
         a = ck(x=[1.0])

@@ -60,6 +60,14 @@ class TestDecompose:
         with pytest.raises(IncompatibleShapes):
             decompose(delta, ck([1.0, 2.0]))
 
+    @pytest.mark.parametrize("grad", [
+        Checkpoint([("x", np.ones((1, 2)))]),  # same size, another layout
+        ck([1.0, 2.0, 3.0]),  # another size that does not broadcast
+    ], ids=["same-size", "other-size"])
+    def test_a_gradient_of_another_layout(self, grad):
+        with pytest.raises(IncompatibleShapes, match="gradient does not match"):
+            decompose(ck([1.0, 2.0]), grad)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
     @settings(max_examples=50, deadline=None)
     def test_partition_is_exact_and_disjoint(self, seed, tol):

@@ -24,11 +24,11 @@ def is_count(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    """Whether ``value`` is a number, not a bool, whose float is finite.  The
+    """Whether ``value`` is a number, not a (numpy) bool, whose float is finite.  The
     settings check their types with it, so a string, None or an int too large
     for a float fails as their ConfigError and not as a TypeError."""
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
 

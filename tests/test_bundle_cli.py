@@ -252,12 +252,13 @@ class TestBundleRoundTrip:
         out = tmp_path / "bundle"
         save_bundle(small_bundle, out)
         target = out / "task0_test.csv"
-        header, *rows = target.read_text().splitlines()
+        _, *rows = target.read_text().splitlines()
         wide = ["x0,x1,x2,label", *(f"0.0,{row}" for row in rows)]
         target.write_text("\n".join(wide) + "\n")
         rehash(out, {"task0_test.csv"})
         assert main(["merge", "--bundle", str(out), "--out", str(tmp_path / "m")]) == 1
-        assert "MalformedArtifact: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedArtifact: ") and "task0_test.csv: 3 input columns" in err
         assert not (tmp_path / "m").exists()
 
     def test_config_mapping_round_trip(self, small_bundle, tmp_path):

@@ -126,8 +126,8 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: ties_phi(np.ones((2, 3)), "0.5"), "ties_trim_keep"),
     (lambda: decompose(_VEC, _VEC, True), "zero_tol"),
     (lambda: decompose(_VEC, _VEC, None), "zero_tol"),
-], ids=["lambda-string", "lambda-huge-int", "tau-none", "tau-numpy-bool", "trim-string", "ada-lr-huge-int",
-        "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string", "layer-sizes-int",
+], ids=["lambda-string", "lambda-huge-int", "tau-none", "tau-numpy-bool", "trim-string",
+        "ada-lr-huge-int", "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string", "layer-sizes-int",
         "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",
         "noise-string", "rotation-none", "bundle-seed-string", "hidden-none", "rotations-none",
         "perms-none", "perm-not-a-sequence", "center-angles-float", "mixture-flag-string",

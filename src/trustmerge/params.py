@@ -218,12 +218,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a TMRG file back into a checkpoint, preserving tensor order."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _MAGIC:
-        raise MalformedArtifact(f"{path}: bad magic, not a TMRG file")
-    pos = 4
+        if fh.read(4) != _MAGIC:
+            raise MalformedArtifact(f"{path}: bad magic, not a TMRG file")
+        buf = memoryview(fh.read())  # slices of a view share its bytes
+    pos = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         # every length is checked against the bytes left, so a corrupt size never builds an array
         nonlocal pos
         if n > len(buf) - pos:
@@ -238,7 +238,7 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedArtifact(f"{path}: tensor name is not UTF-8") from exc
         (ndim,) = struct.unpack("<B", take(1))

@@ -27,7 +27,7 @@ from .datasets import (
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
 from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, checked_tuple, evaluate_accuracy,
-                  init_params, is_count, train, train_experts)
+                  init_params, is_count, plain_fields, train, train_experts)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -70,6 +70,7 @@ class BundleConfig:
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=120))
 
     def __post_init__(self):
+        plain_fields(self)
         if not (is_count(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not (is_count(self.num_tasks) and self.num_tasks >= 1):
@@ -121,7 +122,7 @@ def checked_exemplar_count(count: int | None) -> int | None:
     """``count``, an exemplar count per task: None (the full pools) or an int >= 0."""
     if count is not None and not (is_count(count) and count >= 0):
         raise ConfigError(f"exemplar count must be None or an integer >= 0, got {count!r}")
-    return count
+    return None if count is None else int(count)
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,10 @@ import numpy as np
 
 from .bundle import TaskBundle, checked_exemplar_count
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
-from .mlp import LabeledBatch, checked_fraction, entropy_loss, is_count, is_finite_number
-from .params import (
-    Checkpoint,
-    ew_dot,
-    ew_scale,
-    load_checkpoint,
-    save_checkpoint,
-    stack,
-    sum_in_order,
-    sum_rows,
-)
+from .mlp import (LabeledBatch, checked_fraction, entropy_loss, is_count, is_finite_number,
+                  plain_fields)
+from .params import (Checkpoint, ew_dot, ew_scale, load_checkpoint, save_checkpoint, stack,
+                     sum_in_order, sum_rows)
 from .trust_region import VARIANTS, TrustRegionMask, build_mask, compute_sensitivity
 
 METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
@@ -36,6 +29,7 @@ class AdaConfig:
     init_lambda: float = 0.3
 
     def __post_init__(self):
+        plain_fields(self)
         if not (is_count(self.steps) and self.steps >= 0):
             raise ConfigError(f"ada steps must be an integer >= 0, got {self.steps!r}")
         if not (is_finite_number(self.learning_rate) and is_finite_number(self.init_lambda)):
@@ -59,6 +53,7 @@ class MergeConfig:
     ada: AdaConfig = field(default_factory=AdaConfig)
 
     def __post_init__(self):
+        plain_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if not (is_finite_number(self.lam) and self.lam > 0):
@@ -100,22 +95,20 @@ def task_arithmetic(theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float) ->
     return MergeResult(_shifted(theta_pre, step), None, [lam] * len(tvs))
 
 
-def tatr_merge(
-    theta_pre: Checkpoint,
-    tvs: list[Checkpoint],
-    grads: list[Checkpoint],
-    lam: float,
-    tau: float,
-    variant: str = "standard",
-) -> MergeResult:
-    """Task arithmetic restricted to the trust region.
+def _region(mask: TrustRegionMask, theta_pre: Checkpoint) -> np.ndarray:
+    """The mask's flat {0, 1} vector; the mask must be laid out like ``theta_pre``."""
+    return stack([mask.mask], theta_pre)[0]
 
-    With tau=0 the mask is all ones and the output is bitwise identical to
-    plain task arithmetic (x * 1.0 == x and the summation order is shared).
+
+def tatr_merge(
+    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask, lam: float
+) -> MergeResult:
+    """Task arithmetic restricted to the trust region ``mask``.
+
+    With the all-ones mask of tau=0 the output is bitwise identical to plain
+    task arithmetic (x * 1.0 == x and the summation order is shared).
     """
-    deltas = stack(tvs, theta_pre)
-    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
-    step = lam * sum_rows(deltas * mask.mask.flat())
+    step = lam * sum_rows(stack(tvs, theta_pre) * _region(mask, theta_pre))
     return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
 
 
@@ -154,25 +147,12 @@ def ties_merge(
 
 
 def ties_tatr(
-    theta_pre: Checkpoint,
-    tvs: list[Checkpoint],
-    grads: list[Checkpoint],
-    lam: float,
-    tau: float,
+    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask, lam: float,
     trim_keep: float,
-    mask_from_trimmed: bool = False,
-    variant: str = "standard",
 ) -> MergeResult:
-    """Ties merging restricted to the trust region.
-
-    The mask defaults to the sensitivity of the original, un-trimmed task
-    vectors; ``mask_from_trimmed`` switches to the trimmed ones.
-    """
+    """Ties merging restricted to the trust region ``mask``."""
     aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
-    if mask_from_trimmed:
-        tvs = [Checkpoint.from_flat(theta_pre, row) for row in aligned]
-    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
-    step = lam * (_disjoint_mean(aligned) * mask.mask.flat())
+    step = lam * (_disjoint_mean(aligned) * _region(mask, theta_pre))
     return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
 
 
@@ -186,9 +166,7 @@ def _assemble(theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarra
 
 
 def ada_coefficient_gradient(
-    theta_pre: Checkpoint,
-    masked: list[Checkpoint],
-    coeffs: np.ndarray,
+    theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarray,
     unlabeled: list[LabeledBatch],
 ) -> tuple[float, np.ndarray]:
     """Summed prediction entropy over the unlabeled pools and its analytic
@@ -200,21 +178,15 @@ def ada_coefficient_gradient(
 
 
 def ada_tatr(
-    theta_pre: Checkpoint,
-    tvs: list[Checkpoint],
-    grads: list[Checkpoint],
-    tau: float,
-    unlabeled: list[LabeledBatch],
-    ada: AdaConfig,
-    variant: str = "standard",
+    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask,
+    unlabeled: list[LabeledBatch], ada: AdaConfig,
 ) -> MergeResult:
     """Task-wise coefficients trained by full-batch gradient descent on the
-    summed prediction entropy, merging only inside the trust region."""
+    summed prediction entropy, merging only inside the trust region ``mask``."""
     deltas = stack(tvs, theta_pre)
     if not unlabeled or any(len(b) == 0 for b in unlabeled):
         raise IncompatibleShapes("need a nonempty unlabeled pool per task")
-    mask = build_mask(compute_sensitivity(grads, tvs, variant), tau)
-    masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * mask.mask.flat()]
+    masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * _region(mask, theta_pre)]
     coeffs = np.full(len(tvs), float(ada.init_lambda))
     for _ in range(ada.steps):
         _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, unlabeled)
@@ -228,8 +200,11 @@ def merge_bundle(
 ) -> MergeResult:
     """Run the configured merge method on a bundle (or bundle subset); the
     result records ``cfg`` and ``exemplar_count``, which must be None or >= 0
-    even for the methods that use no exemplars."""
-    checked_exemplar_count(exemplar_count)
+    even for the methods that use no exemplars.  The trust-region methods
+    share one mask: the sensitivity of the task vectors (for ties_tatr with
+    ``ties_mask_from_trimmed``, of its aligned rows) to the gradient
+    estimates, with the top ``cfg.tau`` fraction excluded."""
+    exemplar_count = checked_exemplar_count(exemplar_count)
     pre, tvs, k = bundle.theta_pre, bundle.task_vectors(), bundle.num_tasks
     if cfg.method == "average":
         result = MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k)
@@ -237,16 +212,19 @@ def merge_bundle(
         result = task_arithmetic(pre, tvs, cfg.lam)
     elif cfg.method == "ties":
         result = ties_merge(pre, tvs, cfg.lam, cfg.ties_trim_keep)
-    else:  # the trust-region methods
+    else:  # the trust-region methods share one mask
         grads = bundle.gradient_estimates(exemplar_count)
+        basis = tvs
+        if cfg.method == "ties_tatr" and cfg.ties_mask_from_trimmed:
+            aligned, _ = ties_phi(stack(tvs, pre), cfg.ties_trim_keep)
+            basis = [Checkpoint.from_flat(pre, row) for row in aligned]
+        mask = build_mask(compute_sensitivity(grads, basis, cfg.sensitivity_variant), cfg.tau)
         if cfg.method == "tatr":
-            result = tatr_merge(pre, tvs, grads, cfg.lam, cfg.tau, cfg.sensitivity_variant)
+            result = tatr_merge(pre, tvs, mask, cfg.lam)
         elif cfg.method == "ties_tatr":
-            result = ties_tatr(pre, tvs, grads, cfg.lam, cfg.tau, cfg.ties_trim_keep,
-                               cfg.ties_mask_from_trimmed, cfg.sensitivity_variant)
+            result = ties_tatr(pre, tvs, mask, cfg.lam, cfg.ties_trim_keep)
         else:  # ada_tatr: the per-task test inputs serve as the unlabeled pools
-            result = ada_tatr(pre, tvs, grads, cfg.tau, bundle.test_sets, cfg.ada,
-                              cfg.sensitivity_variant)
+            result = ada_tatr(pre, tvs, mask, bundle.test_sets, cfg.ada)
     return replace(result, config=cfg, exemplars=exemplar_count)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,8 +20,21 @@ from .params import Checkpoint, _slices
 
 
 def is_count(value) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is an integer, Python or numpy, and not a (numpy) bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
+def plain_fields(config) -> None:
+    """Store the fields of the frozen dataclass ``config`` as plain Python values:
+    each numpy scalar or 0-d array in them, also inside tuples and lists, becomes
+    the value it holds, so whatever a config accepts it can also write and read back."""
+    def plain(value):
+        if isinstance(value, (tuple, list)):
+            return type(value)(map(plain, value))
+        return value.item() if getattr(value, "ndim", None) == 0 else value
+
+    for f in fields(config):
+        vars(config)[f.name] = plain(getattr(config, f.name))
 
 
 def is_finite_number(value) -> bool:
@@ -53,6 +67,7 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]  # (input, hidden..., classes)
 
     def __post_init__(self):
+        plain_fields(self)
         sizes = checked_tuple(self.layer_sizes, "layer_sizes")
         if len(sizes) < 2:
             raise ConfigError("need at least input and output layer")
@@ -105,6 +120,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        plain_fields(self)
         if not all(is_count(n) and n > 0 for n in (self.epochs, self.batch_size)):
             raise ConfigError(f"epochs/batch_size must be positive integers, "
                               f"got {self.epochs!r}/{self.batch_size!r}")

@@ -98,7 +98,7 @@ def test_01_tau_zero_reduces_to_task_arithmetic():
         pre, tvs, grads = random_merge_inputs(rng)
         lam = float(rng.uniform(0.05, 1.0))
         plain = task_arithmetic(pre, tvs, lam).merged
-        masked = tatr_merge(pre, tvs, grads, lam, 0.0).merged
+        masked = tatr_merge(pre, tvs, build_mask(compute_sensitivity(grads, tvs), 0.0), lam).merged
         identical = all(masked[n].tobytes() == plain[n].tobytes() for n in plain.names)
         if not identical:
             check("tau-zero reduction", False)
@@ -371,7 +371,8 @@ def test_11_ties_sign_election_oracle():
         r = np.random.default_rng(3000 + seed)
         pre, tvs, grads = random_merge_inputs(r)
         plain = ties_merge(pre, tvs, 0.3, 0.4).merged
-        masked = ties_tatr(pre, tvs, grads, 0.3, 0.0, 0.4).merged
+        all_ones = build_mask(compute_sensitivity(grads, tvs), 0.0)
+        masked = ties_tatr(pre, tvs, all_ones, 0.3, 0.4).merged
         reduction_ok &= all(
             masked[name].tobytes() == plain[name].tobytes() for name in plain.names
         )

@@ -303,6 +303,22 @@ class TestBundleRoundTrip:
         save_bundle(dataclasses.replace(small_bundle, config=cfg), tmp_path)
         assert load_bundle(tmp_path).config == cfg
 
+    def test_a_config_of_numpy_numbers_is_saved_as_the_plain_one(self, small_bundle, tmp_path):
+        plain = small_bundle.config
+        cfg = dataclasses.replace(
+            plain, seed=np.int64(plain.seed), hidden=tuple(np.array(plain.hidden)),
+            rotations=tuple(np.array([0.0, 90.0, 180.0, 270.0])), noise_std=np.float64(0.45),
+            label_perms=tuple(tuple(np.array(p)) for p in plain.label_perms),
+            samples_train=np.int32(plain.samples_train),
+            finetune=TrainConfig(epochs=np.int64(plain.finetune.epochs),
+                                 learning_rate=np.float64(plain.finetune.learning_rate)))
+        assert cfg == plain and type(cfg.noise_std) is float and type(cfg.rotations[0]) is float
+        save_bundle(dataclasses.replace(small_bundle, config=cfg), tmp_path / "numpy")
+        save_bundle(small_bundle, tmp_path / "plain")
+        text = (tmp_path / "numpy" / "bundle_config.txt").read_bytes()
+        assert text == (tmp_path / "plain" / "bundle_config.txt").read_bytes()
+        assert load_bundle(tmp_path / "numpy").config == plain
+
     def test_a_reordered_manifest_still_loads(self, small_bundle, tmp_path):
         save_bundle(small_bundle, tmp_path)
         manifest = tmp_path / "manifest.txt"

@@ -56,10 +56,17 @@ class TestMergeBundle:
         result = merge_bundle(small_bundle, cfg, exemplar_count=0)
         tvs = small_bundle.task_vectors()
         grads = [ew_abs(d) for d in tvs]
-        zero_shot = tatr_merge(small_bundle.theta_pre, tvs, grads, cfg.lam, cfg.tau)
+        mask = build_mask(compute_sensitivity(grads, tvs), cfg.tau)
+        zero_shot = tatr_merge(small_bundle.theta_pre, tvs, mask, cfg.lam)
         assert result.merged == zero_shot.merged
         assert result.mask_used.mask == zero_shot.mask_used.mask
 
+
+    def test_a_numpy_exemplar_count_is_recorded_as_an_int(self, small_bundle):
+        cfg = MergeConfig(method="tatr")
+        result = merge_bundle(small_bundle, cfg, np.int64(8))
+        assert type(result.exemplars) is int and result.exemplars == 8
+        assert result.merged == merge_bundle(small_bundle, cfg, 8).merged
 
     @pytest.mark.parametrize("method", ["tatr", "ties_tatr", "ada_tatr"])
     def test_trust_region_follows_the_sensitivity_variant(self, small_bundle, method):
@@ -133,6 +140,9 @@ class TestKnowledgeConflict:
         with pytest.raises(ConfigError, match="unknown basis 'f1'"):
             knowledge_conflict(small_bundle, MergeConfig(), basis="f1")
 
+    def test_a_numpy_reference_task(self, small_bundle):
+        assert landscape(small_bundle, np.int64(1)).rows == landscape(small_bundle, 1).rows
+
     def test_needs_two_tasks(self, small_bundle):
         single = small_bundle.subset([0])
         with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):
@@ -179,6 +189,9 @@ class TestLandscape:
         by_coord = {(round(u, 10), round(v, 10)): loss for u, v, loss in grid.rows}
         direct = forward(grid.anchor_negative, small_bundle.test_sets[2])[1]
         assert by_coord[(0.0, 0.0)] == pytest.approx(direct, abs=1e-12)
+
+    def test_a_numpy_reference_task(self, small_bundle):
+        assert landscape(small_bundle, np.int64(1)).rows == landscape(small_bundle, 1).rows
 
     def test_needs_two_tasks(self, small_bundle):
         with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):

@@ -14,6 +14,7 @@ from trustmerge.merging import (
     _assemble,
     ada_coefficient_gradient,
     ada_tatr,
+    load_merge_result,
     save_merge_result,
     task_arithmetic,
     tatr_merge,
@@ -24,7 +25,7 @@ from trustmerge.merging import (
 )
 from trustmerge.mlp import LabeledBatch, entropy_loss, init_params, MlpSpec
 from trustmerge.params import Checkpoint, ew_abs, ew_combine, ew_scale, load_checkpoint
-from trustmerge.trust_region import build_mask, compute_sensitivity
+from trustmerge.trust_region import TrustRegionMask, build_mask, compute_sensitivity
 
 
 def ck(values):
@@ -33,6 +34,11 @@ def ck(values):
 
 def zs_grads(tvs):
     return [ew_abs(tv) for tv in tvs]
+
+
+def region(grads, tvs, tau, variant="standard"):
+    """The trust region merge_bundle builds for these estimates and task vectors."""
+    return build_mask(compute_sensitivity(grads, tvs, variant), tau)
 
 
 def strict_json(path):
@@ -87,7 +93,7 @@ class TestTatr:
         for seed in range(10):
             pre, tvs, grads = random_merge_inputs(seed)
             plain = task_arithmetic(pre, tvs, 0.3)
-            masked = tatr_merge(pre, tvs, grads, 0.3, 0.0)
+            masked = tatr_merge(pre, tvs, region(grads, tvs, 0.0), 0.3)
             assert masked.merged == plain.merged
             for n, v in masked.merged:
                 assert v.tobytes() == plain.merged[n].tobytes()
@@ -96,10 +102,24 @@ class TestTatr:
         pre = ck([1.0, 2.0, 3.0, 4.0])
         tvs = [ck([1.0, 1.0, 1.0, 1.0]), ck([1.0, 1.0, 1.0, 1.0])]
         grads = [ck([9.0, 0.1, 0.1, 0.1]) for _ in range(2)]
-        result = tatr_merge(pre, tvs, grads, 0.5, 0.25)
+        result = tatr_merge(pre, tvs, region(grads, tvs, 0.25), 0.5)
         assert result.merged["x"][0] == 1.0  # highest sensitivity: untouched
         np.testing.assert_allclose(result.merged["x"][1:], [3.0, 4.0, 5.0])
         assert result.mask_used.excluded_count == 1
+
+
+@pytest.mark.parametrize("merge", [
+    lambda pre, tvs, mask: tatr_merge(pre, tvs, mask, 0.3),
+    lambda pre, tvs, mask: ties_tatr(pre, tvs, mask, 0.3, 0.4),
+    lambda pre, tvs, mask: ada_tatr(pre, tvs, mask, [LabeledBatch(np.zeros((1, 2)), [0])] * 3,
+                                    AdaConfig()),
+])
+def test_a_mask_of_another_layout_is_rejected(merge):
+    # as many entries as the models, so only the layout check can notice
+    pre, tvs, _ = random_merge_inputs(8)
+    foreign = TrustRegionMask(Checkpoint([("y", np.ones(12))]), 0.0, float("inf"), 0)
+    with pytest.raises(IncompatibleShapes):
+        merge(pre, tvs, foreign)
 
 
 class TestTies:
@@ -149,19 +169,26 @@ class TestTies:
         for seed in range(10):
             pre, tvs, grads = random_merge_inputs(seed + 100)
             plain = ties_merge(pre, tvs, 0.3, 0.4)
-            masked = ties_tatr(pre, tvs, grads, 0.3, 0.0, 0.4)
+            masked = ties_tatr(pre, tvs, region(grads, tvs, 0.0), 0.3, 0.4)
             for n, v in masked.merged:
                 assert v.tobytes() == plain.merged[n].tobytes()
 
-    def test_ties_tatr_mask_source_flag(self):
-        pre, tvs, grads = random_merge_inputs(7)
-        a = ties_tatr(pre, tvs, grads, 0.3, 0.25, 0.4, mask_from_trimmed=False)
-        b = ties_tatr(pre, tvs, grads, 0.3, 0.25, 0.4, mask_from_trimmed=True)
+    def test_ties_tatr_mask_source_flag(self, small_bundle):
+        # merge_bundle builds the ties_tatr mask from the task vectors or their aligned rows
+        pre, tvs = small_bundle.theta_pre, small_bundle.task_vectors()
+        grads = small_bundle.gradient_estimates()
         aligned, _ = ties_phi(np.stack([tv.flat() for tv in tvs]), 0.4)
         trimmed = [Checkpoint.from_flat(pre, row) for row in aligned]
-        assert a.mask_used.mask == build_mask(compute_sensitivity(grads, tvs), 0.25).mask
-        assert b.mask_used.mask == build_mask(compute_sensitivity(grads, trimmed), 0.25).mask
-        assert b.mask_used.mask != a.mask_used.mask
+        for variant in ("standard", "zero_shot"):
+            masks = []
+            for flag, basis in ((False, tvs), (True, trimmed)):
+                cfg = MergeConfig(method="ties_tatr", tau=0.25, ties_trim_keep=0.4,
+                                  ties_mask_from_trimmed=flag, sensitivity_variant=variant)
+                result = merge_bundle(small_bundle, cfg)
+                assert result.mask_used.mask == region(grads, basis, 0.25, variant).mask
+                assert result.merged == ties_tatr(pre, tvs, result.mask_used, 0.3, 0.4).merged
+                masks.append(result.mask_used.mask)
+            assert masks[0] != masks[1]
 
 
 class TestAdaTatr:
@@ -179,8 +206,9 @@ class TestAdaTatr:
     def test_zero_steps_bitwise_equals_tatr(self):
         pre, tvs, pools = self._setup()
         grads = zs_grads(tvs)
-        ada = ada_tatr(pre, tvs, grads, 0.05, pools, AdaConfig(steps=0, init_lambda=0.3))
-        plain = tatr_merge(pre, tvs, grads, 0.3, 0.05)
+        mask = region(grads, tvs, 0.05)
+        ada = ada_tatr(pre, tvs, mask, pools, AdaConfig(steps=0, init_lambda=0.3))
+        plain = tatr_merge(pre, tvs, mask, 0.3)
         for n, v in ada.merged:
             assert v.tobytes() == plain.merged[n].tobytes()
 
@@ -206,7 +234,7 @@ class TestAdaTatr:
         pre, tvs, pools = self._setup(2)
         grads = zs_grads(tvs)
         cfg = AdaConfig(steps=25, learning_rate=0.05, init_lambda=0.3)
-        result = ada_tatr(pre, tvs, grads, 0.0, pools, cfg)
+        result = ada_tatr(pre, tvs, region(grads, tvs, 0.0), pools, cfg)
         start = sum(
             entropy_loss(task_arithmetic(pre, tvs, 0.3).merged, b)[0] for b in pools
         )
@@ -217,7 +245,7 @@ class TestAdaTatr:
     def test_empty_pool_rejected(self):
         pre, tvs, _ = self._setup(3)
         with pytest.raises(IncompatibleShapes, match="nonempty unlabeled pool"):
-            ada_tatr(pre, tvs, zs_grads(tvs), 0.0, [], AdaConfig())
+            ada_tatr(pre, tvs, region(zs_grads(tvs), tvs, 0.0), [], AdaConfig())
 
 
 class TestSummationOrder:
@@ -233,7 +261,7 @@ class TestSummationOrder:
         lam, k = 0.3, len(tvs)
         shifted = ew_combine(pre, ew_scale(self.fold(tvs), lam), "add")
         assert task_arithmetic(pre, tvs, lam).merged.flat().tobytes() == shifted.flat().tobytes()
-        tatr = tatr_merge(pre, tvs, zs_grads(tvs), lam, 0.0).merged
+        tatr = tatr_merge(pre, tvs, region(zs_grads(tvs), tvs, 0.0), lam).merged
         assert tatr.flat().tobytes() == shifted.flat().tobytes()
         mean = ew_scale(self.fold(tvs), 1.0 / k)
         assert weight_average(tvs).flat().tobytes() == mean.flat().tobytes()
@@ -359,10 +387,25 @@ class TestSaveMergeResult:
         assert record["mask"] == {"epsilon": None, "excluded_count": 0}
         assert record["exemplars"] is None
 
+    def test_a_config_of_numpy_numbers_writes_a_record_that_reads_back(
+        self, small_bundle, tmp_path
+    ):
+        ada = AdaConfig(steps=np.int64(2), learning_rate=np.float32(0.01),
+                        init_lambda=np.float64(0.3))
+        cfg = MergeConfig(method="ada_tatr", lam=np.float64(0.3), tau=np.float32(0.01),
+                          ties_trim_keep=np.float64(0.2), ada=ada)
+        assert [type(v) for v in (cfg.lam, cfg.tau, ada.steps, ada.learning_rate)] == [
+            float, float, int, float]
+        save_merge_result(merge_bundle(small_bundle, cfg, np.int64(4)), tmp_path)
+        record = strict_json(tmp_path / "run.json")
+        assert (record["config"]["tau"], record["exemplars"]) == (float(np.float32(0.01)), 4)
+        assert load_merge_result(tmp_path, small_bundle.theta_pre).config == cfg
+
     def test_record_json_cannot_hold_writes_nothing(self, tmp_path):
         pre, tvs, grads = random_merge_inputs(5)
         result = dataclasses.replace(
-            tatr_merge(pre, tvs, grads, 0.3, 0.25), config=MergeConfig(), coefficients=[float("nan")]
+            tatr_merge(pre, tvs, region(grads, tvs, 0.25), 0.3), config=MergeConfig(),
+            coefficients=[float("nan")],
         )
         with pytest.raises(ValueError):
             save_merge_result(result, tmp_path / "out")

@@ -15,6 +15,7 @@ from trustmerge.mlp import (
     evaluate_accuracy,
     forward,
     init_params,
+    is_count,
     train,
     train_experts,
 )
@@ -92,6 +93,19 @@ class TestSpecAndBatch:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+
+    def test_counts_may_be_numpy_integers_and_are_stored_as_ints(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint8(1),
+                          learning_rate=np.float64(0.5))
+        assert cfg == TrainConfig(epochs=3, batch_size=8, learning_rate=0.5, seed=1)
+        assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate)] == [
+            int, int, int, float]
+        assert MlpSpec((np.int64(2), np.int64(3))).layer_sizes == (2, 3)
+        assert is_count(np.int64(3)) and not any(
+            map(is_count, (True, np.bool_(True), 3.0, np.float64(3.0), "3")))
+        for bad in (np.float64(3.0), np.bool_(True), np.array([3])):
+            with pytest.raises(ConfigError, match="epochs/batch_size"):
+                TrainConfig(epochs=bad)
 
 
 class TestForward:

@@ -1,8 +1,11 @@
 """The package exports exactly its documented API; every other name is
 imported from its module."""
 
+import importlib
 import inspect
 import re
+import runpy
+from functools import reduce
 from pathlib import Path
 
 import trustmerge
@@ -12,6 +15,7 @@ EXPORTS = {
     "knowledge_conflict", "landscape", "load_bundle", "make_bundle", "merge_bundle", "save_bundle",
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_the_package_exports_exactly_the_documented_names():
@@ -30,3 +34,15 @@ def test_the_readme_imports_only_exported_names():
 def test_the_method_and_variant_lists_are_module_attributes():
     assert "tatr" in trustmerge.merging.METHODS
     assert "standard" in trustmerge.trust_region.VARIANTS
+
+
+def test_every_tracer_target_names_a_package_function():
+    # the benchmark's tracer patches each (module, attribute) of its TARGETS, so a
+    # renamed or deleted one breaks its traced runs; run_path reads tracer.py and
+    # writes no bytecode next to it
+    targets = runpy.run_path(str(TRACER))["TARGETS"]
+    module = lambda name: importlib.import_module(f"trustmerge.{name}")
+    missing = [f"{name}.{attr}" for name, attr, _, _ in targets
+               if not callable(reduce(lambda obj, part: getattr(obj, part, None),
+                                      attr.split("."), module(name)))]
+    assert targets and missing == []

@@ -5,6 +5,8 @@ runs the pipeline there, with ``PYTHONPATH=<export>/src``:
 
     trustmerge gen-train --seed 0 --out b [--set KEY=VALUE ...]
     trustmerge merge --bundle b --method M --out b/M      (each of the six methods)
+    trustmerge merge --bundle b --method ties_tatr --ties-mask-from-trimmed \\
+        --out b/ties_tatr_trimmed
     trustmerge eval --bundle b --merged b/<each M> --out b/eval
     trustmerge conflict --bundle b --out b/conflict
     trustmerge landscape --bundle b --out b/landscape
@@ -43,6 +45,8 @@ def pipeline(bundle: str, overrides: list[str]) -> list[list[str]]:
              *(arg for kv in overrides for arg in ("--set", kv))]]
     runs += [["merge", "--bundle", bundle, "--method", m, "--out", f"{bundle}/{m}"]
              for m in METHODS]
+    runs.append(["merge", "--bundle", bundle, "--method", "ties_tatr", "--ties-mask-from-trimmed",
+                 "--out", f"{bundle}/ties_tatr_trimmed"])
     runs.append(["eval", "--bundle", bundle, "--merged", *(f"{bundle}/{m}" for m in METHODS),
                  "--out", f"{bundle}/eval"])
     for command, out, flags in [("conflict", "conflict", []), ("landscape", "landscape", []),

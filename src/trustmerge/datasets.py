@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MalformedArtifact
-from .mlp import LabeledBatch, checked_tuple, is_count, is_finite_number, plain_fields
+from .mlp import LabeledBatch, checked_tuple, is_count, is_finite_number
 
 DEFAULT_EXEMPLARS = 128
 MAX_CLASSES = 2**16  # checked before the identity permutation of num_classes labels is built
@@ -35,7 +35,6 @@ class SyntheticTaskSpec:
     center_angles_deg: tuple[float, ...] | None = None  # None = evenly spaced
 
     def __post_init__(self):
-        plain_fields(self)
         if not (all(map(is_count, (self.task_id, self.num_classes, self.seed)))
                 and self.num_classes > 0 and self.seed >= 0):
             raise ConfigError(f"task_id, num_classes > 0 and seed >= 0 must be integers, got "

@@ -212,7 +212,7 @@ def merge_bundle(
         result = task_arithmetic(pre, tvs, cfg.lam)
     elif cfg.method == "ties":
         result = ties_merge(pre, tvs, cfg.lam, cfg.ties_trim_keep)
-    else:  # the trust-region methods share one mask
+    else:  # the trust-region methods
         grads = bundle.gradient_estimates(exemplar_count)
         basis = tvs
         if cfg.method == "ties_tatr" and cfg.ties_mask_from_trimmed:

@@ -67,7 +67,6 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]  # (input, hidden..., classes)
 
     def __post_init__(self):
-        plain_fields(self)
         sizes = checked_tuple(self.layer_sizes, "layer_sizes")
         if len(sizes) < 2:
             raise ConfigError("need at least input and output layer")

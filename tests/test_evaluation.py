@@ -140,9 +140,6 @@ class TestKnowledgeConflict:
         with pytest.raises(ConfigError, match="unknown basis 'f1'"):
             knowledge_conflict(small_bundle, MergeConfig(), basis="f1")
 
-    def test_a_numpy_reference_task(self, small_bundle):
-        assert landscape(small_bundle, np.int64(1)).rows == landscape(small_bundle, 1).rows
-
     def test_needs_two_tasks(self, small_bundle):
         single = small_bundle.subset([0])
         with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):

@@ -112,7 +112,7 @@ class TestTatr:
     lambda pre, tvs, mask: tatr_merge(pre, tvs, mask, 0.3),
     lambda pre, tvs, mask: ties_tatr(pre, tvs, mask, 0.3, 0.4),
     lambda pre, tvs, mask: ada_tatr(pre, tvs, mask, [LabeledBatch(np.zeros((1, 2)), [0])] * 3,
-                                    AdaConfig()),
+                                    AdaConfig(steps=0)),
 ])
 def test_a_mask_of_another_layout_is_rejected(merge):
     # as many entries as the models, so only the layout check can notice

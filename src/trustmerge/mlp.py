@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,21 +19,27 @@ from .params import Checkpoint, _slices
 
 
 def is_count(value) -> bool:
-    """Whether ``value`` is an integer, Python or numpy, and not a (numpy) bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+    """Whether ``value`` is an integer, Python or numpy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_PLAIN = frozenset((int, float, str, bool, type(None)))  # np.float64 is a float subclass
+
+
+def _plain(value):
+    """``value`` with its numpy scalars, also inside tuples and lists, as Python values."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def plain_fields(config) -> None:
-    """Store the fields of the frozen dataclass ``config`` as plain Python values:
-    each numpy scalar or 0-d array in them, also inside tuples and lists, becomes
-    the value it holds, so whatever a config accepts it can also write and read back."""
-    def plain(value):
-        if isinstance(value, (tuple, list)):
-            return type(value)(map(plain, value))
-        return value.item() if getattr(value, "ndim", None) == 0 else value
-
-    for f in fields(config):
-        vars(config)[f.name] = plain(getattr(config, f.name))
+    """Store the fields of the frozen dataclass ``config``, from its __post_init__,
+    through _plain, so that whatever a config accepts it can also write and read back."""
+    values = vars(config)  # at the start of __post_init__, exactly the fields
+    for name, value in values.items():
+        if type(value) not in _PLAIN:
+            values[name] = _plain(value)  # replaces a value: the iteration stays valid
 
 
 def is_finite_number(value) -> bool:

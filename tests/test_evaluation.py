@@ -61,12 +61,12 @@ class TestMergeBundle:
         assert result.merged == zero_shot.merged
         assert result.mask_used.mask == zero_shot.mask_used.mask
 
-
     def test_a_numpy_exemplar_count_is_recorded_as_an_int(self, small_bundle):
         cfg = MergeConfig(method="tatr")
         result = merge_bundle(small_bundle, cfg, np.int64(8))
         assert type(result.exemplars) is int and result.exemplars == 8
         assert result.merged == merge_bundle(small_bundle, cfg, 8).merged
+
 
     @pytest.mark.parametrize("method", ["tatr", "ties_tatr", "ada_tatr"])
     def test_trust_region_follows_the_sensitivity_variant(self, small_bundle, method):

@@ -5,7 +5,6 @@ import importlib
 import inspect
 import re
 import runpy
-from functools import reduce
 from pathlib import Path
 
 import trustmerge
@@ -40,9 +39,12 @@ def test_every_tracer_target_names_a_package_function():
     # the benchmark's tracer patches each (module, attribute) of its TARGETS, so a
     # renamed or deleted one breaks its traced runs; run_path reads tracer.py and
     # writes no bytecode next to it
+    def resolves(module, attr):
+        target = importlib.import_module(f"trustmerge.{module}")
+        for part in attr.split("."):  # a method is "Class.method"
+            target = getattr(target, part, None)
+        return callable(target)
+
     targets = runpy.run_path(str(TRACER))["TARGETS"]
-    module = lambda name: importlib.import_module(f"trustmerge.{name}")
-    missing = [f"{name}.{attr}" for name, attr, _, _ in targets
-               if not callable(reduce(lambda obj, part: getattr(obj, part, None),
-                                      attr.split("."), module(name)))]
+    missing = [f"{module}.{attr}" for module, attr, _, _ in targets if not resolves(module, attr)]
     assert targets and missing == []

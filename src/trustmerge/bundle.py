@@ -26,8 +26,8 @@ from .datasets import (
 )
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
-from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, checked_tuple, evaluate_accuracy,
-                  init_params, is_count, plain_fields, train, train_experts)
+from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, _score_sets, checked_tuple,
+                  evaluate_accuracy, init_params, is_count, plain_fields, train, train_experts)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -134,7 +134,8 @@ class TaskBundle:
     test_sets: list[LabeledBatch]
     exemplar_sets: list[LabeledBatch]
     # Per-bundle memo: gradient estimates per effective exemplar count,
-    # sub-bundles per task-id tuple, and the baseline accuracy rows.
+    # sub-bundles per task-id tuple, the stacked test sets and the baseline
+    # accuracy rows.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -187,12 +188,31 @@ class TaskBundle:
             pick(self.exemplar_sets),
         ))
 
+    def _test_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The test sets stacked on a leading axis, read-only: inputs (K, n, d)
+        and labels (K, n).  The sets must have one size."""
+        if len({len(t) for t in self.test_sets}) != 1:
+            raise IncompatibleShapes(f"need test sets of one size, got {[len(t) for t in self.test_sets]}")
+        stack = (np.stack([t.inputs for t in self.test_sets]),
+                 np.stack([t.labels for t in self.test_sets]))
+        for array in stack:
+            array.flags.writeable = False
+        return stack
+
+    def test_scores(self, model: Checkpoint, accuracy: bool = False) -> np.ndarray:
+        """``model``'s mean test loss, or its test accuracy, on each task, in
+        task order, from one forward pass over the stacked test sets (built
+        once per bundle).  Each value is bit for bit ``forward(model, t)[1]``,
+        or ``evaluate_accuracy(model, t)``, of its test set ``t``."""
+        inputs, labels = self._memoized("test_stack", self._test_stack)
+        return _score_sets(model, inputs, labels, accuracy)[1]
+
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task
         ("pretrained") and of each expert on its own task ("individual").
         Computed once per bundle; each call returns new lists."""
         rows = self._memoized("baseline_accuracies", lambda: [
-            ("pretrained", [evaluate_accuracy(self.theta_pre, t) for t in self.test_sets]),
+            ("pretrained", self.test_scores(self.theta_pre, accuracy=True).tolist()),
             ("individual", [evaluate_accuracy(ck, t) for ck, t in zip(self.experts, self.test_sets)]),
         ])
         return [(name, list(accs)) for name, accs in rows]

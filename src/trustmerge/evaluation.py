@@ -1,5 +1,10 @@
 """Knowledge-conflict measurement, accuracy tables, and the loss-landscape
-grid over the orthogonal/positive/negative task-vector plane."""
+grid over the orthogonal/positive/negative task-vector plane.
+
+Every score here comes from ``TaskBundle.test_scores``: one forward pass of a
+model over its bundle's test sets stacked on a leading axis, so a merged
+model or a grid point costs one pass, not one per task, and each score is
+bit for bit the one-set ``forward`` loss or ``evaluate_accuracy``."""
 
 from __future__ import annotations
 
@@ -12,14 +17,14 @@ from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
 # perfbench traces knowledge_conflict's merges through this binding
 from .merging import MergeConfig, MergeResult, merge_bundle
-from .mlp import backward, checked_fraction, evaluate_accuracy, forward, is_count
+from .mlp import backward, checked_fraction, is_count
 from .params import Checkpoint, ew_combine, sum_in_order
 from .task_vectors import decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field: == is identity, and a report hashes
 class ConflictReport:
     pairwise: np.ndarray  # K x K, NaN on the diagonal
     total: float
@@ -34,13 +39,6 @@ class LandscapeGrid:
     anchor_orthogonal: Checkpoint  # plane coordinate (1, 0)
     rows: list[tuple[float, float, float]]  # (u, v, loss)
     reference_task: int | None  # None = total loss over all tasks
-
-
-def _task_metric(merged: Checkpoint, bundle: TaskBundle, j: int, basis: str) -> float:
-    """Task j's test loss, or its accuracy negated: larger is worse on both bases."""
-    if basis == "loss":
-        return forward(merged, bundle.test_sets[j])[1]
-    return -evaluate_accuracy(merged, bundle.test_sets[j])
 
 
 def knowledge_conflict(
@@ -58,14 +56,18 @@ def knowledge_conflict(
     k = bundle.num_tasks
     if k < 2:
         raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
-    merged_all = merge_bundle(bundle, cfg, exemplar_count).merged
-    metric_all = [_task_metric(merged_all, bundle, j, basis) for j in range(k)]
+    accuracy = basis == "accuracy"
+
+    def metric(tasks: TaskBundle) -> np.ndarray:
+        """Each task's test loss, or its accuracy negated, under the merge of ``tasks``."""
+        scores = tasks.test_scores(merge_bundle(tasks, cfg, exemplar_count).merged, accuracy)
+        return -scores if accuracy else scores
+
+    metric_all = metric(bundle)
     pairwise = np.full((k, k), np.nan)
     for i in range(k):
         rest = [t for t in range(k) if t != i]
-        merged_excl = merge_bundle(bundle.subset(rest), cfg, exemplar_count).merged
-        for j in rest:
-            pairwise[i, j] = metric_all[j] - _task_metric(merged_excl, bundle, j, basis)
+        pairwise[i, rest] = metric_all[rest] - metric(bundle.subset(rest))
     total = float(np.nansum(pairwise))
     return ConflictReport(pairwise, total, total / (k * (k - 1)), basis)
 
@@ -98,6 +100,7 @@ def landscape(
         raise ConfigError(f"reference task {reference_task!r} is out of range for {k} tasks")
     checked_fraction(decomposition_fraction, "decomposition fraction")
     loss_tasks = range(k) if reference_task is None else [reference_task]
+    scored = bundle if reference_task is None else bundle.subset(loss_tasks)
     delta = sum_in_order(tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task)
     grad = sum_in_order(signed_gradient(bundle, j) for j in loss_tasks)
     tol = percentile_zero_tol(delta, grad, decomposition_fraction)
@@ -111,7 +114,7 @@ def landscape(
     for u in GRID_COORDS:
         for v in GRID_COORDS:
             point = Checkpoint.from_flat(theta_neg, neg + u * axis_u + v * axis_v)
-            rows.append((u, v, sum(forward(point, bundle.test_sets[j])[1] for j in loss_tasks)))
+            rows.append((u, v, sum(scored.test_scores(point).tolist())))
     return LandscapeGrid(theta_pos, theta_neg, theta_orth, rows, reference_task)
 
 
@@ -121,7 +124,7 @@ def accuracy_table(
     """Rows of (method, per-task accuracies, average); always includes the
     pre-trained reference row and the per-task individual upper bound."""
     named = bundle.baseline_accuracies() + [
-        (name, [evaluate_accuracy(result.merged, t) for t in bundle.test_sets])
+        (name, bundle.test_scores(result.merged, accuracy=True).tolist())
         for name, result in results
     ]
     return [(name, accs, float(np.mean(accs))) for name, accs in named]

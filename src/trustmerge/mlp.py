@@ -90,7 +90,7 @@ class MlpSpec:
         return self.layer_sizes[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, and a batch hashes
 class LabeledBatch:
     inputs: np.ndarray  # (samples, input_dim)
     labels: np.ndarray  # (samples,) int class indices
@@ -184,12 +184,13 @@ def _layers(params: Checkpoint, flat: np.ndarray | None = None) -> list[tuple[np
 
 
 def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray | None = None):
-    """``params``' layers, once ``inputs`` have the first layer's width and
-    ``labels``, when given, index the last layer's classes."""
+    """``params``' layers, once ``inputs`` (rows, or sets of rows on a leading
+    stack axis) have the first layer's width and ``labels``, when given,
+    index the last layer's classes."""
     layers = _layers(params)
     expected = layers[0][0].shape[1]
-    if inputs.shape[1] != expected:
-        raise IncompatibleShapes(f"layer0 expects {expected} features, got {inputs.shape[1]}")
+    if inputs.shape[-1] != expected:
+        raise IncompatibleShapes(f"layer0 expects {expected} features, got {inputs.shape[-1]}")
     classes = layers[-1][0].shape[0]
     if labels is not None and labels.size and (labels.max() >= classes or labels.min() < 0):
         raise IncompatibleShapes("label index out of range")
@@ -213,12 +214,27 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _score_sets(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray,
+                accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (K, n, classes) and one score per set of ``params`` on K labeled
+    sets of one size stacked on a leading axis: ``inputs`` (K, n, d) and
+    ``labels`` (K, n).  A set's score is its mean cross-entropy loss or, with
+    ``accuracy``, its argmax accuracy (argmax ties break toward the lowest
+    class index), a mean along the set's row.  Each set's products are the
+    BLAS calls a pass over that set alone makes, so each score is bit for bit
+    its one-set value; concatenated rows would not be (BLAS picks its kernel
+    by the row count).  Widths and labels are checked once per call."""
+    logits, _ = _forward_pass(_checked_layers(params, inputs, labels), inputs)
+    if accuracy:
+        return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
+    picked = np.take_along_axis(_log_softmax(logits), labels[..., None], axis=-1)
+    return logits, -np.mean(picked[..., 0], axis=-1)
+
+
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
-    logits, _ = _forward_pass(_checked_layers(params, batch.inputs, batch.labels), batch.inputs)
-    logp = _log_softmax(logits)
-    loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
-    return logits, loss
+    logits, losses = _score_sets(params, batch.inputs[None], batch.labels[None])
+    return logits[0], float(losses[0])
 
 
 def _layer_deltas(layers, acts: list[np.ndarray], dlogits: np.ndarray):
@@ -347,6 +363,4 @@ def train_experts(params: Checkpoint, datasets: list[LabeledBatch],
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    logits, _ = _forward_pass(_checked_layers(params, test.inputs, test.labels), test.inputs)
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == test.labels))
+    return float(_score_sets(params, test.inputs[None], test.labels[None], accuracy=True)[1][0])

@@ -174,18 +174,23 @@ class TestBundle:
         bundle = dataclasses.replace(small_bundle)
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return evaluate_accuracy(*args)
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(trustmerge.bundle, "evaluate_accuracy", counted)
+        # the pretrained row is one stacked scoring pass, the individual row
+        # one evaluate_accuracy call per expert
+        for name in ("evaluate_accuracy", "_score_sets"):
+            monkeypatch.setattr(trustmerge.bundle, name, counted(getattr(trustmerge.bundle, name)))
         first = accuracy_table(bundle, [])
         assert [row[0] for row in first] == ["pretrained", "individual"]
-        assert len(calls) == 2 * bundle.num_tasks
+        assert sorted(calls) == ["_score_sets"] + ["evaluate_accuracy"] * bundle.num_tasks
         first[0][1][0] = -1.0
         bundle.baseline_accuracies()[1][1].append(2.0)
         second = accuracy_table(bundle, [])
-        assert len(calls) == 2 * bundle.num_tasks
+        assert len(calls) == 1 + bundle.num_tasks
         assert second[0][1][0] == evaluate_accuracy(bundle.theta_pre, bundle.test_sets[0])
         assert len(second[1][1]) == bundle.num_tasks
         assert second[1:] == first[1:]

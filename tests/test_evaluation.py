@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import trustmerge.evaluation
-from trustmerge.bundle import TaskBundle
+from trustmerge.bundle import BundleConfig, TaskBundle
 from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.evaluation import (
+    GRID_COORDS,
     accuracy_table,
     knowledge_conflict,
     landscape,
@@ -15,8 +16,8 @@ from trustmerge.evaluation import (
     write_landscape_csv,
 )
 from trustmerge.merging import AdaConfig, MergeConfig, tatr_merge
-from trustmerge.mlp import backward, forward
-from trustmerge.params import ew_abs, ew_scale, sum_in_order
+from trustmerge.mlp import LabeledBatch, backward, evaluate_accuracy, forward, init_params
+from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
 from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
@@ -136,6 +137,12 @@ class TestKnowledgeConflict:
         assert report.pairwise[0, j] == pytest.approx(expected, abs=1e-15)
         assert report.basis == "accuracy"
 
+    def test_a_report_compares_by_identity_and_hashes(self, small_bundle):
+        cfg = MergeConfig(method="task_arithmetic")
+        report, again = (knowledge_conflict(small_bundle, cfg) for _ in range(2))
+        assert (report == again) is False and (report == report) is True
+        assert len({report, again}) == 2
+
     def test_unknown_basis(self, small_bundle):
         with pytest.raises(ConfigError, match="unknown basis 'f1'"):
             knowledge_conflict(small_bundle, MergeConfig(), basis="f1")
@@ -217,6 +224,77 @@ class TestAccuracyTable:
         result = merge_bundle(small_bundle, MergeConfig(method="task_arithmetic"))
         rows = accuracy_table(small_bundle, [("ta", result)])
         assert rows[2][0] == "ta"
+
+
+    def test_test_sets_of_two_sizes_are_rejected(self, small_bundle):
+        tests = list(small_bundle.test_sets)
+        tests[1] = tests[1].take(np.arange(len(tests[1]) - 1))
+        bundle = TaskBundle(small_bundle.config, small_bundle.theta_pre, small_bundle.experts,
+                            small_bundle.train_sets, tests, small_bundle.exemplar_sets)
+        with pytest.raises(IncompatibleShapes, match="test sets of one size"):
+            accuracy_table(bundle, [])
+
+
+def random_bundle(hidden, samples, seed=0):
+    """A 4-task bundle of random experts around a random pre-trained model, with
+    random test and exemplar sets; nothing is trained."""
+    rng = np.random.default_rng(seed)
+    cfg = BundleConfig(seed=seed, hidden=hidden, samples_test=samples)
+    pre = init_params(cfg.mlp_spec, seed)
+    experts = [Checkpoint.from_flat(pre, pre.flat() + rng.normal(0.0, 0.5, pre.total_dims))
+               for _ in range(4)]
+
+    def sets(n):
+        return [LabeledBatch(rng.normal(0.0, 1.5, (n, 2)), rng.integers(0, 4, n)) for _ in range(4)]
+
+    return TaskBundle(cfg, pre, experts, sets(samples), sets(samples), sets(6))
+
+
+def per_set_landscape(grid, tests):
+    """The rows of ``grid`` recomputed with one ``forward`` call per (point, test set)."""
+    neg = grid.anchor_negative.flat()
+    axis_u, axis_v = grid.anchor_orthogonal.flat() - neg, grid.anchor_positive.flat() - neg
+    return [(u, v, sum(forward(Checkpoint.from_flat(grid.anchor_negative,
+                                                    neg + u * axis_u + v * axis_v), t)[1]
+                       for t in tests))
+            for u in GRID_COORDS for v in GRID_COORDS]
+
+
+class TestStackedScoringOracle:
+    """One stacked pass per model is bit for bit a loop of one-set passes.
+    Concatenating the sets' rows instead changes last bits at some of these
+    shapes (BLAS picks its kernel by the row count)."""
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (5, 3), (33,)])
+    @pytest.mark.parametrize("samples", [1, 7, 37, 50, 129, 300])
+    def test_matches_one_set_passes(self, hidden, samples):
+        bundle = random_bundle(hidden, samples)
+        tests = bundle.test_sets
+        for model in [bundle.theta_pre, *bundle.experts]:
+            assert bundle.test_scores(model).tolist() == [forward(model, t)[1] for t in tests]
+            assert (bundle.test_scores(model, accuracy=True).tolist()
+                    == [evaluate_accuracy(model, t) for t in tests])
+
+        total, task2 = landscape(bundle), landscape(bundle, reference_task=2)
+        assert total.rows == per_set_landscape(total, tests)
+        assert task2.rows == per_set_landscape(task2, [tests[2]])
+
+        cfg = MergeConfig(method="tatr")
+        result = merge_bundle(bundle, cfg)
+        rows = accuracy_table(bundle, [("tatr", result)])
+        assert rows[0][1] == [evaluate_accuracy(bundle.theta_pre, t) for t in tests]
+        assert rows[2][1] == [evaluate_accuracy(result.merged, t) for t in tests]
+
+        for basis, score in (("loss", lambda m, t: forward(m, t)[1]),
+                             ("accuracy", lambda m, t: -evaluate_accuracy(m, t))):
+            expected = np.full((4, 4), np.nan)
+            for i in range(4):
+                excl = merge_bundle(bundle.subset([t for t in range(4) if t != i]), cfg).merged
+                for j in range(4):
+                    if j != i:
+                        expected[i, j] = score(result.merged, tests[j]) - score(excl, tests[j])
+            report = knowledge_conflict(bundle, cfg, basis)
+            assert np.array_equal(report.pairwise, expected, equal_nan=True)
 
 
 class TestCsvWriters:

@@ -82,6 +82,11 @@ class TestSpecAndBatch:
             b.labels[0] = 1
         assert b.inputs is inputs  # a float64 array is frozen in place, not copied
 
+    def test_equality_is_identity_and_a_batch_hashes(self):
+        a, b = (LabeledBatch(np.zeros((2, 2)), np.array([0, 1])) for _ in range(2))
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+        assert len({a, b, a}) == 2
+
     def test_take(self):
         b = LabeledBatch(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]))
         sub = b.take(np.array([2, 0]))

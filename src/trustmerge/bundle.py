@@ -188,24 +188,20 @@ class TaskBundle:
             pick(self.exemplar_sets),
         ))
 
-    def _test_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """The test sets stacked on a leading axis, read-only: inputs (K, n, d)
-        and labels (K, n).  The sets must have one size."""
-        if len({len(t) for t in self.test_sets}) != 1:
-            raise IncompatibleShapes(f"need test sets of one size, got {[len(t) for t in self.test_sets]}")
-        stack = (np.stack([t.inputs for t in self.test_sets]),
-                 np.stack([t.labels for t in self.test_sets]))
-        for array in stack:
-            array.flags.writeable = False
-        return stack
-
     def test_scores(self, model: Checkpoint, accuracy: bool = False) -> np.ndarray:
-        """``model``'s mean test loss, or its test accuracy, on each task, in
-        task order, from one forward pass over the stacked test sets (built
-        once per bundle).  Each value is bit for bit ``forward(model, t)[1]``,
-        or ``evaluate_accuracy(model, t)``, of its test set ``t``."""
-        inputs, labels = self._memoized("test_stack", self._test_stack)
+        """``model``'s mean test loss, or with ``accuracy`` its test accuracy,
+        on each task, bit for bit ``forward(model, t)[1]`` or
+        ``evaluate_accuracy(model, t)`` of each test set ``t``, from one
+        forward pass over the test sets, stacked once per bundle."""
+        inputs, labels = self._memoized("test_stack", self._stacked_tests)
         return _score_sets(model, inputs, labels, accuracy)[1]
+
+    def _stacked_tests(self) -> tuple[np.ndarray, np.ndarray]:
+        sizes = [len(t) for t in self.test_sets]
+        if len(set(sizes)) != 1:
+            raise IncompatibleShapes(f"need test sets of one size, got {sizes}")
+        return (np.stack([t.inputs for t in self.test_sets]),
+                np.stack([t.labels for t in self.test_sets]))
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task

@@ -216,14 +216,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _score_sets(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray,
                 accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Logits (K, n, classes) and one score per set of ``params`` on K labeled
-    sets of one size stacked on a leading axis: ``inputs`` (K, n, d) and
-    ``labels`` (K, n).  A set's score is its mean cross-entropy loss or, with
-    ``accuracy``, its argmax accuracy (argmax ties break toward the lowest
-    class index), a mean along the set's row.  Each set's products are the
-    BLAS calls a pass over that set alone makes, so each score is bit for bit
-    its one-set value; concatenated rows would not be (BLAS picks its kernel
-    by the row count).  Widths and labels are checked once per call."""
+    """Logits (K, n, classes) and per-set scores of ``params`` on K sets of n
+    rows stacked on a leading axis, ``inputs`` (K, n, d) and ``labels`` (K, n):
+    each set's mean cross-entropy loss or, with ``accuracy``, its argmax
+    accuracy (ties toward the lowest class).  A set's products are the BLAS
+    calls of a pass over that set alone, so its score is bit for bit the
+    one-set value; concatenated rows would not be, as BLAS picks its kernel
+    by the row count.  Widths and labels are checked once per call."""
     logits, _ = _forward_pass(_checked_layers(params, inputs, labels), inputs)
     if accuracy:
         return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)

@@ -199,14 +199,18 @@ def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray |
 
 def _forward_pass(layers, x: np.ndarray):
     """Returns (logits, activations) with activations[i] the input to layer i.
-    ``x`` is (samples, in), or (K, samples, in) for a (K, N) stack of layers;
-    every array below keeps that leading stack axis."""
+    ``x`` is (samples, in), or (K, samples, in) for K sets or for a (K, N)
+    stack of layers; every array below keeps that leading stack axis."""
     acts = [x]
     for w, b in layers[:-1]:
-        x = np.tanh(x @ w.swapaxes(-1, -2) + b)
+        x = x @ w.swapaxes(-1, -2)
+        x += b  # in place: one new array per layer, not three
+        np.tanh(x, out=x)
         acts.append(x)
     w, b = layers[-1]
-    return x @ w.swapaxes(-1, -2) + b, acts
+    logits = x @ w.swapaxes(-1, -2)
+    logits += b
+    return logits, acts
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -225,7 +225,6 @@ class TestAccuracyTable:
         rows = accuracy_table(small_bundle, [("ta", result)])
         assert rows[2][0] == "ta"
 
-
     def test_test_sets_of_two_sizes_are_rejected(self, small_bundle):
         tests = list(small_bundle.test_sets)
         tests[1] = tests[1].take(np.arange(len(tests[1]) - 1))

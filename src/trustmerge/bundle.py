@@ -153,9 +153,9 @@ class TaskBundle:
     def gradient_estimates(self, exemplar_count: int | None = None) -> list[Checkpoint]:
         """Per-task absolute-gradient estimates at the pre-trained point.
 
-        ``exemplar_count`` trims the exemplar pool; 0 switches every task to
-        the zero-shot surrogate, the task vector's absolute value, and a
-        negative count is a ConfigError.
+        ``exemplar_count`` trims the exemplar pool; zero effective exemplars (a
+        count of 0, or empty pools) switch every task to the zero-shot
+        surrogate, |task vector|, and a negative count is a ConfigError.
 
         Exemplar estimates depend only on ``theta_pre`` and the exemplars, so
         they are computed once per bundle and per effective exemplar count
@@ -163,12 +163,11 @@ class TaskBundle:
         memoized; each call returns a new list.  The memo assumes the bundle
         is never mutated: build a new bundle instead.
         """
-        if checked_exemplar_count(exemplar_count) == 0:
+        exemplar_count = checked_exemplar_count(exemplar_count)
+        sizes = tuple(len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
+                      for ex in self.exemplar_sets)
+        if not any(sizes):
             return [ew_abs(tv) for tv in self.task_vectors()]
-        sizes = tuple(
-            len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
-            for ex in self.exemplar_sets
-        )
         return list(self._memoized(("estimates", sizes), lambda: [
             estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)))
             for ex, n in zip(self.exemplar_sets, sizes)

@@ -1,12 +1,14 @@
 """Merging backends: weight averaging, task arithmetic, trust-region masked
 task arithmetic (tatr), ties, ties+tatr, and entropy-trained task-wise
-coefficients on top of the trust region (ada_tatr)."""
+coefficients on top of the trust region (ada_tatr).  The task-vector merges
+take the (K, N) task-vector rows, and the trust-region ones the region's flat
+{0, 1} vector, and return the flat step that merge_bundle adds to theta_pre."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from .bundle import TaskBundle, checked_exemplar_count
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .mlp import (LabeledBatch, checked_fraction, entropy_loss, is_count, is_finite_number,
                   plain_fields)
-from .params import (Checkpoint, ew_dot, ew_scale, load_checkpoint, save_checkpoint, stack,
+from .params import (Checkpoint, _tensor_dot, ew_scale, load_checkpoint, save_checkpoint, stack,
                      sum_in_order, sum_rows)
 from .trust_region import VARIANTS, TrustRegionMask, build_mask, compute_sensitivity
 
@@ -89,27 +91,16 @@ def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     return ew_scale(sum_in_order(checkpoints), 1.0 / len(checkpoints))
 
 
-def task_arithmetic(theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float) -> MergeResult:
-    """theta_pre + lam * sum of deltas, summed in ascending task order."""
-    step = lam * sum_rows(stack(tvs, theta_pre))
-    return MergeResult(_shifted(theta_pre, step), None, [lam] * len(tvs))
+def task_arithmetic(deltas: np.ndarray, lam: float) -> np.ndarray:
+    """lam * the sum of the rows, added in ascending task order."""
+    return lam * sum_rows(deltas)
 
 
-def _region(mask: TrustRegionMask, theta_pre: Checkpoint) -> np.ndarray:
-    """The mask's flat {0, 1} vector; the mask must be laid out like ``theta_pre``."""
-    return stack([mask.mask], theta_pre)[0]
-
-
-def tatr_merge(
-    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask, lam: float
-) -> MergeResult:
-    """Task arithmetic restricted to the trust region ``mask``.
-
-    With the all-ones mask of tau=0 the output is bitwise identical to plain
-    task arithmetic (x * 1.0 == x and the summation order is shared).
-    """
-    step = lam * sum_rows(stack(tvs, theta_pre) * _region(mask, theta_pre))
-    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
+def tatr_merge(deltas: np.ndarray, region: np.ndarray, lam: float) -> np.ndarray:
+    """Task arithmetic restricted to the trust region.  With the all-ones
+    region of tau=0 the step is bitwise that of plain task arithmetic
+    (x * 1.0 == x and the summation order is shared)."""
+    return task_arithmetic(deltas * region, lam)
 
 
 def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,68 +122,56 @@ def ties_phi(deltas: np.ndarray, trim_keep: float) -> tuple[np.ndarray, np.ndarr
     return np.where(agree, trimmed, 0.0), elected
 
 
-def _disjoint_mean(aligned: np.ndarray) -> np.ndarray:
-    """Per coordinate: mean of the aligned nonzero values, summed in ascending
-    task order (0 when none survive)."""
+def ties_merge(deltas: np.ndarray, lam: float, trim_keep: float) -> np.ndarray:
+    """lam * the disjoint mean of the ties-aligned rows: per coordinate, the
+    mean of the nonzero aligned values, summed in ascending task order (0
+    when none survive)."""
+    aligned, _ = ties_phi(deltas, trim_keep)
     counts = (aligned != 0.0).sum(axis=0)
     sums = sum_rows(aligned)
-    return np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
+    return lam * np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
 
 
-def ties_merge(
-    theta_pre: Checkpoint, tvs: list[Checkpoint], lam: float, trim_keep: float
-) -> MergeResult:
-    aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
-    return MergeResult(_shifted(theta_pre, lam * _disjoint_mean(aligned)), None, [lam] * len(tvs))
+def ties_tatr(deltas: np.ndarray, region: np.ndarray, lam: float, trim_keep: float) -> np.ndarray:
+    """Ties merging restricted to the trust region."""
+    return ties_merge(deltas, lam, trim_keep) * region
 
 
-def ties_tatr(
-    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask, lam: float,
-    trim_keep: float,
-) -> MergeResult:
-    """Ties merging restricted to the trust region ``mask``."""
-    aligned, _ = ties_phi(stack(tvs, theta_pre), trim_keep)
-    step = lam * (_disjoint_mean(aligned) * _region(mask, theta_pre))
-    return MergeResult(_shifted(theta_pre, step), mask, [lam] * len(tvs))
-
-
-def _assemble(theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarray) -> Checkpoint:
-    rows = stack(masked, theta_pre)
+def _combined(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of the rows scaled by their coefficients, in ascending row order."""
     # equal coefficients factor out so a shared-lambda merge stays bitwise
     # identical to the tatr path
     if np.all(coeffs == coeffs[0]):
-        return _shifted(theta_pre, float(coeffs[0]) * sum_rows(rows))
-    return _shifted(theta_pre, sum_rows(coeffs[:, None] * rows))
+        return float(coeffs[0]) * sum_rows(rows)
+    return sum_rows(coeffs[:, None] * rows)
 
 
 def ada_coefficient_gradient(
-    theta_pre: Checkpoint, masked: list[Checkpoint], coeffs: np.ndarray,
+    theta_pre: Checkpoint, masked: np.ndarray, coeffs: np.ndarray,
     unlabeled: list[LabeledBatch],
 ) -> tuple[float, np.ndarray]:
     """Summed prediction entropy over the unlabeled pools and its analytic
-    gradient in the per-task coefficients (the merge is affine in each)."""
-    merged = _assemble(theta_pre, masked, coeffs)
+    gradient in the per-task coefficients (the merge is affine in each): the
+    entropy gradient's dot with each masked row, in tensor order as ew_dot."""
+    merged = _shifted(theta_pre, _combined(masked, coeffs))
     losses, grads = zip(*(entropy_loss(merged, batch) for batch in unlabeled))
-    grad_theta = sum_in_order(grads)
-    return sum(losses), np.array([ew_dot(grad_theta, m) for m in masked])
+    grad_theta = sum_rows(stack(grads, theta_pre))
+    return sum(losses), np.array([_tensor_dot(grad_theta, row, theta_pre.layout) for row in masked])
 
 
 def ada_tatr(
-    theta_pre: Checkpoint, tvs: list[Checkpoint], mask: TrustRegionMask,
-    unlabeled: list[LabeledBatch], ada: AdaConfig,
-) -> MergeResult:
+    theta_pre: Checkpoint, masked: np.ndarray, unlabeled: list[LabeledBatch], ada: AdaConfig,
+) -> tuple[np.ndarray, list[float]]:
     """Task-wise coefficients trained by full-batch gradient descent on the
-    summed prediction entropy, merging only inside the trust region ``mask``."""
-    deltas = stack(tvs, theta_pre)
+    summed prediction entropy of the merge of ``masked``, the task-vector rows
+    times the trust region; returns the step and the coefficients."""
     if not unlabeled or any(len(b) == 0 for b in unlabeled):
         raise IncompatibleShapes("need a nonempty unlabeled pool per task")
-    masked = [Checkpoint.from_flat(theta_pre, row) for row in deltas * _region(mask, theta_pre)]
-    coeffs = np.full(len(tvs), float(ada.init_lambda))
+    coeffs = np.full(len(masked), float(ada.init_lambda))
     for _ in range(ada.steps):
         _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, unlabeled)
         coeffs = coeffs - ada.learning_rate * dcoeffs
-    merged = _assemble(theta_pre, masked, coeffs)
-    return MergeResult(merged, mask, [float(c) for c in coeffs])
+    return _combined(masked, coeffs), [float(c) for c in coeffs]
 
 
 def merge_bundle(
@@ -200,32 +179,39 @@ def merge_bundle(
 ) -> MergeResult:
     """Run the configured merge method on a bundle (or bundle subset); the
     result records ``cfg`` and ``exemplar_count``, which must be None or >= 0
-    even for the methods that use no exemplars.  The trust-region methods
-    share one mask: the sensitivity of the task vectors (for ties_tatr with
-    ``ties_mask_from_trimmed``, of its aligned rows) to the gradient
-    estimates, with the top ``cfg.tau`` fraction excluded."""
+    even for the methods that use no exemplars.  The one boundary of the
+    merge math: it stacks the task vectors once, passes the rows (and the
+    trust region's flat vector) to the merge, and adds the step it returns
+    to theta_pre.  The trust-region methods share one mask: the sensitivity
+    of the task vectors (for ties_tatr with ``ties_mask_from_trimmed``, of
+    its aligned rows) to the gradient estimates, with the top ``cfg.tau``
+    fraction excluded."""
     exemplar_count = checked_exemplar_count(exemplar_count)
-    pre, tvs, k = bundle.theta_pre, bundle.task_vectors(), bundle.num_tasks
+    pre, k = bundle.theta_pre, bundle.num_tasks
     if cfg.method == "average":
-        result = MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k)
-    elif cfg.method == "task_arithmetic":
-        result = task_arithmetic(pre, tvs, cfg.lam)
+        return MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k, cfg, exemplar_count)
+    tvs = bundle.task_vectors()
+    deltas = stack(tvs, pre)
+    mask, coefficients = None, [cfg.lam] * k
+    if cfg.method == "task_arithmetic":
+        step = task_arithmetic(deltas, cfg.lam)
     elif cfg.method == "ties":
-        result = ties_merge(pre, tvs, cfg.lam, cfg.ties_trim_keep)
+        step = ties_merge(deltas, cfg.lam, cfg.ties_trim_keep)
     else:  # the trust-region methods
         grads = bundle.gradient_estimates(exemplar_count)
         basis = tvs
         if cfg.method == "ties_tatr" and cfg.ties_mask_from_trimmed:
-            aligned, _ = ties_phi(stack(tvs, pre), cfg.ties_trim_keep)
+            aligned, _ = ties_phi(deltas, cfg.ties_trim_keep)
             basis = [Checkpoint.from_flat(pre, row) for row in aligned]
         mask = build_mask(compute_sensitivity(grads, basis, cfg.sensitivity_variant), cfg.tau)
+        region = mask.mask.flat()
         if cfg.method == "tatr":
-            result = tatr_merge(pre, tvs, mask, cfg.lam)
+            step = tatr_merge(deltas, region, cfg.lam)
         elif cfg.method == "ties_tatr":
-            result = ties_tatr(pre, tvs, mask, cfg.lam, cfg.ties_trim_keep)
+            step = ties_tatr(deltas, region, cfg.lam, cfg.ties_trim_keep)
         else:  # ada_tatr: the per-task test inputs serve as the unlabeled pools
-            result = ada_tatr(pre, tvs, mask, bundle.test_sets, cfg.ada)
-    return replace(result, config=cfg, exemplars=exemplar_count)
+            step, coefficients = ada_tatr(pre, deltas * region, bundle.test_sets, cfg.ada)
+    return MergeResult(_shifted(pre, step), mask, coefficients, cfg, exemplar_count)
 
 
 def save_merge_result(result: MergeResult, out_dir) -> None:

@@ -218,6 +218,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _mean_cross_entropy(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each set's mean cross-entropy, from log-probabilities (..., n, k) and labels (..., n)."""
+    return -np.mean(np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0], axis=-1)
+
+
 def _score_sets(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray,
                 accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Logits (K, n, classes) and per-set scores of ``params`` on K sets of n
@@ -230,8 +235,7 @@ def _score_sets(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray,
     logits, _ = _forward_pass(_checked_layers(params, inputs, labels), inputs)
     if accuracy:
         return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
-    picked = np.take_along_axis(_log_softmax(logits), labels[..., None], axis=-1)
-    return logits, -np.mean(picked[..., 0], axis=-1)
+    return logits, _mean_cross_entropy(_log_softmax(logits), labels)
 
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
@@ -296,8 +300,7 @@ def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint
     dlogits /= len(batch)
     flat = np.empty(params.total_dims)
     _backprop(layers, acts, dlogits, _layers(params, flat))
-    loss = -float(np.mean(logp[np.arange(len(batch)), batch.labels]))
-    return loss, Checkpoint.from_flat(params, flat)
+    return float(_mean_cross_entropy(logp, batch.labels)), Checkpoint.from_flat(params, flat)
 
 
 def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:

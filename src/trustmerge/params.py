@@ -161,14 +161,20 @@ def ew_abs(a: Checkpoint) -> Checkpoint:
     return Checkpoint._over(a._layout, np.abs(a._flat))
 
 
-def ew_dot(a: Checkpoint, b: Checkpoint) -> float:
-    """Inner product accumulated in fixed tensor / flat-index order (per-tensor
-    partial sums, which round differently from one whole-vector dot)."""
-    _check_compat(a, b)
+def _tensor_dot(a: np.ndarray, b: np.ndarray, layout: tuple) -> float:
+    """Inner product of two flat vectors laid out as ``layout``, accumulated in
+    fixed tensor / flat-index order (per-tensor partial sums, which round
+    differently from one whole-vector dot or a matrix-vector product)."""
     total = 0.0
-    for n, x in a:
-        total += float(np.dot(x.ravel(), b[n].ravel()))
+    for _, start, stop, _ in _slices(layout):
+        total += float(np.dot(a[start:stop], b[start:stop]))
     return total
+
+
+def ew_dot(a: Checkpoint, b: Checkpoint) -> float:
+    """Inner product accumulated in fixed tensor order (see :func:`_tensor_dot`)."""
+    _check_compat(a, b)
+    return _tensor_dot(a._flat, b._flat, a._layout)
 
 
 def stack(maps: list[Checkpoint], like: Checkpoint) -> np.ndarray:

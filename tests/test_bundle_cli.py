@@ -120,6 +120,9 @@ class TestBundle:
         assert small_bundle.gradient_estimates(3)[0] != full[0]
         zero_shot = small_bundle.gradient_estimates(0)
         assert zero_shot == [ew_abs(d) for d in small_bundle.task_vectors()]
+        empty = [pool.take(np.arange(0)) for pool in small_bundle.exemplar_sets]
+        no_pools = dataclasses.replace(small_bundle, exemplar_sets=empty)
+        assert no_pools.gradient_estimates() == no_pools.gradient_estimates(5) == zero_shot
 
     def test_gradient_estimates_return_a_new_list_each_call(self, small_bundle):
         first = small_bundle.gradient_estimates()
@@ -406,6 +409,17 @@ class TestCli:
         main(["merge", "--bundle", str(bundle_dir), "--exemplars", "0",
               "--out", str(out)])
         assert json.loads((out / "run.json").read_text())["exemplars"] == 0
+
+    def test_a_bundle_without_exemplars_uses_the_zero_shot_surrogate(self, tmp_path):
+        bundle = tmp_path / "b0"
+        assert main(["gen-train", "--seed", "3", "--out", str(bundle), *TINY_FLAGS,
+                     "--set", "exemplar_count=0"]) == 0
+        for command in ("merge", "conflict", "sensitivity", "sweep"):
+            assert main([command, "--bundle", str(bundle), "--out", str(tmp_path / command)]) == 0
+        zero = tmp_path / "zero"
+        assert main(["merge", "--bundle", str(bundle), "--exemplars", "0", "--out", str(zero)]) == 0
+        merged = (tmp_path / "merge" / "merged.tmrg").read_bytes()
+        assert merged == (zero / "merged.tmrg").read_bytes()
 
     def test_eval_rejects_a_merge_of_another_model_shape(self, bundle_dir, tmp_path, capsys):
         other = tmp_path / "hidden5"

@@ -17,7 +17,7 @@ from trustmerge.evaluation import (
 )
 from trustmerge.merging import AdaConfig, MergeConfig, tatr_merge
 from trustmerge.mlp import LabeledBatch, backward, evaluate_accuracy, forward, init_params
-from trustmerge.params import Checkpoint, ew_abs, ew_scale, sum_in_order
+from trustmerge.params import Checkpoint, ew_abs, ew_scale, stack, sum_in_order
 from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
@@ -57,10 +57,11 @@ class TestMergeBundle:
         result = merge_bundle(small_bundle, cfg, exemplar_count=0)
         tvs = small_bundle.task_vectors()
         grads = [ew_abs(d) for d in tvs]
-        mask = build_mask(compute_sensitivity(grads, tvs), cfg.tau)
-        zero_shot = tatr_merge(small_bundle.theta_pre, tvs, mask, cfg.lam)
-        assert result.merged == zero_shot.merged
-        assert result.mask_used.mask == zero_shot.mask_used.mask
+        mask = build_mask(compute_sensitivity(grads, tvs), cfg.tau).mask
+        pre = small_bundle.theta_pre
+        step = tatr_merge(stack(tvs, pre), mask.flat(), cfg.lam)
+        assert result.merged == Checkpoint.from_flat(pre, pre.flat() + step)
+        assert result.mask_used.mask == mask
 
     def test_a_numpy_exemplar_count_is_recorded_as_an_int(self, small_bundle):
         cfg = MergeConfig(method="tatr")

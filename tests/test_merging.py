@@ -11,7 +11,8 @@ from trustmerge.evaluation import merge_bundle
 from trustmerge.merging import (
     AdaConfig,
     MergeConfig,
-    _assemble,
+    MergeResult,
+    _combined,
     ada_coefficient_gradient,
     ada_tatr,
     load_merge_result,
@@ -24,8 +25,9 @@ from trustmerge.merging import (
     weight_average,
 )
 from trustmerge.mlp import LabeledBatch, entropy_loss, init_params, MlpSpec
-from trustmerge.params import Checkpoint, ew_abs, ew_combine, ew_scale, load_checkpoint
-from trustmerge.trust_region import TrustRegionMask, build_mask, compute_sensitivity
+from trustmerge.params import (Checkpoint, ew_abs, ew_combine, ew_dot, ew_scale, load_checkpoint,
+                               stack, sum_in_order)
+from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
 def ck(values):
@@ -39,6 +41,21 @@ def zs_grads(tvs):
 def region(grads, tvs, tau, variant="standard"):
     """The trust region merge_bundle builds for these estimates and task vectors."""
     return build_mask(compute_sensitivity(grads, tvs, variant), tau)
+
+
+def flat_region(grads, tvs, tau):
+    """That trust region's flat {0, 1} vector, as merge_bundle passes it to a merge."""
+    return region(grads, tvs, tau).mask.flat()
+
+
+def rows(tvs):
+    """The (K, N) task-vector rows merge_bundle passes to a merge."""
+    return stack(tvs, tvs[0])
+
+
+def shifted(pre, step):
+    """The merged model merge_bundle builds from a merge's step."""
+    return Checkpoint.from_flat(pre, pre.flat() + step)
 
 
 def strict_json(path):
@@ -74,52 +91,39 @@ class TestTaskArithmetic:
     def test_hand_value(self):
         pre = ck([1.0, 1.0])
         tvs = [ck([1.0, 0.0]), ck([0.0, 0.0])]
-        result = task_arithmetic(pre, tvs, lam=0.3)
-        assert np.array_equal(result.merged["x"], [1.3, 1.0])
-        assert result.coefficients == [0.3, 0.3]
+        step = task_arithmetic(rows(tvs), lam=0.3)
+        assert np.array_equal(step, [0.3, 0.0])
         experts = [ew_combine(pre, tv, "add") for tv in tvs]
         cfg = MergeConfig(method="task_arithmetic", lam=0.3)
         recorded = merge_bundle(TaskBundle(BundleConfig(), pre, experts, [], [], []), cfg)
-        assert recorded.merged == result.merged
+        assert np.array_equal(recorded.merged["x"], [1.3, 1.0])
+        assert recorded.merged == shifted(pre, step)
+        assert recorded.coefficients == [0.3, 0.3]
         assert (recorded.config, recorded.exemplars) == (cfg, None)
 
     def test_no_tasks(self):
+        empty = TaskBundle(BundleConfig(), ck([1.0]), [], [], [], [])
         with pytest.raises(IncompatibleShapes, match="nothing to stack"):
-            task_arithmetic(ck([1.0]), [], 0.3)
+            merge_bundle(empty, MergeConfig(method="task_arithmetic"))
 
 
 class TestTatr:
     def test_tau_zero_bitwise_equals_task_arithmetic(self):
         for seed in range(10):
             pre, tvs, grads = random_merge_inputs(seed)
-            plain = task_arithmetic(pre, tvs, 0.3)
-            masked = tatr_merge(pre, tvs, region(grads, tvs, 0.0), 0.3)
-            assert masked.merged == plain.merged
-            for n, v in masked.merged:
-                assert v.tobytes() == plain.merged[n].tobytes()
+            plain = task_arithmetic(rows(tvs), 0.3)
+            masked = tatr_merge(rows(tvs), flat_region(grads, tvs, 0.0), 0.3)
+            assert masked.tobytes() == plain.tobytes()
 
     def test_excluded_coordinate_keeps_pretrained_value(self):
         pre = ck([1.0, 2.0, 3.0, 4.0])
         tvs = [ck([1.0, 1.0, 1.0, 1.0]), ck([1.0, 1.0, 1.0, 1.0])]
         grads = [ck([9.0, 0.1, 0.1, 0.1]) for _ in range(2)]
-        result = tatr_merge(pre, tvs, region(grads, tvs, 0.25), 0.5)
-        assert result.merged["x"][0] == 1.0  # highest sensitivity: untouched
-        np.testing.assert_allclose(result.merged["x"][1:], [3.0, 4.0, 5.0])
-        assert result.mask_used.excluded_count == 1
-
-
-@pytest.mark.parametrize("merge", [
-    lambda pre, tvs, mask: tatr_merge(pre, tvs, mask, 0.3),
-    lambda pre, tvs, mask: ties_tatr(pre, tvs, mask, 0.3, 0.4),
-    lambda pre, tvs, mask: ada_tatr(pre, tvs, mask, [LabeledBatch(np.zeros((1, 2)), [0])] * 3,
-                                    AdaConfig(steps=0)),
-])
-def test_a_mask_of_another_layout_is_rejected(merge):
-    # as many entries as the models, so only the layout check can notice
-    pre, tvs, _ = random_merge_inputs(8)
-    foreign = TrustRegionMask(Checkpoint([("y", np.ones(12))]), 0.0, float("inf"), 0)
-    with pytest.raises(IncompatibleShapes):
-        merge(pre, tvs, foreign)
+        mask = region(grads, tvs, 0.25)
+        merged = pre.flat() + tatr_merge(rows(tvs), mask.mask.flat(), 0.5)
+        assert merged[0] == 1.0  # highest sensitivity: untouched
+        np.testing.assert_allclose(merged[1:], [3.0, 4.0, 5.0])
+        assert mask.excluded_count == 1
 
 
 class TestTies:
@@ -135,9 +139,9 @@ class TestTies:
     def test_merge_hand_example(self):
         pre = ck([10.0, 20.0])
         tvs = [ck([2.0, 1.0]), ck([-2.0, 0.5])]
-        result = ties_merge(pre, tvs, lam=0.5, trim_keep=0.5)
+        merged = pre.flat() + ties_merge(rows(tvs), lam=0.5, trim_keep=0.5)
         # disjoint mean: coord 0 -> mean of [2] = 2; coord 1 -> no survivors -> 0
-        assert np.array_equal(result.merged["x"], [11.0, 20.0])
+        assert np.array_equal(merged, [11.0, 20.0])
 
     def test_elected_sign_majority(self):
         deltas = np.array([[3.0, -1.0], [-1.0, -2.0], [-1.0, 5.0]])
@@ -146,11 +150,10 @@ class TestTies:
         assert np.array_equal(elected, [1.0, 1.0])
 
     def test_disjoint_mean_averages_survivors(self):
-        pre = ck([0.0])
         tvs = [ck([2.0]), ck([4.0]), ck([-1.0])]
-        result = ties_merge(pre, tvs, lam=1.0, trim_keep=1.0)
+        step = ties_merge(rows(tvs), lam=1.0, trim_keep=1.0)
         # elected +1; survivors 2 and 4; mean 3
-        assert result.merged["x"][0] == 3.0
+        assert step[0] == 3.0
 
     def test_trim_out_of_range(self):
         for keep in (0.0, 1.5, -0.1):
@@ -168,10 +171,9 @@ class TestTies:
     def test_ties_tatr_tau_zero_bitwise_equals_ties(self):
         for seed in range(10):
             pre, tvs, grads = random_merge_inputs(seed + 100)
-            plain = ties_merge(pre, tvs, 0.3, 0.4)
-            masked = ties_tatr(pre, tvs, region(grads, tvs, 0.0), 0.3, 0.4)
-            for n, v in masked.merged:
-                assert v.tobytes() == plain.merged[n].tobytes()
+            plain = ties_merge(rows(tvs), 0.3, 0.4)
+            masked = ties_tatr(rows(tvs), flat_region(grads, tvs, 0.0), 0.3, 0.4)
+            assert masked.tobytes() == plain.tobytes()
 
     def test_ties_tatr_mask_source_flag(self, small_bundle):
         # merge_bundle builds the ties_tatr mask from the task vectors or their aligned rows
@@ -186,7 +188,8 @@ class TestTies:
                                   ties_mask_from_trimmed=flag, sensitivity_variant=variant)
                 result = merge_bundle(small_bundle, cfg)
                 assert result.mask_used.mask == region(grads, basis, 0.25, variant).mask
-                assert result.merged == ties_tatr(pre, tvs, result.mask_used, 0.3, 0.4).merged
+                step = ties_tatr(rows(tvs), result.mask_used.mask.flat(), 0.3, 0.4)
+                assert result.merged == shifted(pre, step)
                 masks.append(result.mask_used.mask)
             assert masks[0] != masks[1]
 
@@ -206,19 +209,18 @@ class TestAdaTatr:
     def test_zero_steps_bitwise_equals_tatr(self):
         pre, tvs, pools = self._setup()
         grads = zs_grads(tvs)
-        mask = region(grads, tvs, 0.05)
-        ada = ada_tatr(pre, tvs, mask, pools, AdaConfig(steps=0, init_lambda=0.3))
-        plain = tatr_merge(pre, tvs, mask, 0.3)
-        for n, v in ada.merged:
-            assert v.tobytes() == plain.merged[n].tobytes()
+        mask = flat_region(grads, tvs, 0.05)
+        step, coeffs = ada_tatr(pre, rows(tvs) * mask, pools, AdaConfig(steps=0, init_lambda=0.3))
+        assert step.tobytes() == tatr_merge(rows(tvs), mask, 0.3).tobytes()
+        assert coeffs == [0.3, 0.3]
 
     def test_coefficient_gradient_matches_finite_differences(self):
         pre, tvs, pools = self._setup(1)
-        masked = tvs
+        masked = rows(tvs)
         coeffs = np.array([0.3, 0.5])
 
         def total_entropy(c):
-            merged = _assemble(pre, masked, c)
+            merged = shifted(pre, c @ masked)
             return sum(entropy_loss(merged, b)[0] for b in pools)
 
         _, analytic = ada_coefficient_gradient(pre, masked, coeffs, pools)
@@ -230,22 +232,36 @@ class TestAdaTatr:
             numeric = (total_entropy(up) - total_entropy(down)) / (2 * step)
             assert abs(analytic[k] - numeric) / max(abs(numeric), 1e-12) < 1e-5
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coefficient_gradient_dots_in_tensor_order(self, seed):
+        # one dot per tensor, summed in layout order, as ew_dot: bit for bit
+        # the reference, which one matrix-vector product would not be
+        pre, tvs, pools = self._setup(seed)
+        coeffs = np.array([0.3, 0.5])
+        merged = ew_combine(pre, ew_combine(*(ew_scale(tv, c) for tv, c in zip(tvs, coeffs)),
+                                            "add"), "add")
+        losses, grads = zip(*(entropy_loss(merged, b) for b in pools))
+        total, dcoeffs = ada_coefficient_gradient(pre, rows(tvs), coeffs, pools)
+        assert total == sum(losses)
+        expected = [ew_dot(sum_in_order(grads), m) for m in tvs]
+        assert dcoeffs.tobytes() == np.array(expected).tobytes()
+
     def test_descent_reduces_entropy(self):
         pre, tvs, pools = self._setup(2)
         grads = zs_grads(tvs)
         cfg = AdaConfig(steps=25, learning_rate=0.05, init_lambda=0.3)
-        result = ada_tatr(pre, tvs, region(grads, tvs, 0.0), pools, cfg)
+        step, coeffs = ada_tatr(pre, rows(tvs) * flat_region(grads, tvs, 0.0), pools, cfg)
         start = sum(
-            entropy_loss(task_arithmetic(pre, tvs, 0.3).merged, b)[0] for b in pools
+            entropy_loss(shifted(pre, task_arithmetic(rows(tvs), 0.3)), b)[0] for b in pools
         )
-        end = sum(entropy_loss(result.merged, b)[0] for b in pools)
+        end = sum(entropy_loss(shifted(pre, step), b)[0] for b in pools)
         assert end < start
-        assert len(result.coefficients) == 2
+        assert len(coeffs) == 2
 
     def test_empty_pool_rejected(self):
         pre, tvs, _ = self._setup(3)
         with pytest.raises(IncompatibleShapes, match="nonempty unlabeled pool"):
-            ada_tatr(pre, tvs, region(zs_grads(tvs), tvs, 0.0), [], AdaConfig())
+            ada_tatr(pre, rows(tvs), [], AdaConfig())
 
 
 class TestSummationOrder:
@@ -258,17 +274,19 @@ class TestSummationOrder:
         return functools.reduce(lambda a, b: ew_combine(a, b, "add"), maps)
 
     def assert_in_order(self, pre, tvs, coeffs):
-        lam, k = 0.3, len(tvs)
-        shifted = ew_combine(pre, ew_scale(self.fold(tvs), lam), "add")
-        assert task_arithmetic(pre, tvs, lam).merged.flat().tobytes() == shifted.flat().tobytes()
-        tatr = tatr_merge(pre, tvs, region(zs_grads(tvs), tvs, 0.0), lam).merged
-        assert tatr.flat().tobytes() == shifted.flat().tobytes()
+        lam, k, deltas = 0.3, len(tvs), rows(tvs)
+        folded = ew_combine(pre, ew_scale(self.fold(tvs), lam), "add")
+        plain = shifted(pre, task_arithmetic(deltas, lam))
+        assert plain.flat().tobytes() == folded.flat().tobytes()
+        tatr = shifted(pre, tatr_merge(deltas, flat_region(zs_grads(tvs), tvs, 0.0), lam))
+        assert tatr.flat().tobytes() == folded.flat().tobytes()
         mean = ew_scale(self.fold(tvs), 1.0 / k)
         assert weight_average(tvs).flat().tobytes() == mean.flat().tobytes()
         assert not np.all(coeffs == coeffs[0])
         scaled = [ew_scale(tv, float(c)) for tv, c in zip(tvs, coeffs)]
         assembled = ew_combine(pre, self.fold(scaled), "add")
-        assert _assemble(pre, tvs, coeffs).flat().tobytes() == assembled.flat().tobytes()
+        combined = shifted(pre, _combined(deltas, coeffs))
+        assert combined.flat().tobytes() == assembled.flat().tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 388])
     def test_random_tasks_match_a_left_fold(self, n):
@@ -312,13 +330,13 @@ class TestTiesSummationOrder:
             tvs = [ck(rng.normal(size=n)) for _ in range(k)]
             pre = ck(rng.normal(size=n))
             for keep in (1.0, 0.5):
-                merged = ties_merge(pre, tvs, 0.3, keep).merged
+                merged = shifted(pre, ties_merge(rows(tvs), 0.3, keep))
                 assert merged.flat().tobytes() == self.reference(pre, tvs, 0.3, keep).tobytes()
 
     def test_one_then_seven_tiny_terms(self):
         # in order, 1.0 absorbs each 2**-53, so the mean of the 8 survivors is 1/8
         tvs = [ck([1.0])] + [ck([2.0**-53])] * 7
-        assert ties_merge(ck([0.0]), tvs, 1.0, 1.0).merged["x"][0] == 0.125
+        assert ties_merge(rows(tvs), 1.0, 1.0)[0] == 0.125
 
 class TestMergeConfig:
     def test_unknown_method(self):
@@ -403,17 +421,14 @@ class TestSaveMergeResult:
 
     def test_record_json_cannot_hold_writes_nothing(self, tmp_path):
         pre, tvs, grads = random_merge_inputs(5)
-        result = dataclasses.replace(
-            tatr_merge(pre, tvs, region(grads, tvs, 0.25), 0.3), config=MergeConfig(),
-            coefficients=[float("nan")],
-        )
+        result = MergeResult(pre, region(grads, tvs, 0.25), [float("nan")], MergeConfig())
         with pytest.raises(ValueError):
             save_merge_result(result, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_no_mask_file_for_plain_merge(self, tmp_path):
         pre, tvs, _ = random_merge_inputs(6)
-        result = task_arithmetic(pre, tvs, 0.3)
+        result = MergeResult(shifted(pre, task_arithmetic(rows(tvs), 0.3)), None, [0.3] * 3)
         out = tmp_path / "ta"
         save_merge_result(result, out)
         assert not (out / "mask.tmrg").exists()

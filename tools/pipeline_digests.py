@@ -9,6 +9,7 @@ runs the pipeline there, with ``PYTHONPATH=<export>/src``:
         --out b/ties_tatr_trimmed
     trustmerge eval --bundle b --merged b/<each M> --out b/eval
     trustmerge conflict --bundle b --out b/conflict
+    trustmerge conflict --bundle b --method ada_tatr --out b/conflict_ada_tatr
     trustmerge landscape --bundle b --out b/landscape
     trustmerge landscape --bundle b --task 1 --out b/landscape_task1
     trustmerge sensitivity --bundle b --out b/sensitivity
@@ -49,7 +50,9 @@ def pipeline(bundle: str, overrides: list[str]) -> list[list[str]]:
                  "--out", f"{bundle}/ties_tatr_trimmed"])
     runs.append(["eval", "--bundle", bundle, "--merged", *(f"{bundle}/{m}" for m in METHODS),
                  "--out", f"{bundle}/eval"])
-    for command, out, flags in [("conflict", "conflict", []), ("landscape", "landscape", []),
+    for command, out, flags in [("conflict", "conflict", []),
+                                ("conflict", "conflict_ada_tatr", ["--method", "ada_tatr"]),
+                                ("landscape", "landscape", []),
                                 ("landscape", "landscape_task1", ["--task", "1"]),
                                 ("sensitivity", "sensitivity", []), ("sweep", "sweep", [])]:
         runs.append([command, "--bundle", bundle, "--out", f"{bundle}/{out}", *flags])

@@ -27,7 +27,8 @@ from .datasets import (
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
 from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, _score_sets, checked_tuple,
-                  evaluate_accuracy, init_params, is_count, plain_fields, train, train_experts)
+                  evaluate_accuracy, init_params, is_count, plain_fields, stacked_sets, train,
+                  train_experts)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -174,11 +175,16 @@ class TaskBundle:
         ]))
 
     def subset(self, task_ids: list[int]) -> "TaskBundle":
-        """The bundle of the given tasks, in the given order.  Memoized per
-        id sequence, so repeated calls return the same bundle and share its
-        memo."""
-        pick = lambda xs: [xs[i] for i in task_ids]
-        return self._memoized(("subset", tuple(task_ids)), lambda: TaskBundle(
+        """The bundle of the given tasks, in the given order: distinct ints in
+        [0, K), or a ConfigError naming the first id that is not.  Memoized
+        per id sequence, so repeated calls return the same bundle and share
+        its memo."""
+        ids = tuple(task_ids)
+        for n, i in enumerate(ids):
+            if not (is_count(i) and 0 <= i < self.num_tasks) or i in ids[:n]:
+                raise ConfigError(f"task id {i!r} is repeated or not in [0, {self.num_tasks})")
+        pick = lambda xs: [xs[i] for i in ids]
+        return self._memoized(("subset", ids), lambda: TaskBundle(
             self.config,
             self.theta_pre,
             pick(self.experts),
@@ -192,15 +198,8 @@ class TaskBundle:
         on each task, bit for bit ``forward(model, t)[1]`` or
         ``evaluate_accuracy(model, t)`` of each test set ``t``, from one
         forward pass over the test sets, stacked once per bundle."""
-        inputs, labels = self._memoized("test_stack", self._stacked_tests)
+        inputs, labels = self._memoized("test_stack", lambda: stacked_sets(self.test_sets, "test sets"))
         return _score_sets(model, inputs, labels, accuracy)[1]
-
-    def _stacked_tests(self) -> tuple[np.ndarray, np.ndarray]:
-        sizes = [len(t) for t in self.test_sets]
-        if len(set(sizes)) != 1:
-            raise IncompatibleShapes(f"need test sets of one size, got {sizes}")
-        return (np.stack([t.inputs for t in self.test_sets]),
-                np.stack([t.labels for t in self.test_sets]))
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task

@@ -9,24 +9,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bundle import (
-    bundle_config_from_mapping,
-    checked_exemplar_count,
-    load_bundle,
-    make_bundle,
-    save_bundle,
-    _parse_config_file,
-)
+from .bundle import (_parse_config_file, bundle_config_from_mapping, checked_exemplar_count,
+                     load_bundle, make_bundle, save_bundle)
 from .datasets import write_csv
 from .errors import ConfigError, TrustMergeError
-from .evaluation import (
-    accuracy_table,
-    knowledge_conflict,
-    landscape,
-    write_accuracy_csv,
-    write_conflict_csv,
-    write_landscape_csv,
-)
+from .evaluation import (accuracy_table, knowledge_conflict, landscape, write_accuracy_csv,
+                         write_conflict_csv, write_landscape_csv)
 from .merging import (METHODS, AdaConfig, MergeConfig, load_merge_result, merge_bundle,
                       save_merge_result)
 from .mlp import checked_fraction

@@ -56,6 +56,9 @@ def knowledge_conflict(
     k = bundle.num_tasks
     if k < 2:
         raise IncompatibleShapes(f"need >= 2 tasks, got {k}")
+    if k < 3 and cfg.method in ("tatr", "ties_tatr", "ada_tatr"):
+        raise IncompatibleShapes(f"{cfg.method} needs >= 3 tasks, got {k}: each leave-one-out "
+                                 f"merge needs two tasks for the trust region's sensitivity")
     accuracy = basis == "accuracy"
 
     def metric(tasks: TaskBundle) -> np.ndarray:
@@ -72,13 +75,6 @@ def knowledge_conflict(
     return ConflictReport(pairwise, total, total / (k * (k - 1)), basis)
 
 
-def signed_gradient(bundle: TaskBundle, j: int) -> Checkpoint:
-    """Exact full-batch cross-entropy gradient of task j at the pre-trained
-    point, evaluated on the task's test set (the loss shown in the grid)."""
-    _, grads = backward(bundle.theta_pre, bundle.test_sets[j])
-    return grads
-
-
 def landscape(
     bundle: TaskBundle,
     reference_task: int | None = None,
@@ -86,10 +82,10 @@ def landscape(
 ) -> LandscapeGrid:
     """15x15 loss grid on the plane through the three component anchors.
 
-    The grid shows the loss of ``loss_tasks``: the reference task, or every
-    task for the total view (None).  The delta, the sum of every task vector
-    but the reference's, is split against the sum of ``loss_tasks``'
-    gradients; the lowest ``decomposition_fraction`` of |grad * delta|
+    The grid shows the test loss of the reference task, or of every task for
+    the total view (None).  The delta, the sum of every task vector but the
+    reference's, is split against the sum of those tasks' test-loss gradients
+    at theta_pre; the lowest ``decomposition_fraction`` of |grad * delta|
     products forms the orthogonal set.  Plane point (u, v) is
     theta_neg + u (theta_orth - theta_neg) + v (theta_pos - theta_neg).
     """
@@ -99,10 +95,9 @@ def landscape(
     if reference_task is not None and not (is_count(reference_task) and 0 <= reference_task < k):
         raise ConfigError(f"reference task {reference_task!r} is out of range for {k} tasks")
     checked_fraction(decomposition_fraction, "decomposition fraction")
-    loss_tasks = range(k) if reference_task is None else [reference_task]
-    scored = bundle if reference_task is None else bundle.subset(loss_tasks)
+    scored = bundle if reference_task is None else bundle.subset([reference_task])
     delta = sum_in_order(tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task)
-    grad = sum_in_order(signed_gradient(bundle, j) for j in loss_tasks)
+    grad = sum_in_order(backward(bundle.theta_pre, t)[1] for t in scored.test_sets)
     tol = percentile_zero_tol(delta, grad, decomposition_fraction)
     dec = decompose(delta, grad, tol)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .bundle import TaskBundle, checked_exemplar_count
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
-from .mlp import (LabeledBatch, checked_fraction, entropy_loss, is_count, is_finite_number,
-                  plain_fields)
+from .mlp import (LabeledBatch, _entropy_sets, checked_fraction, is_count, is_finite_number,
+                  plain_fields, stacked_sets)
 from .params import (Checkpoint, _tensor_dot, ew_scale, load_checkpoint, save_checkpoint, stack,
                      sum_in_order, sum_rows)
 from .trust_region import VARIANTS, TrustRegionMask, build_mask, compute_sensitivity
@@ -78,10 +78,6 @@ class MergeResult:
     # what merge_bundle ran: its config and exemplar count (None = full pools)
     config: MergeConfig | None = None
     exemplars: int | None = None
-
-
-def _shifted(theta_pre: Checkpoint, step: np.ndarray) -> Checkpoint:
-    return Checkpoint.from_flat(theta_pre, theta_pre.flat() + step)
 
 
 def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
@@ -147,16 +143,16 @@ def _combined(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def ada_coefficient_gradient(
-    theta_pre: Checkpoint, masked: np.ndarray, coeffs: np.ndarray,
-    unlabeled: list[LabeledBatch],
+    theta_pre: Checkpoint, masked: np.ndarray, coeffs: np.ndarray, pools: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Summed prediction entropy over the unlabeled pools and its analytic
-    gradient in the per-task coefficients (the merge is affine in each): the
-    entropy gradient's dot with each masked row, in tensor order as ew_dot."""
-    merged = _shifted(theta_pre, _combined(masked, coeffs))
-    losses, grads = zip(*(entropy_loss(merged, batch) for batch in unlabeled))
-    grad_theta = sum_rows(stack(grads, theta_pre))
-    return sum(losses), np.array([_tensor_dot(grad_theta, row, theta_pre.layout) for row in masked])
+    """Summed prediction entropy over the (P, n, d) stack of unlabeled pools
+    and its analytic gradient in the per-task coefficients (the merge is affine
+    in each): the entropy gradient's dot with each masked row, in tensor order
+    as ew_dot.  One stacked pass, and no Checkpoint."""
+    losses, grads = _entropy_sets(theta_pre, theta_pre.flat() + _combined(masked, coeffs), pools)
+    grad_theta = sum_rows(grads)
+    return sum(losses.tolist()), np.array([_tensor_dot(grad_theta, row, theta_pre.layout)
+                                           for row in masked])
 
 
 def ada_tatr(
@@ -164,12 +160,12 @@ def ada_tatr(
 ) -> tuple[np.ndarray, list[float]]:
     """Task-wise coefficients trained by full-batch gradient descent on the
     summed prediction entropy of the merge of ``masked``, the task-vector rows
-    times the trust region; returns the step and the coefficients."""
-    if not unlabeled or any(len(b) == 0 for b in unlabeled):
-        raise IncompatibleShapes("need a nonempty unlabeled pool per task")
+    times the trust region; returns the step and the coefficients.  The pools
+    are stacked once; merge_bundle checks finiteness, on the merged model."""
+    pools, _ = stacked_sets(unlabeled, "unlabeled pools")
     coeffs = np.full(len(masked), float(ada.init_lambda))
     for _ in range(ada.steps):
-        _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, unlabeled)
+        _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, pools)
         coeffs = coeffs - ada.learning_rate * dcoeffs
     return _combined(masked, coeffs), [float(c) for c in coeffs]
 
@@ -211,7 +207,8 @@ def merge_bundle(
             step = ties_tatr(deltas, region, cfg.lam, cfg.ties_trim_keep)
         else:  # ada_tatr: the per-task test inputs serve as the unlabeled pools
             step, coefficients = ada_tatr(pre, deltas * region, bundle.test_sets, cfg.ada)
-    return MergeResult(_shifted(pre, step), mask, coefficients, cfg, exemplar_count)
+    merged = Checkpoint.from_flat(pre, pre.flat() + step)  # the merge's one finiteness check
+    return MergeResult(merged, mask, coefficients, cfg, exemplar_count)
 
 
 def save_merge_result(result: MergeResult, out_dir) -> None:

@@ -183,11 +183,21 @@ def _layers(params: Checkpoint, flat: np.ndarray | None = None) -> list[tuple[np
             for ws, shape, bs in _architecture(params.layout)]
 
 
-def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray | None = None):
-    """``params``' layers, once ``inputs`` (rows, or sets of rows on a leading
-    stack axis) have the first layer's width and ``labels``, when given,
-    index the last layer's classes."""
-    layers = _layers(params)
+def stacked_sets(batches: list[LabeledBatch], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs (K, n, d) and labels (K, n) of K nonempty ``batches`` of one
+    size, stacked on a leading axis; an IncompatibleShapes naming ``name`` otherwise."""
+    sizes = [len(b) for b in batches]
+    if len(set(sizes)) != 1 or 0 in sizes:
+        raise IncompatibleShapes(f"need nonempty {name} of one size, got sizes {sizes}")
+    return np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])
+
+
+def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray | None = None,
+                    flat: np.ndarray | None = None):
+    """The layers of ``flat`` (see _layers), once ``inputs`` (rows, or sets of rows on
+    a leading stack axis) have the first layer's width and ``labels``, when
+    given, index the last layer's classes."""
+    layers = _layers(params, flat)
     expected = layers[0][0].shape[1]
     if inputs.shape[-1] != expected:
         raise IncompatibleShapes(f"layer0 expects {expected} features, got {inputs.shape[-1]}")
@@ -303,22 +313,26 @@ def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint
     return float(_mean_cross_entropy(logp, batch.labels)), Checkpoint.from_flat(params, flat)
 
 
-def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
-    """Mean Shannon entropy of the softmax outputs and its gradient.
-
-    Labels in ``batch`` are ignored; only the inputs matter.
-    """
-    layers = _checked_layers(params, batch.inputs)
-    logits, acts = _forward_pass(layers, batch.inputs)
+def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray):
+    """Mean softmax entropy (K,) and its gradient rows (K, N) of ``flat``, laid out like
+    ``params``, on K sets stacked as ``inputs`` (K, n, d): one forward pass and one
+    backprop, each set bit for bit its one-set value (see _score_sets)."""
+    layers = _checked_layers(params, inputs, flat=flat)
+    logits, acts = _forward_pass(layers, inputs)
     logp = _log_softmax(logits)
     probs = np.exp(logp)
-    row_entropy = -(probs * logp).sum(axis=1)
-    loss = float(np.mean(row_entropy))
-    # dH/dz_k = -p_k (log p_k + H) per row, mean reduction over the batch
-    dlogits = -probs * (logp + row_entropy[:, None]) / len(batch)
-    flat = np.empty(params.total_dims)
-    _backprop(layers, acts, dlogits, _layers(params, flat))
-    return loss, Checkpoint.from_flat(params, flat)
+    row_entropy = -(probs * logp).sum(axis=-1)
+    # dH/dz_k = -p_k (log p_k + H) per row, mean reduction over each set
+    dlogits = -probs * (logp + row_entropy[..., None]) / inputs.shape[-2]
+    grads = np.empty((len(inputs), params.total_dims))
+    _backprop(layers, acts, dlogits, _layers(params, grads))
+    return np.mean(row_entropy, axis=-1), grads
+
+
+def entropy_loss(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint]:
+    """Mean softmax entropy on ``batch``'s inputs (its labels are ignored) and its gradient."""
+    losses, grads = _entropy_sets(params, params.flat(), batch.inputs[None])
+    return float(losses[0]), Checkpoint.from_flat(params, grads[0])
 
 
 def train(params: Checkpoint, data: LabeledBatch, cfg: TrainConfig) -> Checkpoint:

@@ -14,7 +14,6 @@ from trustmerge.evaluation import (
     knowledge_conflict,
     landscape,
     merge_bundle,
-    signed_gradient,
 )
 from trustmerge.merging import (
     MergeConfig,
@@ -186,7 +185,8 @@ def test_04_gradient_oracles():
     ], params)
     coeffs = np.array([0.3, 0.45])
     pools = [LabeledBatch(rng.normal(size=(8, 2)), np.zeros(8, dtype=int)) for _ in range(2)]
-    _, analytic = ada_coefficient_gradient(params, masked, coeffs, pools)
+    _, analytic = ada_coefficient_gradient(params, masked, coeffs,
+                                           np.stack([b.inputs for b in pools]))
 
     def entropy_total(c):
         merged = Checkpoint.from_flat(params, params.flat() + c @ masked)
@@ -212,7 +212,7 @@ def test_05_first_order_conflict_expansion(bundle_cache):
         bundle = bundle_cache(seed)
         k = bundle.num_tasks
         tvs = bundle.task_vectors()
-        grads = [signed_gradient(bundle, j) for j in range(k)]
+        grads = [backward(bundle.theta_pre, t)[1] for t in bundle.test_sets]
         pairwise = {
             lam: knowledge_conflict(
                 bundle, MergeConfig(method="task_arithmetic", lam=lam)
@@ -258,7 +258,7 @@ def test_07_orthogonal_beats_negative_merging(bundle_cache):
         bundle = bundle_cache(seed)
         orth_parts, neg_parts = [], []
         for k, tv in enumerate(bundle.task_vectors()):
-            grad = signed_gradient(bundle, k)
+            grad = backward(bundle.theta_pre, bundle.test_sets[k])[1]
             tol = percentile_zero_tol(tv, grad, fraction)
             dec = decompose(tv, grad, tol)
             orth_parts.append(dec.orthogonal)

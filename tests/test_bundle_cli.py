@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trustmerge.bundle
+import trustmerge.evaluation
 from trustmerge.bundle import (
     DEFAULT_ROTATIONS,
     BundleConfig,
@@ -111,6 +112,12 @@ class TestBundle:
         assert sub.num_tasks == 2
         assert sub.experts[0] == small_bundle.experts[2]
         assert sub.test_sets[1] is small_bundle.test_sets[0]
+
+    @pytest.mark.parametrize("ids, bad", [([0, -1], "-1"), ([4], "4"), ([1, 2, 1], "1")],
+                             ids=["negative", "past-the-end", "repeated"])
+    def test_subset_rejects_an_id_that_is_not_one_task(self, small_bundle, ids, bad):
+        with pytest.raises(ConfigError, match=rf"task id {bad} is repeated or not in \[0, 4\)"):
+            small_bundle.subset(ids)
 
     def test_gradient_estimates_trim_exemplars(self, small_bundle):
         full = small_bundle.gradient_estimates()
@@ -464,6 +471,23 @@ class TestCli:
         assert code == 0
         assert (out / "conflict_loss.csv").exists()
         assert (out / "conflict_accuracy.csv").exists()
+
+    @pytest.mark.parametrize("method", ["tatr", "ties_tatr", "ada_tatr"])
+    def test_trust_region_conflict_of_two_tasks_fails_before_any_merge(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        bundle = tmp_path / "two"
+        assert main(["gen-train", "--seed", "3", "--out", str(bundle), *TINY_FLAGS,
+                     "--set", "num_tasks=2"]) == 0
+        merges = []
+        monkeypatch.setattr(trustmerge.evaluation, "merge_bundle", lambda *a: merges.append(a))
+        capsys.readouterr()
+        code = main(["conflict", "--bundle", str(bundle), "--method", method,
+                     "--out", str(tmp_path / "conflict")])
+        assert code == 1 and merges == []
+        assert (f"IncompatibleShapes: {method} needs >= 3 tasks, got 2: each leave-one-out merge "
+                f"needs two tasks") in capsys.readouterr().err
+        assert not (tmp_path / "conflict").exists()
 
     def test_landscape_csv(self, bundle_dir, tmp_path):
         out = tmp_path / "scape"

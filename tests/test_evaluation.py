@@ -10,14 +10,14 @@ from trustmerge.evaluation import (
     knowledge_conflict,
     landscape,
     merge_bundle,
-    signed_gradient,
     write_accuracy_csv,
     write_conflict_csv,
     write_landscape_csv,
 )
-from trustmerge.merging import AdaConfig, MergeConfig, tatr_merge
-from trustmerge.mlp import LabeledBatch, backward, evaluate_accuracy, forward, init_params
-from trustmerge.params import Checkpoint, ew_abs, ew_scale, stack, sum_in_order
+from trustmerge.merging import AdaConfig, MergeConfig, _combined, tatr_merge
+from trustmerge.mlp import (LabeledBatch, _entropy_sets, entropy_loss, evaluate_accuracy, forward,
+                            init_params)
+from trustmerge.params import Checkpoint, ew_abs, ew_dot, ew_scale, stack, sum_in_order
 from trustmerge.trust_region import build_mask, compute_sensitivity
 
 
@@ -154,13 +154,6 @@ class TestKnowledgeConflict:
             knowledge_conflict(single, MergeConfig())
 
 
-class TestSignedGradient:
-    def test_matches_direct_backward(self, small_bundle):
-        g = signed_gradient(small_bundle, 1)
-        _, expected = backward(small_bundle.theta_pre, small_bundle.test_sets[1])
-        assert g == expected
-
-
 class TestLandscape:
     def test_grid_shape_and_coordinates(self, small_bundle):
         grid = landscape(small_bundle)
@@ -206,7 +199,7 @@ class TestLandscape:
     def test_bad_fraction_fails_before_any_gradient(self, small_bundle, monkeypatch, fraction):
         calls = []
         monkeypatch.setattr(
-            trustmerge.evaluation, "signed_gradient", lambda *a: calls.append(a)
+            trustmerge.evaluation, "backward", lambda *a: calls.append(a)
         )
         with pytest.raises(ConfigError, match="decomposition fraction"):
             landscape(small_bundle, None, fraction)
@@ -295,6 +288,47 @@ class TestStackedScoringOracle:
                         expected[i, j] = score(result.merged, tests[j]) - score(excl, tests[j])
             report = knowledge_conflict(bundle, cfg, basis)
             assert np.array_equal(report.pairwise, expected, equal_nan=True)
+
+
+def ada_loop_on_checkpoints(bundle, cfg):
+    """merge_bundle's ada_tatr merge as a loop on Checkpoints: per step, the
+    merged model, one entropy_loss per test set, their gradients added with
+    sum_in_order, then one ew_dot per masked row.  The mask is merge_bundle's."""
+    pre, tests = bundle.theta_pre, bundle.test_sets
+    region = merge_bundle(bundle, cfg).mask_used.mask.flat()
+    masked = stack(bundle.task_vectors(), pre) * region
+    coeffs = np.full(len(masked), cfg.ada.init_lambda)
+    for _ in range(cfg.ada.steps):
+        merged = Checkpoint.from_flat(pre, pre.flat() + _combined(masked, coeffs))
+        grad = sum_in_order(entropy_loss(merged, t)[1] for t in tests)
+        dcoeffs = np.array([ew_dot(grad, Checkpoint.from_flat(pre, row)) for row in masked])
+        coeffs = coeffs - cfg.ada.learning_rate * dcoeffs
+    return Checkpoint.from_flat(pre, pre.flat() + _combined(masked, coeffs)), coeffs.tolist()
+
+
+class TestStackedEntropyOracle:
+    """The entropy and its gradient over stacked sets are bit for bit a loop
+    of one-set passes, and so is every step of ada_tatr, on the shapes of
+    TestStackedScoringOracle."""
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (5, 3), (33,)])
+    @pytest.mark.parametrize("samples", [1, 7, 37, 50, 129, 300])
+    def test_matches_one_set_passes(self, hidden, samples):
+        bundle = random_bundle(hidden, samples)
+        tests = bundle.test_sets
+        inputs = np.stack([t.inputs for t in tests])
+        for model in [bundle.theta_pre, *bundle.experts]:
+            losses, grads = _entropy_sets(model, model.flat(), inputs)
+            one = [entropy_loss(model, t) for t in tests]
+            assert losses.tolist() == [loss for loss, _ in one]
+            assert grads.tobytes() == np.stack([g.flat() for _, g in one]).tobytes()
+
+        for steps in (0, 1, 5):
+            cfg = MergeConfig(method="ada_tatr", ada=AdaConfig(steps=steps, learning_rate=0.5))
+            result = merge_bundle(bundle, cfg)
+            merged, coeffs = ada_loop_on_checkpoints(bundle, cfg)
+            assert result.merged.flat().tobytes() == merged.flat().tobytes()
+            assert result.coefficients == coeffs
 
 
 class TestCsvWriters:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trustmerge.bundle import BundleConfig, TaskBundle
-from trustmerge.errors import ConfigError, IncompatibleShapes
+from trustmerge.errors import ConfigError, IncompatibleShapes, NonFiniteValues
 from trustmerge.evaluation import merge_bundle
 from trustmerge.merging import (
     AdaConfig,
@@ -56,6 +56,11 @@ def rows(tvs):
 def shifted(pre, step):
     """The merged model merge_bundle builds from a merge's step."""
     return Checkpoint.from_flat(pre, pre.flat() + step)
+
+
+def stacked(pools):
+    """The (P, n, d) inputs ada_tatr stacks its unlabeled pools into."""
+    return np.stack([b.inputs for b in pools])
 
 
 def strict_json(path):
@@ -223,7 +228,7 @@ class TestAdaTatr:
             merged = shifted(pre, c @ masked)
             return sum(entropy_loss(merged, b)[0] for b in pools)
 
-        _, analytic = ada_coefficient_gradient(pre, masked, coeffs, pools)
+        _, analytic = ada_coefficient_gradient(pre, masked, coeffs, stacked(pools))
         step = 1e-5
         for k in range(2):
             up, down = coeffs.copy(), coeffs.copy()
@@ -241,7 +246,7 @@ class TestAdaTatr:
         merged = ew_combine(pre, ew_combine(*(ew_scale(tv, c) for tv, c in zip(tvs, coeffs)),
                                             "add"), "add")
         losses, grads = zip(*(entropy_loss(merged, b) for b in pools))
-        total, dcoeffs = ada_coefficient_gradient(pre, rows(tvs), coeffs, pools)
+        total, dcoeffs = ada_coefficient_gradient(pre, rows(tvs), coeffs, stacked(pools))
         assert total == sum(losses)
         expected = [ew_dot(sum_in_order(grads), m) for m in tvs]
         assert dcoeffs.tobytes() == np.array(expected).tobytes()
@@ -262,6 +267,35 @@ class TestAdaTatr:
         pre, tvs, _ = self._setup(3)
         with pytest.raises(IncompatibleShapes, match="nonempty unlabeled pool"):
             ada_tatr(pre, rows(tvs), [], AdaConfig())
+
+    def test_pools_of_two_sizes_rejected(self):
+        pre, tvs, pools = self._setup(3)
+        pools[1] = pools[1].take(np.arange(9))
+        with pytest.raises(IncompatibleShapes, match=r"of one size, got sizes \[10, 9\]"):
+            ada_tatr(pre, rows(tvs), pools, AdaConfig())
+
+    def test_steps_build_no_checkpoint(self, small_bundle, monkeypatch):
+        small_bundle.gradient_estimates()  # memoized, so no merge below estimates them
+        adopted = []
+        adopt = Checkpoint._adopt
+
+        def counting(ckpt, *args):
+            adopted.append(ckpt)
+            adopt(ckpt, *args)
+
+        monkeypatch.setattr(Checkpoint, "_adopt", counting)
+        counts = []
+        for steps in (1, 5):
+            adopted.clear()
+            merge_bundle(small_bundle, MergeConfig(method="ada_tatr", ada=AdaConfig(steps=steps)))
+            counts.append(len(adopted))
+        assert counts[0] == counts[1]
+
+    def test_a_non_finite_step_fails_on_the_merged_model(self, small_bundle):
+        # the first merged vector overflows and the steps carry NaN to the end
+        cfg = MergeConfig(method="ada_tatr", ada=AdaConfig(steps=3, init_lambda=1e308))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValues):
+            merge_bundle(small_bundle, cfg)
 
 
 class TestSummationOrder:

@@ -7,6 +7,8 @@ runs the pipeline there, with ``PYTHONPATH=<export>/src``:
     trustmerge merge --bundle b --method M --out b/M      (each of the six methods)
     trustmerge merge --bundle b --method ties_tatr --ties-mask-from-trimmed \\
         --out b/ties_tatr_trimmed
+    trustmerge merge --bundle b --method ada_tatr --exemplars 0 --ada-steps 5 \\
+        --ada-lr 0.5 --out b/ada_tatr_zero_shot
     trustmerge eval --bundle b --merged b/<each M> --out b/eval
     trustmerge conflict --bundle b --out b/conflict
     trustmerge conflict --bundle b --method ada_tatr --out b/conflict_ada_tatr
@@ -48,6 +50,8 @@ def pipeline(bundle: str, overrides: list[str]) -> list[list[str]]:
              for m in METHODS]
     runs.append(["merge", "--bundle", bundle, "--method", "ties_tatr", "--ties-mask-from-trimmed",
                  "--out", f"{bundle}/ties_tatr_trimmed"])
+    runs.append(["merge", "--bundle", bundle, "--method", "ada_tatr", "--exemplars", "0",
+                 "--ada-steps", "5", "--ada-lr", "0.5", "--out", f"{bundle}/ada_tatr_zero_shot"])
     runs.append(["eval", "--bundle", bundle, "--merged", *(f"{bundle}/{m}" for m in METHODS),
                  "--out", f"{bundle}/eval"])
     for command, out, flags in [("conflict", "conflict", []),

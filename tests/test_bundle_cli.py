@@ -472,22 +472,24 @@ class TestCli:
         assert (out / "conflict_loss.csv").exists()
         assert (out / "conflict_accuracy.csv").exists()
 
-    @pytest.mark.parametrize("method", ["tatr", "ties_tatr", "ada_tatr"])
     def test_trust_region_conflict_of_two_tasks_fails_before_any_merge(
-        self, tmp_path, capsys, monkeypatch, method
+        self, tmp_path, capsys, monkeypatch
     ):
         bundle = tmp_path / "two"
         assert main(["gen-train", "--seed", "3", "--out", str(bundle), *TINY_FLAGS,
                      "--set", "num_tasks=2"]) == 0
+        assert main(["conflict", "--bundle", str(bundle), "--method", "task_arithmetic",
+                     "--out", str(tmp_path / "task_arithmetic")]) == 0
         merges = []
         monkeypatch.setattr(trustmerge.evaluation, "merge_bundle", lambda *a: merges.append(a))
-        capsys.readouterr()
-        code = main(["conflict", "--bundle", str(bundle), "--method", method,
-                     "--out", str(tmp_path / "conflict")])
-        assert code == 1 and merges == []
-        assert (f"IncompatibleShapes: {method} needs >= 3 tasks, got 2: each leave-one-out merge "
-                f"needs two tasks") in capsys.readouterr().err
-        assert not (tmp_path / "conflict").exists()
+        for method in ("tatr", "ties_tatr", "ada_tatr"):
+            capsys.readouterr()
+            code = main(["conflict", "--bundle", str(bundle), "--method", method,
+                         "--out", str(tmp_path / method)])
+            assert code == 1 and merges == []
+            assert (f"IncompatibleShapes: {method} needs >= 3 tasks, got 2: each leave-one-out "
+                    f"merge needs two tasks") in capsys.readouterr().err
+            assert not (tmp_path / method).exists()
 
     def test_landscape_csv(self, bundle_dir, tmp_path):
         out = tmp_path / "scape"

@@ -134,9 +134,9 @@ class TaskBundle:
     train_sets: list[LabeledBatch]
     test_sets: list[LabeledBatch]
     exemplar_sets: list[LabeledBatch]
-    # Per-bundle memo: gradient estimates per effective exemplar count,
-    # sub-bundles per task-id tuple, the stacked test sets and the baseline
-    # accuracy rows.
+    # Per-bundle memo: gradient estimates per exemplar pool and effective
+    # count (one dict, shared with every subset), sub-bundles per task-id
+    # tuple, the stacked test sets and the baseline accuracy rows.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -158,40 +158,41 @@ class TaskBundle:
         count of 0, or empty pools) switch every task to the zero-shot
         surrogate, |task vector|, and a negative count is a ConfigError.
 
-        Exemplar estimates depend only on ``theta_pre`` and the exemplars, so
-        they are computed once per bundle and per effective exemplar count
-        (``None`` and any count at or above a pool's size share an entry) and
-        memoized; each call returns a new list.  The memo assumes the bundle
-        is never mutated: build a new bundle instead.
+        An exemplar estimate depends only on ``theta_pre`` and its pool, so it
+        is computed once per pool and effective count (``None`` and any count
+        at or above the pool's size share an entry), in one memo the bundle
+        shares with every subset it builds; each call returns a new list.  The
+        memo assumes the bundle is never mutated: build a new bundle instead.
         """
         exemplar_count = checked_exemplar_count(exemplar_count)
         sizes = tuple(len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
                       for ex in self.exemplar_sets)
         if not any(sizes):
             return [ew_abs(tv) for tv in self.task_vectors()]
-        return list(self._memoized(("estimates", sizes), lambda: [
-            estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)))
-            for ex, n in zip(self.exemplar_sets, sizes)
-        ]))
+        memo = self._memoized("estimates", dict)  # a batch hashes by identity
+        for ex, n in zip(self.exemplar_sets, sizes):
+            if (ex, n) not in memo:
+                memo[ex, n] = estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)))
+        return [memo[ex, n] for ex, n in zip(self.exemplar_sets, sizes)]
 
     def subset(self, task_ids: list[int]) -> "TaskBundle":
         """The bundle of the given tasks, in the given order: distinct ints in
         [0, K), or a ConfigError naming the first id that is not.  Memoized
         per id sequence, so repeated calls return the same bundle and share
-        its memo."""
+        its memo; every subset shares this bundle's gradient estimates."""
         ids = tuple(task_ids)
         for n, i in enumerate(ids):
             if not (is_count(i) and 0 <= i < self.num_tasks) or i in ids[:n]:
                 raise ConfigError(f"task id {i!r} is repeated or not in [0, {self.num_tasks})")
         pick = lambda xs: [xs[i] for i in ids]
-        return self._memoized(("subset", ids), lambda: TaskBundle(
-            self.config,
-            self.theta_pre,
-            pick(self.experts),
-            pick(self.train_sets),
-            pick(self.test_sets),
-            pick(self.exemplar_sets),
-        ))
+
+        def build() -> TaskBundle:
+            sub = TaskBundle(self.config, self.theta_pre, pick(self.experts),
+                             pick(self.train_sets), pick(self.test_sets), pick(self.exemplar_sets))
+            sub._memo["estimates"] = self._memoized("estimates", dict)
+            return sub
+
+        return self._memoized(("subset", ids), build)
 
     def test_scores(self, model: Checkpoint, accuracy: bool = False) -> np.ndarray:
         """``model``'s mean test loss, or with ``accuracy`` its test accuracy,

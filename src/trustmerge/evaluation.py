@@ -18,7 +18,7 @@ from .errors import ConfigError, IncompatibleShapes
 # perfbench traces knowledge_conflict's merges through this binding
 from .merging import MergeConfig, MergeResult, merge_bundle
 from .mlp import backward, checked_fraction, is_count
-from .params import Checkpoint, ew_combine, sum_in_order
+from .params import Checkpoint, stack, sum_rows
 from .task_vectors import decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
@@ -95,13 +95,14 @@ def landscape(
     if reference_task is not None and not (is_count(reference_task) and 0 <= reference_task < k):
         raise ConfigError(f"reference task {reference_task!r} is out of range for {k} tasks")
     checked_fraction(decomposition_fraction, "decomposition fraction")
+    pre = bundle.theta_pre
     scored = bundle if reference_task is None else bundle.subset([reference_task])
-    delta = sum_in_order(tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task)
-    grad = sum_in_order(backward(bundle.theta_pre, t)[1] for t in scored.test_sets)
-    tol = percentile_zero_tol(delta, grad, decomposition_fraction)
-    dec = decompose(delta, grad, tol)
+    others = [tv for j, tv in enumerate(bundle.task_vectors()) if j != reference_task]
+    delta = sum_rows(stack(others, pre))
+    grad = sum_rows(stack([backward(pre, t)[1] for t in scored.test_sets], pre))
+    dec = decompose(delta, grad, percentile_zero_tol(delta, grad, decomposition_fraction))
 
-    theta_pos, theta_neg, theta_orth = (ew_combine(bundle.theta_pre, part, "add")
+    theta_pos, theta_neg, theta_orth = (Checkpoint.from_flat(pre, pre.flat() + part)
                                         for part in (dec.positive, dec.negative, dec.orthogonal))
     neg = theta_neg.flat()
     axis_u, axis_v = theta_orth.flat() - neg, theta_pos.flat() - neg

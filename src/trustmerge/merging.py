@@ -19,7 +19,7 @@ from .mlp import (LabeledBatch, _entropy_sets, checked_fraction, is_count, is_fi
                   plain_fields, stacked_sets)
 from .params import (Checkpoint, _tensor_dot, ew_scale, load_checkpoint, save_checkpoint, stack,
                      sum_in_order, sum_rows)
-from .trust_region import VARIANTS, TrustRegionMask, build_mask, compute_sensitivity
+from .trust_region import VARIANTS, TrustRegionMask, build_mask, sensitivity
 
 METHODS = ("average", "task_arithmetic", "tatr", "ties", "ties_tatr", "ada_tatr")
 
@@ -82,8 +82,6 @@ class MergeResult:
 
 def weight_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     """Coordinate-wise arithmetic mean of compatible checkpoints."""
-    if not checkpoints:
-        raise IncompatibleShapes("no checkpoints to average")
     return ew_scale(sum_in_order(checkpoints), 1.0 / len(checkpoints))
 
 
@@ -179,27 +177,25 @@ def merge_bundle(
     merge math: it stacks the task vectors once, passes the rows (and the
     trust region's flat vector) to the merge, and adds the step it returns
     to theta_pre.  The trust-region methods share one mask: the sensitivity
-    of the task vectors (for ties_tatr with ``ties_mask_from_trimmed``, of
-    its aligned rows) to the gradient estimates, with the top ``cfg.tau``
-    fraction excluded."""
+    of the task-vector rows (for ties_tatr with ``ties_mask_from_trimmed``,
+    of its aligned rows) to the stacked gradient estimates, with the top
+    ``cfg.tau`` fraction excluded."""
     exemplar_count = checked_exemplar_count(exemplar_count)
     pre, k = bundle.theta_pre, bundle.num_tasks
     if cfg.method == "average":
         return MergeResult(weight_average(bundle.experts), None, [1.0 / k] * k, cfg, exemplar_count)
-    tvs = bundle.task_vectors()
-    deltas = stack(tvs, pre)
+    deltas = stack(bundle.task_vectors(), pre)
     mask, coefficients = None, [cfg.lam] * k
     if cfg.method == "task_arithmetic":
         step = task_arithmetic(deltas, cfg.lam)
     elif cfg.method == "ties":
         step = ties_merge(deltas, cfg.lam, cfg.ties_trim_keep)
     else:  # the trust-region methods
-        grads = bundle.gradient_estimates(exemplar_count)
-        basis = tvs
+        grads = stack(bundle.gradient_estimates(exemplar_count), pre)
+        basis = deltas
         if cfg.method == "ties_tatr" and cfg.ties_mask_from_trimmed:
-            aligned, _ = ties_phi(deltas, cfg.ties_trim_keep)
-            basis = [Checkpoint.from_flat(pre, row) for row in aligned]
-        mask = build_mask(compute_sensitivity(grads, basis, cfg.sensitivity_variant), cfg.tau)
+            basis, _ = ties_phi(deltas, cfg.ties_trim_keep)
+        mask = build_mask(sensitivity(grads, basis, cfg.sensitivity_variant), cfg.tau, pre)
         region = mask.mask.flat()
         if cfg.method == "tatr":
             step = tatr_merge(deltas, region, cfg.lam)
@@ -212,10 +208,11 @@ def merge_bundle(
 
 
 def save_merge_result(result: MergeResult, out_dir) -> None:
-    """merged.tmrg, mask.tmrg for the trust-region methods, and run.json: the
-    config and exemplar count, the coefficients, and the mask's epsilon (null
-    when nothing is excluded) and excluded count.  run.json is strict JSON and
-    holds no paths or times, so a repeated merge writes the same bytes."""
+    """merged.tmrg, mask.tmrg for the trust-region methods (any other removes
+    an earlier merge's), and run.json: the config and exemplar count, the
+    coefficients, and the mask's epsilon (null when nothing is excluded) and
+    excluded count.  run.json is strict JSON and holds no paths or times, so a
+    repeated merge writes the same bytes."""
     mask = result.mask_used
     record = {
         "config": None if result.config is None else asdict(result.config),
@@ -231,7 +228,9 @@ def save_merge_result(result: MergeResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.merged, out / "merged.tmrg")
-    if mask is not None:
+    if mask is None:
+        (out / "mask.tmrg").unlink(missing_ok=True)
+    else:
         save_checkpoint(mask.mask, out / "mask.tmrg")
     (out / "run.json").write_text(text, "utf-8")
 

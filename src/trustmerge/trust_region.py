@@ -45,10 +45,10 @@ class TrustRegionMask:
     excluded_count: int
 
 
-def compute_sensitivity(
-    grads: list[Checkpoint], tvs: list[Checkpoint], variant: str = "standard"
-) -> Sensitivity:
-    """Accumulates over ordered pairs (i, j), i != j, in ascending (j, i) order.
+def sensitivity(grads: np.ndarray, deltas: np.ndarray, variant: str = "standard") -> np.ndarray:
+    """The flat sensitivity of the (K, N) task-vector rows ``deltas`` to the
+    (K, N) |gradient| rows ``grads``, accumulated over ordered pairs (i, j),
+    i != j, in ascending (j, i) order.
 
     The uniform 1/(K(K-1)) normalization is dropped: it rescales every
     coordinate identically and cannot change which dimensions are selected.
@@ -57,41 +57,40 @@ def compute_sensitivity(
         factor_j, factor_i = _PAIR_FACTORS[variant]
     except KeyError:
         raise ConfigError(f"unknown sensitivity variant {variant!r}") from None
-    k = len(tvs)
+    k = len(deltas)
     if k < 2 or len(grads) != k:
         raise IncompatibleShapes(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
-    g, d = stack(grads, tvs[0]), stack(tvs, tvs[0])
-    fj, fi = factor_j(g, d), factor_i(g, d)
-    acc = np.zeros(d.shape[1])
+    fj, fi = factor_j(grads, deltas), factor_i(grads, deltas)
+    acc = np.zeros(deltas.shape[1])
     for j, i in permutations(range(k), 2):  # ascending (j, i), i != j
         acc += fj[j] * fi[i]
-    return Sensitivity(Checkpoint.from_flat(tvs[0], acc), variant)
+    return acc
 
 
-def proportion_selection(omega: Sensitivity, tau: float) -> tuple[float, np.ndarray]:
-    """Descending sort; the first ceil(tau*N) positions are excluded.
+def compute_sensitivity(
+    grads: list[Checkpoint], tvs: list[Checkpoint], variant: str = "standard"
+) -> Sensitivity:
+    """:func:`sensitivity` of checkpoint lists, laid out like the task vectors."""
+    deltas = stack(tvs, tvs[0] if tvs else None)  # an empty list: "nothing to stack"
+    omega = sensitivity(stack(grads, tvs[0]), deltas, variant)
+    return Sensitivity(Checkpoint.from_flat(tvs[0], omega), variant)
+
+
+def build_mask(values: np.ndarray, tau: float, like: Checkpoint) -> TrustRegionMask:
+    """Binary mask, laid out like ``like``, that is 0 exactly on the first
+    ceil(tau*N) positions of the flat ``values`` sorted in descending order.
 
     Ties at the boundary break by ascending flat index so the excluded count
-    is exact.  Returns (epsilon, excluded flat indices); epsilon is the
-    smallest excluded value, +inf when nothing is excluded.
+    is exact.  epsilon is the smallest excluded value, +inf when nothing is
+    excluded.
     """
-    values = omega.values.flat()
     m = int(np.ceil(checked_fraction(tau, "tau") * values.size))
-    if m == 0:
-        return float("inf"), np.empty(0, dtype=np.int64)
     # stable argsort of -values: descending by value, ascending index on ties
-    order = np.argsort(-values, kind="stable")
-    excluded = order[:m]
-    return float(values[excluded[-1]]), np.sort(excluded)
-
-
-def build_mask(omega: Sensitivity, tau: float) -> TrustRegionMask:
-    """Binary mask that is 0 exactly on the excluded coordinates."""
-    epsilon, excluded = proportion_selection(omega, tau)
-    flat = np.ones(omega.values.total_dims)
+    excluded = np.argsort(-values, kind="stable")[:m]
+    flat = np.ones(values.size)
     flat[excluded] = 0.0
-    mask = Checkpoint.from_flat(omega.values, flat)
-    return TrustRegionMask(mask, tau, epsilon, excluded.size)
+    epsilon = float(values[excluded[-1]]) if m else float("inf")
+    return TrustRegionMask(Checkpoint.from_flat(like, flat), tau, epsilon, m)
 
 
 def per_layer_sensitivity(omega: Sensitivity) -> list[tuple[str, float]]:

@@ -35,21 +35,18 @@ from trustmerge.mlp import (
 )
 from trustmerge.params import (
     Checkpoint,
-    ew_combine,
     ew_dot,
-    ew_scale,
     load_checkpoint,
     save_checkpoint,
     stack,
-    sum_in_order,
+    sum_rows,
 )
 from trustmerge.task_vectors import decompose, percentile_zero_tol
 from trustmerge.trust_region import (
     VARIANTS,
-    Sensitivity,
     build_mask,
     compute_sensitivity,
-    proportion_selection,
+    sensitivity,
 )
 
 from conftest import per_example_reference
@@ -98,7 +95,7 @@ def test_01_tau_zero_reduces_to_task_arithmetic():
         lam = float(rng.uniform(0.05, 1.0))
         deltas = stack(tvs, pre)
         plain = task_arithmetic(deltas, lam)
-        region = build_mask(compute_sensitivity(grads, tvs), 0.0).mask.flat()
+        region = build_mask(sensitivity(stack(grads, pre), deltas), 0.0, pre).mask.flat()
         if tatr_merge(deltas, region, lam).tobytes() != plain.tobytes():
             check("tau-zero reduction", False)
     check("tau-zero reduction", True, "100/100 byte-identical")
@@ -108,18 +105,17 @@ def test_02_mask_cardinality_and_scale_invariance():
     rng = np.random.default_rng(2025)
     taus = (0.0, 0.001, 0.01, 0.05, 0.5, 1.0)
     for _ in range(50):
-        values = Checkpoint([("x", rng.normal(size=int(rng.integers(1, 300))))])
-        omega = Sensitivity(values, "standard")
-        n = values.total_dims
+        values = rng.normal(size=int(rng.integers(1, 300)))
+        like = Checkpoint([("x", values)])
+        n = values.size
         for tau in taus:
-            _, excluded = proportion_selection(omega, tau)
-            if excluded.size != int(np.ceil(tau * n)):
+            excluded = int(np.count_nonzero(build_mask(values, tau, like).mask.flat() == 0.0))
+            if excluded != int(np.ceil(tau * n)):
                 check("mask cardinality and scale invariance", False,
-                      f"tau={tau} n={n} got {excluded.size}")
-        base = build_mask(omega, 0.05).mask
+                      f"tau={tau} n={n} got {excluded}")
+        base = build_mask(values, 0.05, like).mask
         for c in (1e-6, 1.0, 1e6):
-            scaled = Sensitivity(ew_scale(values, c), "standard")
-            if build_mask(scaled, 0.05).mask != base:
+            if build_mask(c * values, 0.05, like).mask != base:
                 check("mask cardinality and scale invariance", False, f"c={c}")
     check("mask cardinality and scale invariance", True,
           "exact ceil(tau*N) zeros, scale-invariant")
@@ -129,20 +125,15 @@ def test_03_decomposition_partition():
     rng = np.random.default_rng(2026)
     for _ in range(1000):
         base = random_structure(rng)
-        delta = base
-        grad = Checkpoint((n, rng.normal(size=v.shape)) for n, v in base)
+        delta = base.flat()
+        grad = Checkpoint((n, rng.normal(size=v.shape)) for n, v in base).flat()
         tol = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0
         dec = decompose(delta, grad, tol)
-        if sum_in_order([dec.orthogonal, dec.positive, dec.negative]) != base:
+        if not np.array_equal(dec.orthogonal + dec.positive + dec.negative, delta):
             check("decomposition partition", False, "recompose mismatch")
-        for n, v in base:
-            masks = np.stack([
-                dec.orthogonal[n] != 0.0,
-                dec.positive[n] != 0.0,
-                dec.negative[n] != 0.0,
-            ])
-            if np.any(masks.sum(axis=0) > 1):
-                check("decomposition partition", False, "overlapping supports")
+        masks = np.stack([dec.orthogonal != 0.0, dec.positive != 0.0, dec.negative != 0.0])
+        if np.any(masks.sum(axis=0) > 1):
+            check("decomposition partition", False, "overlapping supports")
     check("decomposition partition", True, "1000/1000 exact disjoint partitions")
 
 
@@ -257,14 +248,15 @@ def test_07_orthogonal_beats_negative_merging(bundle_cache):
     for seed in range(20):
         bundle = bundle_cache(seed)
         orth_parts, neg_parts = [], []
+        pre = bundle.theta_pre
         for k, tv in enumerate(bundle.task_vectors()):
-            grad = backward(bundle.theta_pre, bundle.test_sets[k])[1]
-            tol = percentile_zero_tol(tv, grad, fraction)
-            dec = decompose(tv, grad, tol)
+            delta, grad = tv.flat(), backward(pre, bundle.test_sets[k])[1].flat()
+            tol = percentile_zero_tol(delta, grad, fraction)
+            dec = decompose(delta, grad, tol)
             orth_parts.append(dec.orthogonal)
             neg_parts.append(dec.negative)
         for parts, accs in ((orth_parts, orth_accs), (neg_parts, neg_accs)):
-            merged = ew_combine(bundle.theta_pre, ew_scale(sum_in_order(parts), lam), "add")
+            merged = Checkpoint.from_flat(pre, pre.flat() + lam * sum_rows(np.array(parts)))
             accs.append(np.mean([evaluate_accuracy(merged, t) for t in bundle.test_sets]))
     ok = np.mean(orth_accs) > np.mean(neg_accs)
     check("orthogonal beats negative merging", ok,
@@ -372,7 +364,7 @@ def test_11_ties_sign_election_oracle():
         pre, tvs, grads = random_merge_inputs(r)
         deltas = stack(tvs, pre)
         plain = ties_merge(deltas, 0.3, 0.4)
-        all_ones = build_mask(compute_sensitivity(grads, tvs), 0.0).mask.flat()
+        all_ones = build_mask(sensitivity(stack(grads, pre), deltas), 0.0, pre).mask.flat()
         reduction_ok &= ties_tatr(deltas, all_ones, 0.3, 0.4).tobytes() == plain.tobytes()
     check("ties sign election oracle", reduction_ok,
           "200/200 elections exact, tau-zero reduction byte-identical")
@@ -406,19 +398,20 @@ def test_13_one_pass_estimate_keeps_the_masks(bundle_cache):
     cases = same = 0
     for seed in range(5):
         bundle = bundle_cache(seed)
-        tvs = bundle.task_vectors()
+        pre = bundle.theta_pre
+        deltas = stack(bundle.task_vectors(), pre)
         for count in (1, 4, 32, 128):
-            one_pass = bundle.gradient_estimates(count)
-            loop = [
-                per_example_reference(bundle.theta_pre, ex.take(np.arange(min(count, len(ex)))))
+            one_pass = stack(bundle.gradient_estimates(count), pre)
+            loop = stack([
+                per_example_reference(pre, ex.take(np.arange(min(count, len(ex)))))
                 for ex in bundle.exemplar_sets
-            ]
+            ], pre)
             for variant in VARIANTS:
-                fast = compute_sensitivity(one_pass, tvs, variant)
-                ref = compute_sensitivity(loop, tvs, variant)
+                fast = sensitivity(one_pass, deltas, variant)
+                ref = sensitivity(loop, deltas, variant)
                 for tau in TAU_GRID:
                     cases += 1
-                    same += build_mask(fast, tau).mask == build_mask(ref, tau).mask
+                    same += build_mask(fast, tau, pre).mask == build_mask(ref, tau, pre).mask
     check("one-pass estimate keeps the masks", same == cases, f"{same}/{cases} masks identical")
 
 

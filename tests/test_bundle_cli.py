@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import trustmerge.bundle
+import trustmerge.cli
 import trustmerge.evaluation
 from trustmerge.bundle import (
     DEFAULT_ROTATIONS,
     BundleConfig,
+    TaskBundle,
     bundle_config_from_mapping,
     load_bundle,
     make_bundle,
@@ -166,11 +168,11 @@ class TestBundle:
             return estimate_abs_gradient(*args)
 
         monkeypatch.setattr(trustmerge.bundle, "estimate_abs_gradient", counted)
-        k = bundle.num_tasks
+        # the subsets share the parent's estimates: one per task for both bases
         knowledge_conflict(bundle, MergeConfig(method="tatr"), "loss")
-        assert len(calls) == k + k * (k - 1)
+        assert len(calls) == bundle.num_tasks
         knowledge_conflict(bundle, MergeConfig(method="tatr"), "accuracy")
-        assert len(calls) == k + k * (k - 1)
+        assert len(calls) == bundle.num_tasks
 
     def test_subset_is_memoized_per_id_sequence(self, small_bundle):
         bundle = dataclasses.replace(small_bundle)
@@ -213,8 +215,8 @@ class TestBundle:
     def test_subset_estimates_equal_the_parents(self, small_bundle):
         parent = small_bundle.gradient_estimates()
         sub = small_bundle.subset([2, 0]).gradient_estimates()
-        assert sub[0] == parent[2]
-        assert sub[1] == parent[0]
+        assert sub[0] == parent[2] and sub[0] is parent[2]
+        assert sub[1] == parent[0] and sub[1] is parent[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -490,6 +492,41 @@ class TestCli:
             assert (f"IncompatibleShapes: {method} needs >= 3 tasks, got 2: each leave-one-out "
                     f"merge needs two tasks") in capsys.readouterr().err
             assert not (tmp_path / method).exists()
+
+    def test_three_task_trust_region_conflict_shares_exact_estimates(
+        self, tmp_path, monkeypatch
+    ):
+        # K = 3 is the smallest K a trust-region conflict accepts
+        bundle_path, out = tmp_path / "three", tmp_path / "conflict"
+        assert main(["gen-train", "--seed", "3", "--out", str(bundle_path), *TINY_FLAGS,
+                     "--set", "num_tasks=3"]) == 0
+        loaded = []
+
+        def recorded(path):
+            loaded.append(load_bundle(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(trustmerge.cli, "load_bundle", recorded)
+        assert main(["conflict", "--bundle", str(bundle_path), "--method", "tatr",
+                     "--out", str(out)]) == 0
+        for basis in ("loss", "accuracy"):
+            assert len((out / f"conflict_{basis}.csv").read_text().splitlines()) == 1 + 6 + 2
+        bundle, = loaded
+        for i in range(3):
+            sub = bundle.subset([t for t in range(3) if t != i])  # the conflict's own subset
+            fresh = TaskBundle(bundle.config, bundle.theta_pre, sub.experts, sub.train_sets,
+                               sub.test_sets, sub.exemplar_sets)
+            for n in (None, 3, 0):
+                got, want = sub.gradient_estimates(n), fresh.gradient_estimates(n)
+                assert [g.flat().tobytes() for g in got] == [w.flat().tobytes() for w in want]
+
+    def test_a_plain_merge_over_a_trust_region_merge_removes_its_mask(self, bundle_dir, tmp_path):
+        out = tmp_path / "merge"
+        for method in ("tatr", "task_arithmetic"):
+            assert main(["merge", "--bundle", str(bundle_dir), "--method", method,
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["merged.tmrg", "run.json"]
+        assert json.loads((out / "run.json").read_text())["mask"] is None
 
     def test_landscape_csv(self, bundle_dir, tmp_path):
         out = tmp_path / "scape"

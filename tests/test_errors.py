@@ -19,7 +19,7 @@ from trustmerge.merging import AdaConfig, MergeConfig, ties_phi
 from trustmerge.mlp import MlpSpec, TrainConfig
 from trustmerge.params import Checkpoint
 from trustmerge.task_vectors import decompose, percentile_zero_tol
-from trustmerge.trust_region import Sensitivity, build_mask, proportion_selection
+from trustmerge.trust_region import build_mask
 
 from conftest import tiny_bundle_config
 
@@ -39,7 +39,7 @@ def test_errors_defines_exactly_the_six_classes():
 
 
 _VEC = Checkpoint([("x", np.array([1.0, -2.0, 3.0]))])
-_OMEGA = Sensitivity(_VEC, "standard")
+_FLAT = _VEC.flat()
 
 
 @functools.cache
@@ -112,20 +112,20 @@ def test_every_raise_names_a_toolkit_error_or_re_raises():
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=(0.5, 1, 2, 3)), "permutation"),
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=("a", 1, 2, 3)), "permutation"),
     (lambda: SyntheticTaskSpec(task_id=0, label_perm=4), "label_perm"),
-    (lambda: proportion_selection(_OMEGA, True), "tau"),
-    (lambda: proportion_selection(_OMEGA, None), "tau"),
-    (lambda: build_mask(_OMEGA, True), "tau"),
-    (lambda: build_mask(_OMEGA, "0.5"), "tau"),
+    (lambda: build_mask(_FLAT, False, _VEC), "tau"),
+    (lambda: build_mask(_FLAT, None, _VEC), "tau"),
+    (lambda: build_mask(_FLAT, True, _VEC), "tau"),
+    (lambda: build_mask(_FLAT, "0.5", _VEC), "tau"),
     (lambda: mlp.checked_fraction(True, "fraction"), "fraction"),
     (lambda: mlp.checked_fraction("0.5", "fraction"), "fraction"),
-    (lambda: percentile_zero_tol(_VEC, _VEC, True), "decomposition fraction"),
-    (lambda: percentile_zero_tol(_VEC, _VEC, None), "decomposition fraction"),
+    (lambda: percentile_zero_tol(_FLAT, _FLAT, True), "decomposition fraction"),
+    (lambda: percentile_zero_tol(_FLAT, _FLAT, None), "decomposition fraction"),
     (lambda: landscape(_tiny_bundle(), None, True), "decomposition fraction"),
     (lambda: landscape(_tiny_bundle(), None, "0.5"), "decomposition fraction"),
     (lambda: ties_phi(np.ones((2, 3)), True), "ties_trim_keep"),
     (lambda: ties_phi(np.ones((2, 3)), "0.5"), "ties_trim_keep"),
-    (lambda: decompose(_VEC, _VEC, True), "zero_tol"),
-    (lambda: decompose(_VEC, _VEC, None), "zero_tol"),
+    (lambda: decompose(_FLAT, _FLAT, True), "zero_tol"),
+    (lambda: decompose(_FLAT, _FLAT, None), "zero_tol"),
 ], ids=["lambda-string", "lambda-huge-int", "tau-none", "tau-numpy-bool", "trim-string",
         "ada-lr-huge-int", "ada-init-string", "epochs-string", "batch-float", "lr-string", "layer-string", "layer-sizes-int",
         "exemplars-float", "exemplars-bool", "landscape-task-bool", "train-seed-negative",

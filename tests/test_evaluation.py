@@ -57,8 +57,8 @@ class TestMergeBundle:
         result = merge_bundle(small_bundle, cfg, exemplar_count=0)
         tvs = small_bundle.task_vectors()
         grads = [ew_abs(d) for d in tvs]
-        mask = build_mask(compute_sensitivity(grads, tvs), cfg.tau).mask
         pre = small_bundle.theta_pre
+        mask = build_mask(compute_sensitivity(grads, tvs).values.flat(), cfg.tau, pre).mask
         step = tatr_merge(stack(tvs, pre), mask.flat(), cfg.lam)
         assert result.merged == Checkpoint.from_flat(pre, pre.flat() + step)
         assert result.mask_used.mask == mask
@@ -77,7 +77,7 @@ class TestMergeBundle:
             small_bundle.gradient_estimates(), small_bundle.task_vectors(), "ntk"
         )
         result = merge_bundle(small_bundle, cfg)
-        assert result.mask_used.mask == build_mask(omega, cfg.tau).mask
+        assert result.mask_used.mask == build_mask(omega.values.flat(), cfg.tau, omega.values).mask
 
 
 class TestOutOfRangeArguments:

@@ -40,7 +40,7 @@ def zs_grads(tvs):
 
 def region(grads, tvs, tau, variant="standard"):
     """The trust region merge_bundle builds for these estimates and task vectors."""
-    return build_mask(compute_sensitivity(grads, tvs, variant), tau)
+    return build_mask(compute_sensitivity(grads, tvs, variant).values.flat(), tau, tvs[0])
 
 
 def flat_region(grads, tvs, tau):
@@ -84,7 +84,7 @@ class TestWeightAverage:
         assert np.array_equal(avg["x"], [2.0, 4.0])
 
     def test_empty(self):
-        with pytest.raises(IncompatibleShapes, match="no checkpoints to average"):
+        with pytest.raises(IncompatibleShapes, match="nothing to sum"):
             weight_average([])
 
     def test_incompatible(self):

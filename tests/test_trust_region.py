@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.merging import MergeConfig
-from trustmerge.params import Checkpoint, ew_scale
+from trustmerge.params import Checkpoint
 
 from conftest import random_checkpoint
 from trustmerge.trust_region import (
@@ -14,7 +14,6 @@ from trustmerge.trust_region import (
     build_mask,
     compute_sensitivity,
     per_layer_sensitivity,
-    proportion_selection,
     write_per_layer_csv,
 )
 
@@ -93,6 +92,8 @@ class TestSensitivity:
         grads, tvs = two_task_setup()
         with pytest.raises(IncompatibleShapes, match="need >= 2 tasks"):
             compute_sensitivity(grads[:1], tvs[:1])
+        with pytest.raises(IncompatibleShapes):
+            compute_sensitivity([], [])
 
     def test_unknown_variant(self):
         grads, tvs = two_task_setup()
@@ -106,41 +107,44 @@ class TestSensitivity:
             compute_sensitivity(grads, bad)
 
 
+def select(values, tau):
+    """(epsilon, excluded flat indices) of the mask build_mask makes from ``values``."""
+    tr = build_mask(np.asarray(values, dtype=np.float64), tau, ck(values))
+    excluded = np.flatnonzero(tr.mask.flat() == 0.0)
+    assert tr.excluded_count == excluded.size
+    return tr.epsilon, excluded
+
+
 class TestProportionSelection:
     def test_hand_example_with_ties(self):
-        omega = Sensitivity(ck([5.0, 1.0, 5.0, 3.0]), "standard")
-        eps, excluded = proportion_selection(omega, 0.5)
+        eps, excluded = select([5.0, 1.0, 5.0, 3.0], 0.5)
         assert eps == 5.0
         assert np.array_equal(excluded, [0, 2])
 
     def test_single_exclusion_takes_lowest_index_on_tie(self):
-        omega = Sensitivity(ck([5.0, 1.0, 5.0, 3.0]), "standard")
-        eps, excluded = proportion_selection(omega, 0.25)
+        eps, excluded = select([5.0, 1.0, 5.0, 3.0], 0.25)
         assert eps == 5.0
         assert np.array_equal(excluded, [0])
 
     def test_tau_zero(self):
-        omega = Sensitivity(ck([1.0, 2.0]), "standard")
-        eps, excluded = proportion_selection(omega, 0.0)
+        eps, excluded = select([1.0, 2.0], 0.0)
         assert eps == float("inf")
         assert excluded.size == 0
 
     def test_tau_one_excludes_everything(self):
-        omega = Sensitivity(ck([1.0, 2.0, 3.0]), "standard")
-        eps, excluded = proportion_selection(omega, 1.0)
+        eps, excluded = select([1.0, 2.0, 3.0], 1.0)
         assert eps == 1.0
         assert np.array_equal(excluded, [0, 1, 2])
 
     def test_tau_out_of_range(self):
-        omega = Sensitivity(ck([1.0]), "standard")
         for tau in (-0.1, 1.1):
             with pytest.raises(ConfigError, match=r"tau must lie in \[0, 1\]"):
-                proportion_selection(omega, tau)
+                select([1.0], tau)
 
     def test_tau_out_of_range_is_a_config_error(self):
         # a range error exits 2 like every other bad setting, with MergeConfig's message
         with pytest.raises(ConfigError) as raised:
-            proportion_selection(Sensitivity(ck([1.0]), "standard"), 2.0)
+            select([1.0], 2.0)
         with pytest.raises(ConfigError) as config:
             MergeConfig(tau=2.0)
         assert str(raised.value) == str(config.value)
@@ -150,28 +154,26 @@ class TestProportionSelection:
     def test_exact_cardinality(self, seed, tau):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 200))
-        omega = Sensitivity(ck(rng.normal(size=n)), "standard")
-        _, excluded = proportion_selection(omega, tau)
+        _, excluded = select(rng.normal(size=n), tau)
         assert excluded.size == int(np.ceil(tau * n))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        omega = Sensitivity(ck(rng.normal(size=40)), "standard")
-        base = build_mask(omega, 0.1).mask
+        values = rng.normal(size=40)
+        base = build_mask(values, 0.1, ck(values)).mask
         for c in (1e-6, 1.0, 1e6):
-            scaled = Sensitivity(ew_scale(omega.values, c), "standard")
-            assert build_mask(scaled, 0.1).mask == base
+            assert build_mask(c * values, 0.1, ck(values)).mask == base
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_nesting_in_tau(self, seed):
         rng = np.random.default_rng(seed)
-        omega = Sensitivity(ck(rng.normal(size=60)), "standard")
+        values = rng.normal(size=60)
         prev = set()
         for tau in (0.0, 0.1, 0.3, 0.7, 1.0):
-            _, excluded = proportion_selection(omega, tau)
+            _, excluded = select(values, tau)
             current = set(excluded.tolist())
             assert prev <= current
             prev = current
@@ -179,8 +181,7 @@ class TestProportionSelection:
 
 class TestMask:
     def test_zero_exactly_on_excluded(self):
-        omega = Sensitivity(ck([5.0, 1.0, 5.0, 3.0]), "standard")
-        tr = build_mask(omega, 0.5)
+        tr = build_mask(np.array([5.0, 1.0, 5.0, 3.0]), 0.5, ck([0.0] * 4))
         assert np.array_equal(tr.mask["x"], [0.0, 1.0, 0.0, 1.0])
         assert tr.excluded_count == 2
         assert tr.epsilon == 5.0
@@ -189,8 +190,7 @@ class TestMask:
     def test_excluded_values_not_below_kept(self):
         rng = np.random.default_rng(9)
         values = rng.normal(size=100)
-        omega = Sensitivity(ck(values), "standard")
-        tr = build_mask(omega, 0.2)
+        tr = build_mask(values, 0.2, ck(values))
         kept = values[tr.mask["x"] == 1.0]
         dropped = values[tr.mask["x"] == 0.0]
         assert dropped.min() >= kept.max() or np.isclose(dropped.min(), kept.max())

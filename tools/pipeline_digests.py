@@ -12,6 +12,7 @@ runs the pipeline there, with ``PYTHONPATH=<export>/src``:
     trustmerge eval --bundle b --merged b/<each M> --out b/eval
     trustmerge conflict --bundle b --out b/conflict
     trustmerge conflict --bundle b --method ada_tatr --out b/conflict_ada_tatr
+    trustmerge conflict --bundle b --exemplars 8 --out b/conflict_exemplars8
     trustmerge landscape --bundle b --out b/landscape
     trustmerge landscape --bundle b --task 1 --out b/landscape_task1
     trustmerge sensitivity --bundle b --out b/sensitivity
@@ -56,6 +57,7 @@ def pipeline(bundle: str, overrides: list[str]) -> list[list[str]]:
                  "--out", f"{bundle}/eval"])
     for command, out, flags in [("conflict", "conflict", []),
                                 ("conflict", "conflict_ada_tatr", ["--method", "ada_tatr"]),
+                                ("conflict", "conflict_exemplars8", ["--exemplars", "8"]),
                                 ("landscape", "landscape", []),
                                 ("landscape", "landscape_task1", ["--task", "1"]),
                                 ("sensitivity", "sensitivity", []), ("sweep", "sweep", [])]:

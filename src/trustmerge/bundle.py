@@ -26,9 +26,9 @@ from .datasets import (
 )
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
-from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _layout, _score_sets, checked_tuple,
-                  evaluate_accuracy, init_params, is_count, plain_fields, stacked_sets, train,
-                  train_experts)
+from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _checked_layers, _layers, _layout, _score_sets,
+                  checked_tuple, evaluate_accuracy, init_params, is_count, plain_fields, stacked_sets,
+                  train, train_experts)
 from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
 from .task_vectors import compute_task_vector
 
@@ -135,8 +135,9 @@ class TaskBundle:
     test_sets: list[LabeledBatch]
     exemplar_sets: list[LabeledBatch]
     # Per-bundle memo: gradient estimates per exemplar pool and effective
-    # count (one dict, shared with every subset), sub-bundles per task-id
-    # tuple, the stacked test sets and the baseline accuracy rows.
+    # count and zero-shot surrogates per expert (one dict, shared with every
+    # subset), sub-bundles per task-id tuple, the stacked test sets, the
+    # layouts checked against them and the baseline accuracy rows.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -160,16 +161,20 @@ class TaskBundle:
 
         An exemplar estimate depends only on ``theta_pre`` and its pool, so it
         is computed once per pool and effective count (``None`` and any count
-        at or above the pool's size share an entry), in one memo the bundle
-        shares with every subset it builds; each call returns a new list.  The
-        memo assumes the bundle is never mutated: build a new bundle instead.
+        at or above the pool's size share an entry), and a surrogate once per
+        expert, in one memo the bundle shares with every subset it builds;
+        each call returns a new list.  The memo assumes the bundle is never
+        mutated: build a new bundle instead.
         """
         exemplar_count = checked_exemplar_count(exemplar_count)
         sizes = tuple(len(ex) if exemplar_count is None else min(exemplar_count, len(ex))
                       for ex in self.exemplar_sets)
-        if not any(sizes):
-            return [ew_abs(tv) for tv in self.task_vectors()]
         memo = self._memoized("estimates", dict)  # a batch hashes by identity
+        if not any(sizes):  # a Checkpoint does not hash: key by id, and keep the expert alive
+            for ck in self.experts:
+                if id(ck) not in memo:
+                    memo[id(ck)] = ck, ew_abs(compute_task_vector(ck, self.theta_pre))
+            return [memo[id(ck)][1] for ck in self.experts]
         for ex, n in zip(self.exemplar_sets, sizes):
             if (ex, n) not in memo:
                 memo[ex, n] = estimate_abs_gradient(self.theta_pre, ex.take(np.arange(n)))
@@ -198,9 +203,14 @@ class TaskBundle:
         """``model``'s mean test loss, or with ``accuracy`` its test accuracy,
         on each task, bit for bit ``forward(model, t)[1]`` or
         ``evaluate_accuracy(model, t)`` of each test set ``t``, from one
-        forward pass over the test sets, stacked once per bundle."""
+        forward pass over the test sets, stacked once per bundle.  A layout
+        fixes a model's widths and classes, so the stack is checked against
+        each checkpoint layout once."""
         inputs, labels = self._memoized("test_stack", lambda: stacked_sets(self.test_sets, "test sets"))
-        return _score_sets(model, inputs, labels, accuracy)[1]
+        if ("checked", model.layout) not in self._memo:
+            _checked_layers(model, inputs, labels)
+            self._memo["checked", model.layout] = None
+        return _score_sets(_layers(model), inputs, labels, accuracy)[1]
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task

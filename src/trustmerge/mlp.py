@@ -228,29 +228,66 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _class_sum(cols: np.ndarray) -> np.ndarray:
+    """``cols.sum(axis=0)`` of a class-major (C, ...) array, added in the order
+    in which numpy's ``x.sum(axis=-1)`` adds each row of the row-major ``x``,
+    so the two agree bit for bit.  numpy's pairwise sum adds fewer than 8
+    values in turn from 0; up to 128 in eight interleaved partial sums, joined
+    as a tree, then the rest in turn; and more in two halves cut at a multiple
+    of 8.  A plain ``cols.sum(axis=0)`` adds in turn, so it agrees below 8 only."""
+    n = len(cols)
+    if n < 8:
+        return cols.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(cols[:half]) + _class_sum(cols[half:])
+    tail = n - n % 8
+    part = cols[:8] + 0.0  # a copy, and numpy's total starts from 0.0: all -0.0 adds to 0.0
+    for i in range(8, tail, 8):
+        part += cols[i:i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for col in cols[tail:]:
+        total += col
+    return total
+
+
+def _class_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """``_log_softmax(logits)`` bit for bit, class-major: (C, ...) for (..., C)
+    logits.  On a class-major copy the max, the exp-sum and the callers' other
+    reductions over the classes run across all rows at once, where a trailing
+    class axis costs numpy one short inner loop per row."""
+    cols = np.moveaxis(logits, -1, 0).copy()
+    cols -= cols.max(axis=0)  # exact in any order
+    return cols - np.log(_class_sum(np.exp(cols)))
+
+
 def _mean_cross_entropy(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Each set's mean cross-entropy, from log-probabilities (..., n, k) and labels (..., n)."""
     return -np.mean(np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0], axis=-1)
 
 
-def _score_sets(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray,
+def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
                 accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Logits (K, n, classes) and per-set scores of ``params`` on K sets of n
-    rows stacked on a leading axis, ``inputs`` (K, n, d) and ``labels`` (K, n):
-    each set's mean cross-entropy loss or, with ``accuracy``, its argmax
-    accuracy (ties toward the lowest class).  A set's products are the BLAS
-    calls of a pass over that set alone, so its score is bit for bit the
+    """Logits (K, n, classes) and per-set scores of a model, its ``layers``
+    checked against ``inputs`` and ``labels`` (see _checked_layers), on K sets
+    of n rows stacked on a leading axis, ``inputs`` (K, n, d) and ``labels``
+    (K, n): each set's mean cross-entropy loss or, with ``accuracy``, its
+    argmax accuracy (ties toward the lowest class).  A set's products are the
+    BLAS calls of a pass over that set alone, so its score is bit for bit the
     one-set value; concatenated rows would not be, as BLAS picks its kernel
-    by the row count.  Widths and labels are checked once per call."""
-    logits, _ = _forward_pass(_checked_layers(params, inputs, labels), inputs)
+    by the row count."""
+    logits, _ = _forward_pass(layers, inputs)
     if accuracy:
         return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
-    return logits, _mean_cross_entropy(_log_softmax(logits), labels)
+    logp = _class_log_softmax(logits).reshape(-1)  # class c of row r at c * rows + r
+    rows = labels.size
+    return logits, -np.mean(logp[labels * rows + np.arange(rows).reshape(labels.shape)], axis=-1)
 
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:
     """Logits and mean cross-entropy loss over the batch."""
-    logits, losses = _score_sets(params, batch.inputs[None], batch.labels[None])
+    layers = _checked_layers(params, batch.inputs, batch.labels)
+    logits, losses = _score_sets(layers, batch.inputs[None], batch.labels[None])
     return logits[0], float(losses[0])
 
 
@@ -319,11 +356,13 @@ def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray):
     backprop, each set bit for bit its one-set value (see _score_sets)."""
     layers = _checked_layers(params, inputs, flat=flat)
     logits, acts = _forward_pass(layers, inputs)
-    logp = _log_softmax(logits)
+    logp = _class_log_softmax(logits)
     probs = np.exp(logp)
-    row_entropy = -(probs * logp).sum(axis=-1)
-    # dH/dz_k = -p_k (log p_k + H) per row, mean reduction over each set
-    dlogits = -probs * (logp + row_entropy[..., None]) / inputs.shape[-2]
+    row_entropy = -_class_sum(probs * logp)
+    # dH/dz_k = -p_k (log p_k + H) per row, mean reduction over each set,
+    # written row-major, as BLAS may round a product of a strided operand differently
+    dlogits = np.empty_like(logits)
+    np.divide(-probs * (logp + row_entropy), inputs.shape[-2], out=np.moveaxis(dlogits, -1, 0))
     grads = np.empty((len(inputs), params.total_dims))
     _backprop(layers, acts, dlogits, _layers(params, grads))
     return np.mean(row_entropy, axis=-1), grads
@@ -383,4 +422,5 @@ def train_experts(params: Checkpoint, datasets: list[LabeledBatch],
 
 def evaluate_accuracy(params: Checkpoint, test: LabeledBatch) -> float:
     """Argmax accuracy; argmax ties break toward the lowest class index."""
-    return float(_score_sets(params, test.inputs[None], test.labels[None], accuracy=True)[1][0])
+    layers = _checked_layers(params, test.inputs, test.labels)
+    return float(_score_sets(layers, test.inputs[None], test.labels[None], accuracy=True)[1][0])

@@ -23,9 +23,9 @@ from trustmerge.cli import _config_from_flags, build_parser, main
 from trustmerge.errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
-from trustmerge.merging import AdaConfig, MergeConfig
+from trustmerge.merging import AdaConfig, MergeConfig, merge_bundle
 from trustmerge.mlp import TrainConfig, evaluate_accuracy
-from trustmerge.params import ew_abs
+from trustmerge.params import Checkpoint, ew_abs
 
 from conftest import BAD_TMRG, rehash, tiny_bundle_config
 
@@ -173,6 +173,40 @@ class TestBundle:
         assert len(calls) == bundle.num_tasks
         knowledge_conflict(bundle, MergeConfig(method="tatr"), "accuracy")
         assert len(calls) == bundle.num_tasks
+
+    def test_zero_shot_surrogates_are_memoized_with_the_estimates(self, small_bundle, monkeypatch):
+        bundle = dataclasses.replace(small_bundle)  # a copy with an empty memo
+        cfg = MergeConfig(method="tatr")
+        cold = {n: merge_bundle(bundle, cfg, n).merged for n in (None, 0)}
+        adopted = []
+        adopt = Checkpoint._adopt
+
+        def counting(ckpt, *args):
+            adopted.append(ckpt)
+            adopt(ckpt, *args)
+
+        monkeypatch.setattr(Checkpoint, "_adopt", counting)
+        counts = {}
+        for n in (None, 0):
+            adopted.clear()
+            warm = merge_bundle(bundle, cfg, n).merged
+            counts[n] = len(adopted)
+            assert warm.flat().tobytes() == cold[n].flat().tobytes()
+        assert counts == {None: 6, 0: 6}  # the mask, the merged model and four task vectors
+        parent, sub = bundle.gradient_estimates(0), bundle.subset([2, 0]).gradient_estimates(0)
+        assert sub[0] is parent[2] and sub[1] is parent[0]
+
+    def test_scores_reject_a_label_outside_the_models_classes(self, small_bundle):
+        bundle = dataclasses.replace(small_bundle)
+        pre = bundle.theta_pre
+        bundle.test_scores(pre)  # the stack is checked against this layout once
+        last = len(pre.names) // 2 - 1
+        fewer = Checkpoint((name, pre[name][:2] if name.startswith(f"layer{last}.") else pre[name])
+                           for name in pre.names)
+        assert max(int(t.labels.max()) for t in bundle.test_sets) >= 2
+        for accuracy in (False, True, False):
+            with pytest.raises(IncompatibleShapes, match="label index out of range"):
+                bundle.test_scores(fewer, accuracy)
 
     def test_subset_is_memoized_per_id_sequence(self, small_bundle):
         bundle = dataclasses.replace(small_bundle)

@@ -10,6 +10,10 @@ from trustmerge.mlp import (
     LabeledBatch,
     MlpSpec,
     TrainConfig,
+    _checked_layers,
+    _class_sum,
+    _entropy_sets,
+    _score_sets,
     backward,
     entropy_loss,
     evaluate_accuracy,
@@ -347,14 +351,23 @@ def assert_bitwise(a: Checkpoint, b: Checkpoint):
     assert a.flat().tobytes() == b.flat().tobytes()
 
 
+def classes_of(params):
+    return params["layer2.bias"].size
+
+
 class TestBitwiseReference:
     """The model core against the per-tensor reference above, bit for bit,
-    on two hidden layers and on a checkpoint stored in a non-standard order."""
+    on two hidden layers, on a checkpoint stored in a non-standard order, and
+    at output widths on both sides of numpy's pairwise-sum thresholds of 8
+    and 128 values (ids without a width are the three-class nets)."""
 
-    @pytest.fixture(params=["standard", "reordered"])
+    @pytest.fixture(params=[(order, classes) for classes in (3, 8, 9, 17, 129, 300)
+                            for order in ("standard", "reordered")],
+                    ids=lambda p: p[0] if p[1] == 3 else f"{p[0]}-{p[1]}")
     def net(self, request):
-        _, params = small_net(11, sizes=(2, 6, 5, 3))
-        if request.param == "reordered":
+        order, classes = request.param
+        _, params = small_net(11, sizes=(2, 6, 5, classes))
+        if order == "reordered":
             names = params.names
             params = Checkpoint((n, params[n]) for n in names[3:] + names[:3][::-1])
         return params
@@ -362,23 +375,49 @@ class TestBitwiseReference:
     def test_forward_and_backward(self, net):
         rng = np.random.default_rng(12)
         for n in (1, 7, 40):
-            batch = random_batch(rng, n, 2, 3)
+            batch = random_batch(rng, n, 2, classes_of(net))
             ref_loss, ref_grads = reference_backward(net, batch)
             loss, grads = backward(net, batch)
             assert loss == ref_loss and forward(net, batch)[1] == ref_loss
             assert_bitwise(grads, ref_grads)
 
     def test_entropy_loss(self, net):
-        batch = random_batch(np.random.default_rng(13), 9, 2, 3)
+        batch = random_batch(np.random.default_rng(13), 9, 2, classes_of(net))
         ref_loss, ref_grads = reference_entropy_loss(net, batch)
         loss, grads = entropy_loss(net, batch)
         assert loss == ref_loss
         assert_bitwise(grads, ref_grads)
 
+    def test_stacked_sets(self, net):
+        """K = 4 sets in one pass: each set's loss, entropy and entropy gradient."""
+        rng = np.random.default_rng(15)
+        sets = [random_batch(rng, 9, 2, classes_of(net)) for _ in range(4)]
+        inputs, labels = np.stack([b.inputs for b in sets]), np.stack([b.labels for b in sets])
+        refs = [_reference_forward(net, b.inputs)[2] for b in sets]
+        losses = _score_sets(_checked_layers(net, inputs, labels), inputs, labels)[1]
+        assert losses.tolist() == [-float(np.mean(logp[np.arange(9), b.labels]))
+                                   for logp, b in zip(refs, sets)]
+        entropies, grads = _entropy_sets(net, net.flat(), inputs)
+        one = [reference_entropy_loss(net, b) for b in sets]
+        assert entropies.tolist() == [loss for loss, _ in one]
+        assert grads.tobytes() == np.stack([g.flat() for _, g in one]).tobytes()
+
     def test_train(self, net):
-        data = random_batch(np.random.default_rng(14), 50, 2, 3)
+        data = random_batch(np.random.default_rng(14), 50, 2, classes_of(net))
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.3, seed=5)
         assert_bitwise(train(net, data, cfg), reference_train(net, data, cfg))
+
+
+def test_class_sum_adds_as_a_trailing_axis_sum():
+    """Every width up to 300, including rows of signed zeros, whose sum numpy
+    starts from +0.0."""
+    rng = np.random.default_rng(16)
+    for classes in range(1, 301):
+        rows = rng.normal(size=(3, 5, classes)) * rng.choice([1e-8, 1.0, 1e8], size=(3, 5, classes))
+        rows[0, 0], rows[0, 1, ::2] = -0.0, 0.0
+        expected = rows.sum(axis=-1)
+        got = _class_sum(np.moveaxis(rows, -1, 0).copy())
+        assert got.tobytes() == expected.tobytes(), classes
 
 
 class TestTrainExperts:

@@ -24,6 +24,13 @@ if there is one; otherwise prints how many files are identical and exits 0.
     python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \\
         [--set pretrain_on_mixture=false]
 
+A nine-class bundle covers the class counts at which numpy's pairwise sums
+stop adding in turn (8 and more):
+
+    python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \\
+        --set num_classes=9 \\
+        --set "label_perms=0,1,2,3,4,5,6,7,8;1,2,3,4,5,6,7,8,0;2,3,4,5,6,7,8,0,1;3,4,5,6,7,8,0,1,2"
+
 Standard library only.  Nothing in the repository is written.
 """
 

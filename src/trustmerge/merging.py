@@ -120,7 +120,11 @@ def ties_merge(deltas: np.ndarray, lam: float, trim_keep: float) -> np.ndarray:
     """lam * the disjoint mean of the ties-aligned rows: per coordinate, the
     mean of the nonzero aligned values, summed in ascending task order (0
     when none survive)."""
-    aligned, _ = ties_phi(deltas, trim_keep)
+    return _ties_mean(ties_phi(deltas, trim_keep)[0], lam)
+
+
+def _ties_mean(aligned: np.ndarray, lam: float) -> np.ndarray:
+    """lam * the disjoint mean of the (K, N) ties-aligned rows (see ties_merge)."""
     counts = (aligned != 0.0).sum(axis=0)
     sums = sum_rows(aligned)
     return lam * np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
@@ -142,12 +146,15 @@ def _combined(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def ada_coefficient_gradient(
     theta_pre: Checkpoint, masked: np.ndarray, coeffs: np.ndarray, pools: np.ndarray,
+    work: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Summed prediction entropy over the (P, n, d) stack of unlabeled pools
     and its analytic gradient in the per-task coefficients (the merge is affine
     in each): the entropy gradient's dot with each masked row, in tensor order
-    as ew_dot.  One stacked pass, and no Checkpoint."""
-    losses, grads = _entropy_sets(theta_pre, theta_pre.flat() + _combined(masked, coeffs), pools)
+    as ew_dot.  One stacked pass, into the hidden-layer arrays of ``work``
+    (see _entropy_sets), and no Checkpoint."""
+    losses, grads = _entropy_sets(theta_pre, theta_pre.flat() + _combined(masked, coeffs), pools,
+                                  work)
     grad_theta = sum_rows(grads)
     return sum(losses.tolist()), np.array([_tensor_dot(grad_theta, row, theta_pre.layout)
                                            for row in masked])
@@ -159,11 +166,13 @@ def ada_tatr(
     """Task-wise coefficients trained by full-batch gradient descent on the
     summed prediction entropy of the merge of ``masked``, the task-vector rows
     times the trust region; returns the step and the coefficients.  The pools
-    are stacked once; merge_bundle checks finiteness, on the merged model."""
+    are stacked once, and every step writes into one set of hidden-layer
+    arrays; merge_bundle checks finiteness, on the merged model."""
     pools, _ = stacked_sets(unlabeled, "unlabeled pools")
     coeffs = np.full(len(masked), float(ada.init_lambda))
+    work = []
     for _ in range(ada.steps):
-        _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, pools)
+        _, dcoeffs = ada_coefficient_gradient(theta_pre, masked, coeffs, pools, work)
         coeffs = coeffs - ada.learning_rate * dcoeffs
     return _combined(masked, coeffs), [float(c) for c in coeffs]
 
@@ -178,8 +187,8 @@ def merge_bundle(
     trust region's flat vector) to the merge, and adds the step it returns
     to theta_pre.  The trust-region methods share one mask: the sensitivity
     of the task-vector rows (for ties_tatr with ``ties_mask_from_trimmed``,
-    of its aligned rows) to the stacked gradient estimates, with the top
-    ``cfg.tau`` fraction excluded."""
+    of its aligned rows, which its step then reuses) to the stacked gradient
+    estimates, with the top ``cfg.tau`` fraction excluded."""
     exemplar_count = checked_exemplar_count(exemplar_count)
     pre, k = bundle.theta_pre, bundle.num_tasks
     if cfg.method == "average":
@@ -199,6 +208,8 @@ def merge_bundle(
         region = mask.mask.flat()
         if cfg.method == "tatr":
             step = tatr_merge(deltas, region, cfg.lam)
+        elif cfg.method == "ties_tatr" and basis is not deltas:  # the aligned rows: align once
+            step = _ties_mean(basis, cfg.lam) * region
         elif cfg.method == "ties_tatr":
             step = ties_tatr(deltas, region, cfg.lam, cfg.ties_trim_keep)
         else:  # ada_tatr: the per-task test inputs serve as the unlabeled pools

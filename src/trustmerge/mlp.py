@@ -207,13 +207,15 @@ def _checked_layers(params: Checkpoint, inputs: np.ndarray, labels: np.ndarray |
     return layers
 
 
-def _forward_pass(layers, x: np.ndarray):
+def _forward_pass(layers, x: np.ndarray, out=None):
     """Returns (logits, activations) with activations[i] the input to layer i.
     ``x`` is (samples, in), or (K, samples, in) for K sets or for a (K, N)
-    stack of layers; every array below keeps that leading stack axis."""
+    stack of layers; every array below keeps that leading stack axis.  Hidden
+    layer i is written into ``out[i]`` when ``out`` is given, a list of arrays
+    of those shapes; numpy allocates each one otherwise."""
     acts = [x]
-    for w, b in layers[:-1]:
-        x = x @ w.swapaxes(-1, -2)
+    for i, (w, b) in enumerate(layers[:-1]):
+        x = np.matmul(x, w.swapaxes(-1, -2), out=None if out is None else out[i])
         x += b  # in place: one new array per layer, not three
         np.tanh(x, out=x)
         acts.append(x)
@@ -291,22 +293,33 @@ def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]
     return logits[0], float(losses[0])
 
 
-def _layer_deltas(layers, acts: list[np.ndarray], dlogits: np.ndarray):
+def _layer_deltas(layers, acts: list[np.ndarray], dlogits: np.ndarray, out=None):
     """Yield (layer index, dZ, H) from the last layer down: H is the layer's
     input and dZ the loss gradient w.r.t. its pre-activation, one row per
     sample.  The layer's weight gradient is dZᵀH, its bias gradient dZ's
-    column sums."""
+    column sums.
+
+    Consumes ``acts[1:]``: once a hidden layer's H has been yielded, its
+    array is overwritten with tanh' = 1 - H², so no caller may read the
+    activations after the backprop; ``acts[0]``, the caller's input, is never
+    written.  The dZ of layer i goes into ``out[i]`` when ``out`` is given,
+    a list of arrays shaped like ``acts[1:]``; numpy allocates it otherwise."""
     dz = dlogits
     for li in range(len(layers) - 1, -1, -1):
         yield li, dz, acts[li]
         if li > 0:
-            dz = (dz @ layers[li][0]) * (1.0 - acts[li] ** 2)  # tanh'
+            tanh_grad = acts[li]
+            np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            dz = np.matmul(dz, layers[li][0], out=None if out is None else out[li - 1])
+            dz *= tanh_grad
 
 
-def _backprop(layers, acts: list[np.ndarray], dlogits: np.ndarray, grads) -> None:
+def _backprop(layers, acts: list[np.ndarray], dlogits: np.ndarray, grads, out=None) -> None:
     """Propagate d(loss)/d(logits) back into ``grads``, the (weight, bias)
-    gradient views of each layer."""
-    for li, dz, h in _layer_deltas(layers, acts, dlogits):
+    gradient views of each layer; consumes ``acts[1:]`` and writes the hidden
+    dZ into ``out``, as _layer_deltas does."""
+    for li, dz, h in _layer_deltas(layers, acts, dlogits, out):
         dw, db = grads[li]
         np.matmul(dz.swapaxes(-1, -2), h, out=dw)
         dz.sum(axis=-2, keepdims=True, out=db)
@@ -350,12 +363,22 @@ def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint
     return float(_mean_cross_entropy(logp, batch.labels)), Checkpoint.from_flat(params, flat)
 
 
-def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray):
+def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray, work=None):
     """Mean softmax entropy (K,) and its gradient rows (K, N) of ``flat``, laid out like
     ``params``, on K sets stacked as ``inputs`` (K, n, d): one forward pass and one
-    backprop, each set bit for bit its one-set value (see _score_sets)."""
+    backprop, each set bit for bit its one-set value (see _score_sets).
+
+    ``work``, when given, is a list that the first call fills with the pass's
+    hidden-layer arrays, the activations and the dZ of each hidden layer, and
+    that later calls on inputs of the same shape write into.  A stacked one is
+    128 KiB at (4, 256, 16), glibc's mmap threshold: freed after each call, its
+    pages went back to the system and faulted in again on the next."""
     layers = _checked_layers(params, inputs, flat=flat)
-    logits, acts = _forward_pass(layers, inputs)
+    if work is not None and not work:
+        work += [[np.empty(inputs.shape[:-1] + w.shape[-2:-1]) for w, _ in layers[:-1]]
+                 for _ in range(2)]
+    hidden, deltas = work or (None, None)
+    logits, acts = _forward_pass(layers, inputs, hidden)
     logp = _class_log_softmax(logits)
     probs = np.exp(logp)
     row_entropy = -_class_sum(probs * logp)
@@ -364,7 +387,7 @@ def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray):
     dlogits = np.empty_like(logits)
     np.divide(-probs * (logp + row_entropy), inputs.shape[-2], out=np.moveaxis(dlogits, -1, 0))
     grads = np.empty((len(inputs), params.total_dims))
-    _backprop(layers, acts, dlogits, _layers(params, grads))
+    _backprop(layers, acts, dlogits, _layers(params, grads), deltas)
     return np.mean(row_entropy, axis=-1), grads
 
 

@@ -228,17 +228,19 @@ class TestAccuracyTable:
             accuracy_table(bundle, [])
 
 
-def random_bundle(hidden, samples, seed=0):
-    """A 4-task bundle of random experts around a random pre-trained model, with
-    random test and exemplar sets; nothing is trained."""
+def random_bundle(hidden, samples, seed=0, tasks=4):
+    """A bundle of ``tasks`` random experts around a random pre-trained model,
+    with random test and exemplar sets; nothing is trained."""
     rng = np.random.default_rng(seed)
-    cfg = BundleConfig(seed=seed, hidden=hidden, samples_test=samples)
+    cfg = BundleConfig(seed=seed, num_tasks=tasks, hidden=hidden, samples_test=samples,
+                       rotations=(0.0,) * tasks, label_perms=((0, 1, 2, 3),) * tasks)
     pre = init_params(cfg.mlp_spec, seed)
     experts = [Checkpoint.from_flat(pre, pre.flat() + rng.normal(0.0, 0.5, pre.total_dims))
-               for _ in range(4)]
+               for _ in range(tasks)]
 
     def sets(n):
-        return [LabeledBatch(rng.normal(0.0, 1.5, (n, 2)), rng.integers(0, 4, n)) for _ in range(4)]
+        return [LabeledBatch(rng.normal(0.0, 1.5, (n, 2)), rng.integers(0, 4, n))
+                for _ in range(tasks)]
 
     return TaskBundle(cfg, pre, experts, sets(samples), sets(samples), sets(6))
 
@@ -329,6 +331,33 @@ class TestStackedEntropyOracle:
             merged, coeffs = ada_loop_on_checkpoints(bundle, cfg)
             assert result.merged.flat().tobytes() == merged.flat().tobytes()
             assert result.coefficients == coeffs
+
+
+class TestEightTaskEntropyOracle:
+    """At K = 8, 16 hidden units and 300 rows a stacked hidden-layer array
+    (300 KiB) is above the allocator's mmap threshold: ada_tatr, which writes
+    every step into one set of them, is still the loop of one-set passes, and
+    a work list reused across models gives the bits of fresh arrays."""
+
+    def test_ada_tatr_matches_one_set_passes(self):
+        bundle = random_bundle((16, 16), 300, tasks=8)
+        for steps in (0, 1, 5):
+            cfg = MergeConfig(method="ada_tatr", ada=AdaConfig(steps=steps, learning_rate=0.5))
+            result = merge_bundle(bundle, cfg)
+            merged, coeffs = ada_loop_on_checkpoints(bundle, cfg)
+            assert result.merged.flat().tobytes() == merged.flat().tobytes()
+            assert result.coefficients == coeffs
+
+    def test_a_reused_work_list_gives_fresh_bits(self):
+        bundle = random_bundle((16, 16), 300, tasks=8)
+        inputs = np.stack([t.inputs for t in bundle.test_sets])
+        work = []
+        for model in bundle.experts[:2]:
+            losses, grads = _entropy_sets(model, model.flat(), inputs, work)
+            fresh_losses, fresh_grads = _entropy_sets(model, model.flat(), inputs)
+            assert losses.tobytes() == fresh_losses.tobytes()
+            assert grads.tobytes() == fresh_grads.tobytes()
+        assert len(work) == 2 and all(a.shape == (8, 300, 16) for arrays in work for a in arrays)
 
 
 class TestCsvWriters:

@@ -24,6 +24,7 @@ from trustmerge.merging import (
     ties_tatr,
     weight_average,
 )
+from trustmerge import mlp
 from trustmerge.mlp import LabeledBatch, entropy_loss, init_params, MlpSpec
 from trustmerge.params import (Checkpoint, ew_abs, ew_combine, ew_dot, ew_scale, load_checkpoint,
                                stack, sum_in_order)
@@ -273,6 +274,23 @@ class TestAdaTatr:
         pools[1] = pools[1].take(np.arange(9))
         with pytest.raises(IncompatibleShapes, match=r"of one size, got sizes \[10, 9\]"):
             ada_tatr(pre, rows(tvs), pools, AdaConfig())
+
+    def test_steps_reuse_one_set_of_hidden_layer_arrays(self, monkeypatch):
+        # every step's activations stay referenced, so a fresh array could not
+        # share their memory: sharing means the steps write into one set
+        pre, tvs, pools = self._setup()
+        hidden = []
+        forward_pass = mlp._forward_pass
+
+        def keeping(*args):
+            logits, acts = forward_pass(*args)
+            hidden.append(acts[1:])
+            return logits, acts
+
+        monkeypatch.setattr(mlp, "_forward_pass", keeping)
+        ada_tatr(pre, rows(tvs), pools, AdaConfig(steps=3))
+        assert len(hidden) == 3
+        assert all(np.shares_memory(a, b) for a, b in zip(hidden[1], hidden[2]))
 
     def test_steps_build_no_checkpoint(self, small_bundle, monkeypatch):
         small_bundle.gradient_estimates()  # memoized, so no merge below estimates them

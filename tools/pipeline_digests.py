@@ -31,6 +31,13 @@ stop adding in turn (8 and more):
         --set num_classes=9 \\
         --set "label_perms=0,1,2,3,4,5,6,7,8;1,2,3,4,5,6,7,8,0;2,3,4,5,6,7,8,0,1;3,4,5,6,7,8,0,1,2"
 
+The paper's eight tasks need a rotation and a label permutation per task,
+and at K = 8 a stacked hidden-layer array of a test pass is 256 KiB:
+
+    python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \
+        --set num_tasks=8 --set "rotations=0,45,90,135,180,225,270,315" \
+        --set "label_perms=0,1,2,3;1,2,3,0;2,3,0,1;3,0,1,2;1,0,3,2;3,2,1,0;0,2,1,3;2,0,3,1"
+
 Standard library only.  Nothing in the repository is written.
 """
 

@@ -371,8 +371,8 @@ def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray, work
     ``work``, when given, is a list that the first call fills with the pass's
     hidden-layer arrays, the activations and the dZ of each hidden layer, and
     that later calls on inputs of the same shape write into.  A stacked one is
-    128 KiB at (4, 256, 16), glibc's mmap threshold: freed after each call, its
-    pages went back to the system and faulted in again on the next."""
+    128 KiB at (4, 256, 16), glibc's default mmap and trim threshold: freed
+    after each call, its pages went back to the system and faulted in again."""
     layers = _checked_layers(params, inputs, flat=flat)
     if work is not None and not work:
         work += [[np.empty(inputs.shape[:-1] + w.shape[-2:-1]) for w, _ in layers[:-1]]

@@ -49,6 +49,11 @@ DEFAULT_PERMS = (
 # only at the sector boundaries, so conflicts are real but not total.
 DEFAULT_CENTER_ANGLES = (0.0, 30.0, 60.0, 90.0)
 
+# Elements of the widest array of one scoring pass: 2**14 float64 is 128 KiB,
+# glibc's default mmap and trim threshold, and the size of a default bundle's
+# one-model pass, (4, 256, 16).
+_PASS_ELEMENTS = 2**14
+
 
 @dataclass(frozen=True)
 class BundleConfig:
@@ -137,7 +142,8 @@ class TaskBundle:
     # Per-bundle memo: gradient estimates per exemplar pool and effective
     # count and zero-shot surrogates per expert (one dict, shared with every
     # subset), sub-bundles per task-id tuple, the stacked test sets, the
-    # layouts checked against them and the baseline accuracy rows.
+    # layouts checked against them with their scoring pass sizes, and the
+    # baseline accuracy rows.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -203,14 +209,31 @@ class TaskBundle:
         """``model``'s mean test loss, or with ``accuracy`` its test accuracy,
         on each task, bit for bit ``forward(model, t)[1]`` or
         ``evaluate_accuracy(model, t)`` of each test set ``t``, from one
-        forward pass over the test sets, stacked once per bundle.  A layout
-        fixes a model's widths and classes, so the stack is checked against
-        each checkpoint layout once."""
+        forward pass over the test sets, stacked once per bundle: the one-model
+        case of ``_model_scores``."""
+        return self._model_scores(model, model.flat()[None], accuracy)[0]
+
+    def _model_scores(self, like: Checkpoint, flats: np.ndarray, accuracy: bool = False) -> np.ndarray:
+        """Scores (P, K) of the P rows of ``flats``, flat vectors laid out like
+        ``like``: row p bit for bit ``test_scores`` of that model.  A pass
+        stacks as many models as keep its widest array (a hidden layer's or
+        the logits', P·K·n·width float64) within _PASS_ELEMENTS, and at least
+        one: a pass over small models is mostly numpy call overhead, while one
+        default-bundle model already fills it.  A layout fixes a model's
+        widths and classes, so the test stack is checked, and the pass size
+        worked out, once per layout; a pass of one model runs on its 1-D row."""
         inputs, labels = self._memoized("test_stack", lambda: stacked_sets(self.test_sets, "test sets"))
-        if ("checked", model.layout) not in self._memo:
-            _checked_layers(model, inputs, labels)
-            self._memo["checked", model.layout] = None
-        return _score_sets(_layers(model), inputs, labels, accuracy)[1]
+        per_pass = self._memo.get(("checked", like.layout))
+        if per_pass is None:
+            widest = max(w.shape[0] for w, _ in _checked_layers(like, inputs, labels))
+            per_pass = max(1, _PASS_ELEMENTS // (labels.size * widest))
+            self._memo["checked", like.layout] = per_pass
+        scores = np.empty((len(flats), len(labels)))
+        for start in range(0, len(flats), per_pass):
+            chunk = flats[start:start + per_pass]  # weights (P, 1, out, in) broadcast over the sets
+            layers = _layers(like, chunk[0] if len(chunk) == 1 else chunk[:, None])
+            scores[start:start + per_pass] = _score_sets(layers, inputs, labels, accuracy)[1]
+        return scores
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task

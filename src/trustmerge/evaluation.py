@@ -1,10 +1,14 @@
 """Knowledge-conflict measurement, accuracy tables, and the loss-landscape
 grid over the orthogonal/positive/negative task-vector plane.
 
-Every score here comes from ``TaskBundle.test_scores``: one forward pass of a
-model over its bundle's test sets stacked on a leading axis, so a merged
-model or a grid point costs one pass, not one per task, and each score is
-bit for bit the one-set ``forward`` loss or ``evaluate_accuracy``."""
+Every score here comes from one forward pass over a bundle's test sets
+stacked on a leading axis, so a model costs one pass, not one per task, and
+each score is bit for bit the one-set ``forward`` loss or
+``evaluate_accuracy``.  ``knowledge_conflict`` scores each merge with
+``TaskBundle.test_scores``; ``landscape`` hands each grid row of 15 points,
+and ``accuracy_table`` all its merged models, to ``TaskBundle._model_scores``,
+which stacks as many small models into one pass as keep its arrays within
+128 KiB."""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .errors import ConfigError, IncompatibleShapes
 # perfbench traces knowledge_conflict's merges through this binding
 from .merging import MergeConfig, MergeResult, merge_bundle
 from .mlp import backward, checked_fraction, is_count
-from .params import Checkpoint, stack, sum_rows
+from .params import Checkpoint, _check_finite, stack, sum_rows
 from .task_vectors import decompose, percentile_zero_tol
 
 GRID_COORDS = tuple((i - 2) / 10 for i in range(15))  # -0.2 .. 1.2 step 0.1
@@ -87,7 +91,9 @@ def landscape(
     reference's, is split against the sum of those tasks' test-loss gradients
     at theta_pre; the lowest ``decomposition_fraction`` of |grad * delta|
     products forms the orthogonal set.  Plane point (u, v) is
-    theta_neg + u (theta_orth - theta_neg) + v (theta_pos - theta_neg).
+    theta_neg + u (theta_orth - theta_neg) + v (theta_pos - theta_neg); a point
+    that is not finite raises NonFiniteValues naming its first such tensor,
+    as a Checkpoint of it would, before its grid row is scored.
     """
     k = bundle.num_tasks
     if k < 2:
@@ -106,11 +112,13 @@ def landscape(
                                         for part in (dec.positive, dec.negative, dec.orthogonal))
     neg = theta_neg.flat()
     axis_u, axis_v = theta_orth.flat() - neg, theta_pos.flat() - neg
+    v_steps = np.array(GRID_COORDS)[:, None] * axis_v  # v * axis_v of each grid column
     rows = []
     for u in GRID_COORDS:
-        for v in GRID_COORDS:
-            point = Checkpoint.from_flat(theta_neg, neg + u * axis_u + v * axis_v)
-            rows.append((u, v, sum(scored.test_scores(point).tolist())))
+        points = (neg + u * axis_u) + v_steps  # one grid row, (15, N)
+        _check_finite(pre.layout, points)
+        losses = scored._model_scores(theta_neg, points)
+        rows += [(u, v, sum(point)) for v, point in zip(GRID_COORDS, losses.tolist())]
     return LandscapeGrid(theta_pos, theta_neg, theta_orth, rows, reference_task)
 
 
@@ -118,11 +126,11 @@ def accuracy_table(
     bundle: TaskBundle, results: list[tuple[str, MergeResult]]
 ) -> list[tuple[str, list[float], float]]:
     """Rows of (method, per-task accuracies, average); always includes the
-    pre-trained reference row and the per-task individual upper bound."""
-    named = bundle.baseline_accuracies() + [
-        (name, bundle.test_scores(result.merged, accuracy=True).tolist())
-        for name, result in results
-    ]
+    pre-trained reference row and the per-task individual upper bound.  The
+    merged models are stacked, so they must share one layout."""
+    models = [result.merged for _, result in results]
+    scores = bundle._model_scores(models[0], stack(models, models[0]), True).tolist() if models else []
+    named = bundle.baseline_accuracies() + [(name, accs) for (name, _), accs in zip(results, scores)]
     return [(name, accs, float(np.mean(accs))) for name, accs in named]
 
 

@@ -270,11 +270,13 @@ def _mean_cross_entropy(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
                 accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Logits (K, n, classes) and per-set scores of a model, its ``layers``
-    checked against ``inputs`` and ``labels`` (see _checked_layers), on K sets
-    of n rows stacked on a leading axis, ``inputs`` (K, n, d) and ``labels``
-    (K, n): each set's mean cross-entropy loss or, with ``accuracy``, its
-    argmax accuracy (ties toward the lowest class).  A set's products are the
+    """Logits (..., K, n, classes) and per-set scores (..., K) of a model, its
+    ``layers`` checked against ``inputs`` and ``labels`` (see _checked_layers),
+    on K sets of n rows stacked on a leading axis, ``inputs`` (K, n, d) and
+    ``labels`` (K, n): each set's mean cross-entropy loss or, with
+    ``accuracy``, its argmax accuracy (ties toward the lowest class).  The
+    layers may carry leading model axes ahead of a broadcast set axis, weights
+    (P, 1, out, in), to score P models in one pass.  A set's products are the
     BLAS calls of a pass over that set alone, so its score is bit for bit the
     one-set value; concatenated rows would not be, as BLAS picks its kernel
     by the row count."""
@@ -282,8 +284,8 @@ def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
     if accuracy:
         return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
     logp = _class_log_softmax(logits).reshape(-1)  # class c of row r at c * rows + r
-    rows = labels.size
-    return logits, -np.mean(logp[labels * rows + np.arange(rows).reshape(labels.shape)], axis=-1)
+    rows = logits.size // logits.shape[-1]  # every model's rows, not one model's labels
+    return logits, -np.mean(logp[labels * rows + np.arange(rows).reshape(logits.shape[:-1])], axis=-1)
 
 
 def forward(params: Checkpoint, batch: LabeledBatch) -> tuple[np.ndarray, float]:

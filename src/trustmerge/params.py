@@ -34,6 +34,18 @@ def _slices(layout: tuple) -> tuple:
     return tuple(out)
 
 
+def _check_finite(layout: tuple, flats: np.ndarray) -> None:
+    """A NonFiniteValues naming the first tensor of ``layout`` with a value that
+    is not finite in the first such row of ``flats``, flat vectors (..., N)
+    laid out as ``layout``: the error a Checkpoint of each row, built in
+    order, would raise."""
+    finite = np.isfinite(flats)
+    if not finite.all():
+        ends = [stop for _, _, stop, _ in _slices(layout)]
+        first = np.argmin(finite.reshape(-1)) % flats.shape[-1]
+        raise NonFiniteValues(layout[np.searchsorted(ends, first, "right")][0])
+
+
 class Checkpoint:
     """Ordered, immutable map of named float64 tensors over one flat vector."""
 
@@ -61,10 +73,7 @@ class Checkpoint:
         first bad tensor) and lock it.  Its tensors are views of it, made on
         first access, because gradients and element-wise results are mostly
         read through ``flat()`` alone."""
-        finite = np.isfinite(flat)
-        if not finite.all():
-            ends = [stop for _, _, stop, _ in _slices(layout)]
-            raise NonFiniteValues(layout[np.searchsorted(ends, np.argmin(finite), "right")][0])
+        _check_finite(layout, flat)
         flat.flags.writeable = False
         self._layout = layout
         self._flat = flat

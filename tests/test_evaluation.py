@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import trustmerge.bundle
 import trustmerge.evaluation
-from trustmerge.bundle import BundleConfig, TaskBundle
-from trustmerge.errors import ConfigError, IncompatibleShapes
+from trustmerge.bundle import _PASS_ELEMENTS, BundleConfig, TaskBundle
+from trustmerge.errors import ConfigError, IncompatibleShapes, NonFiniteValues
 from trustmerge.evaluation import (
     GRID_COORDS,
     accuracy_table,
@@ -195,6 +198,22 @@ class TestLandscape:
         with pytest.raises(IncompatibleShapes, match="need >= 2 tasks, got 1"):
             landscape(small_bundle.subset([0]))
 
+    def test_a_grid_point_that_is_not_finite_raises_before_it_is_scored(self, monkeypatch):
+        """Task vectors of 5e307 on layer1 alone, so task 3's view adds a finite
+        delta of 1.5e308 there.  With every coordinate orthogonal the points
+        are theta_pre + u delta, and only the last grid row (u = 1.2) overflows."""
+        bundle = random_bundle((8,), 20)
+        pre = bundle.theta_pre
+        shift = Checkpoint((name, np.full(pre[name].shape, 5e307 * name.startswith("layer1.")))
+                           for name in pre.names).flat()
+        experts = [Checkpoint.from_flat(pre, pre.flat() + sign * shift) for sign in (1, 1, 1, -1)]
+        bundle = dataclasses.replace(bundle, experts=experts)
+        counts = models_per_pass(monkeypatch)
+        with pytest.raises(NonFiniteValues, match="^NonFiniteValues: layer1.weight$"), \
+                np.errstate(all="ignore"):
+            landscape(bundle, reference_task=3, decomposition_fraction=1.0)
+        assert sum(counts) == 14 * 15  # every point before the last row, not an anchor
+
     @pytest.mark.parametrize("fraction", [-0.1, 2.0, float("nan")])
     def test_bad_fraction_fails_before_any_gradient(self, small_bundle, monkeypatch, fraction):
         calls = []
@@ -219,6 +238,16 @@ class TestAccuracyTable:
         rows = accuracy_table(small_bundle, [("ta", result)])
         assert rows[2][0] == "ta"
 
+    def test_a_table_of_mixed_layouts_is_rejected(self, small_bundle):
+        """The merged models are stacked, so they must share one layout; the
+        same tensors in another order score alone but not beside the others."""
+        ta = merge_bundle(small_bundle, MergeConfig(method="task_arithmetic"))
+        reordered = dataclasses.replace(ta, merged=Checkpoint(reversed(list(ta.merged))))
+        assert accuracy_table(small_bundle, [("r", reordered)]) == accuracy_table(small_bundle,
+                                                                                [("r", ta)])
+        with pytest.raises(IncompatibleShapes, match="name/shape sequences differ"):
+            accuracy_table(small_bundle, [("ta", ta), ("r", reordered)])
+
     def test_test_sets_of_two_sizes_are_rejected(self, small_bundle):
         tests = list(small_bundle.test_sets)
         tests[1] = tests[1].take(np.arange(len(tests[1]) - 1))
@@ -228,18 +257,19 @@ class TestAccuracyTable:
             accuracy_table(bundle, [])
 
 
-def random_bundle(hidden, samples, seed=0, tasks=4):
-    """A bundle of ``tasks`` random experts around a random pre-trained model,
-    with random test and exemplar sets; nothing is trained."""
+def random_bundle(hidden, samples, seed=0, tasks=4, classes=4):
+    """A bundle of ``tasks`` random experts around a random pre-trained model
+    of ``classes`` classes, with random test and exemplar sets; nothing is trained."""
     rng = np.random.default_rng(seed)
-    cfg = BundleConfig(seed=seed, num_tasks=tasks, hidden=hidden, samples_test=samples,
-                       rotations=(0.0,) * tasks, label_perms=((0, 1, 2, 3),) * tasks)
+    cfg = BundleConfig(seed=seed, num_tasks=tasks, num_classes=classes, hidden=hidden,
+                       samples_test=samples, rotations=(0.0,) * tasks,
+                       label_perms=(tuple(range(classes)),) * tasks)
     pre = init_params(cfg.mlp_spec, seed)
     experts = [Checkpoint.from_flat(pre, pre.flat() + rng.normal(0.0, 0.5, pre.total_dims))
                for _ in range(tasks)]
 
     def sets(n):
-        return [LabeledBatch(rng.normal(0.0, 1.5, (n, 2)), rng.integers(0, 4, n))
+        return [LabeledBatch(rng.normal(0.0, 1.5, (n, 2)), rng.integers(0, classes, n))
                 for _ in range(tasks)]
 
     return TaskBundle(cfg, pre, experts, sets(samples), sets(samples), sets(6))
@@ -290,6 +320,53 @@ class TestStackedScoringOracle:
                         expected[i, j] = score(result.merged, tests[j]) - score(excl, tests[j])
             report = knowledge_conflict(bundle, cfg, basis)
             assert np.array_equal(report.pairwise, expected, equal_nan=True)
+
+
+def models_per_pass(monkeypatch):
+    """The number of models of each scoring pass of ``TaskBundle``, in order,
+    recorded from the logits of each ``_score_sets`` call, once each model
+    of the pass has been checked to be finite."""
+    counts, score_sets = [], trustmerge.bundle._score_sets
+
+    def recorded(layers, *args):
+        assert all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in layers)
+        logits, scores = score_sets(layers, *args)
+        counts.append(int(np.prod(logits.shape[:-3])))
+        return logits, scores
+
+    monkeypatch.setattr(trustmerge.bundle, "_score_sets", recorded)
+    return counts
+
+
+class TestStackedModelsOracle:
+    """P models scored in stacked passes are bit for bit P calls of
+    ``test_scores``: around the pass size, at a landscape row (15) and at a
+    whole grid (225), on shapes whose passes hold one model and several."""
+
+    @pytest.mark.parametrize("tasks, classes", [(4, 4), (8, 4), (4, 9)])
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (33,)])
+    @pytest.mark.parametrize("samples", [1, 7, 48, 300])
+    def test_matches_one_model_calls(self, tasks, classes, hidden, samples):
+        bundle = random_bundle(hidden, samples, tasks=tasks, classes=classes)
+        pre = bundle.theta_pre
+        per_pass = max(1, _PASS_ELEMENTS // (tasks * samples * max(*hidden, classes)))
+        rows = max(225, per_pass + 1)
+        flats = pre.flat() + np.random.default_rng(1).normal(0.0, 0.5, (rows, pre.total_dims))
+        models = [Checkpoint.from_flat(pre, row) for row in flats]
+        for accuracy in (False, True):
+            expected = np.array([bundle.test_scores(model, accuracy) for model in models])
+            for p in {1, max(1, per_pass - 1), per_pass, per_pass + 1, 15, 225}:
+                scores = bundle._model_scores(pre, flats[:p], accuracy)
+                assert scores.shape == (p, tasks)
+                assert scores.tobytes() == expected[:p].tobytes()
+
+    @pytest.mark.parametrize("hidden, samples, per_pass", [((8,), 48, 10), ((16, 16), 256, 1)])
+    def test_a_pass_holds_up_to_128_KiB_per_array(self, monkeypatch, hidden, samples, per_pass):
+        """The test config's bundle scores 10 models a pass, the default one 1."""
+        bundle = random_bundle(hidden, samples)
+        counts = models_per_pass(monkeypatch)
+        landscape(bundle)
+        assert counts == 15 * ([per_pass] * (15 // per_pass) + [15 % per_pass] * (15 % per_pass > 0))
 
 
 def ada_loop_on_checkpoints(bundle, cfg):

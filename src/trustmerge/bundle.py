@@ -228,12 +228,12 @@ class TaskBundle:
             widest = max(w.shape[0] for w, _ in _checked_layers(like, inputs, labels))
             per_pass = max(1, _PASS_ELEMENTS // (labels.size * widest))
             self._memo["checked", like.layout] = per_pass
-        scores = np.empty((len(flats), len(labels)))
+        scores = []
         for start in range(0, len(flats), per_pass):
             chunk = flats[start:start + per_pass]  # weights (P, 1, out, in) broadcast over the sets
             layers = _layers(like, chunk[0] if len(chunk) == 1 else chunk[:, None])
-            scores[start:start + per_pass] = _score_sets(layers, inputs, labels, accuracy)[1]
-        return scores
+            scores.append(_score_sets(layers, inputs, labels, accuracy)[1].reshape(len(chunk), -1))
+        return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
         """Test accuracies of the pre-trained model on every task

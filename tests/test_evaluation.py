@@ -360,13 +360,14 @@ class TestStackedModelsOracle:
                 assert scores.shape == (p, tasks)
                 assert scores.tobytes() == expected[:p].tobytes()
 
-    @pytest.mark.parametrize("hidden, samples, per_pass", [((8,), 48, 10), ((16, 16), 256, 1)])
-    def test_a_pass_holds_up_to_128_KiB_per_array(self, monkeypatch, hidden, samples, per_pass):
+    @pytest.mark.parametrize("hidden, samples, grid_row", [((8,), 48, [10, 5]),
+                                                           ((16, 16), 256, [1] * 15)])
+    def test_a_pass_holds_up_to_128_KiB_per_array(self, monkeypatch, hidden, samples, grid_row):
         """The test config's bundle scores 10 models a pass, the default one 1."""
         bundle = random_bundle(hidden, samples)
         counts = models_per_pass(monkeypatch)
         landscape(bundle)
-        assert counts == 15 * ([per_pass] * (15 // per_pass) + [15 % per_pass] * (15 % per_pass > 0))
+        assert counts == 15 * grid_row
 
 
 def ada_loop_on_checkpoints(bundle, cfg):

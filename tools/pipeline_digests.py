@@ -24,6 +24,14 @@ if there is one; otherwise prints how many files are identical and exits 0.
     python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \\
         [--set pretrain_on_mixture=false]
 
+The small test config, the six ``--set``s of perfbench's ``SMALL_CONFIG``, is
+the one documented here whose ``landscape`` and ``eval`` passes hold several
+models (10 a pass; the default bundle fills a pass with one):
+
+    python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \\
+        --set hidden=8 --set samples_train=96 --set samples_test=48 \\
+        --set exemplar_count=12 --set pretrain_epochs=6 --set finetune_epochs=10
+
 A nine-class bundle covers the class counts at which numpy's pairwise sums
 stop adding in turn (8 and more):
 

@@ -27,9 +27,9 @@ from .datasets import (
 from .errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from .gradients import estimate_abs_gradient
 from .mlp import (LabeledBatch, MlpSpec, TrainConfig, _checked_layers, _layers, _layout, _score_sets,
-                  checked_tuple, evaluate_accuracy, init_params, is_count, plain_fields, stacked_sets,
-                  train, train_experts)
-from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint
+                  checked_tuple, init_params, is_count, plain_fields, stacked_sets, train,
+                  train_experts)
+from .params import Checkpoint, ew_abs, load_checkpoint, save_checkpoint, stack
 from .task_vectors import compute_task_vector
 
 # Default label permutations for the 4-task bundle.  Combined with the
@@ -86,6 +86,9 @@ class BundleConfig:
             raise ConfigError(f"pretrain_on_mixture must be a bool and pretrain and finetune "
                               f"TrainConfigs, got {self.pretrain_on_mixture!r}, {self.pretrain!r}, "
                               f"{self.finetune!r}")
+        for name in ("pretrain", "finetune"):
+            if getattr(self, name).seed != 0:  # make_bundle derives it from seed
+                raise ConfigError(f"{name}.seed must be 0, got {getattr(self, name).seed!r}")
         hidden, rotations, perms = (checked_tuple(getattr(self, name), name)
                                     for name in ("hidden", "rotations", "label_perms"))
         if len(rotations) < self.num_tasks or len(perms) < self.num_tasks:
@@ -236,12 +239,14 @@ class TaskBundle:
         return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:
-        """Test accuracies of the pre-trained model on every task
-        ("pretrained") and of each expert on its own task ("individual").
-        Computed once per bundle; each call returns new lists."""
+        """Test accuracies of the pre-trained model on every task ("pretrained")
+        and, from one paired pass of the experts' (K, out, in) weights laid out
+        like ``theta_pre``, of expert k on test set k ("individual"), bit for
+        bit ``evaluate_accuracy``.  Computed once per bundle; each call returns new lists."""
         rows = self._memoized("baseline_accuracies", lambda: [
-            ("pretrained", self.test_scores(self.theta_pre, accuracy=True).tolist()),
-            ("individual", [evaluate_accuracy(ck, t) for ck, t in zip(self.experts, self.test_sets)]),
+            ("pretrained", self.test_scores(self.theta_pre, accuracy=True).tolist()),  # checks the stack
+            ("individual", _score_sets(_layers(self.theta_pre, stack(self.experts, self.theta_pre)),
+                                       *self._memo["test_stack"], accuracy=True)[1].tolist()),
         ])
         return [(name, list(accs)) for name, accs in rows]
 

@@ -263,11 +263,6 @@ def _class_log_softmax(logits: np.ndarray) -> np.ndarray:
     return cols - np.log(_class_sum(np.exp(cols)))
 
 
-def _mean_cross_entropy(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each set's mean cross-entropy, from log-probabilities (..., n, k) and labels (..., n)."""
-    return -np.mean(np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0], axis=-1)
-
-
 def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
                 accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Logits (..., K, n, classes) and per-set scores (..., K) of a model, its
@@ -362,7 +357,8 @@ def backward(params: Checkpoint, batch: LabeledBatch) -> tuple[float, Checkpoint
     dlogits /= len(batch)
     flat = np.empty(params.total_dims)
     _backprop(layers, acts, dlogits, _layers(params, flat))
-    return float(_mean_cross_entropy(logp, batch.labels)), Checkpoint.from_flat(params, flat)
+    loss = -np.mean(logp[np.arange(len(batch)), batch.labels])
+    return float(loss), Checkpoint.from_flat(params, flat)
 
 
 def _entropy_sets(params: Checkpoint, flat: np.ndarray, inputs: np.ndarray, work=None):

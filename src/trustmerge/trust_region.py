@@ -1,25 +1,24 @@
 """Per-dimension conflict sensitivity, proportional threshold selection, and
 trust-region mask construction.
 
-The sensitivity of dimension n sums, over ordered task pairs (i, j) with
-i != j, a product of the task-j gradient estimate and the task-i delta; the
-variant decides which factors are taken in absolute value.  The highest
-tau-fraction of dimensions is excluded from merging.
+The sensitivity of dimension n sums f_j * g_i over ordered task pairs i != j,
+for task factors the variant takes from the gradient estimates and deltas, as
+(Σf)(Σg) − Σfg: deterministic, but not the last bits of the pair loop that the
+tests keep as its reference.  The top tau-fraction is excluded from merging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .datasets import write_csv
 from .errors import ConfigError, IncompatibleShapes
 from .mlp import checked_fraction
-from .params import Checkpoint, stack
+from .params import Checkpoint, stack, sum_rows
 
-# variant -> (task-j factor, task-i factor) of the pair term, each computed
+# variant -> (task-j factor f, task-i factor g) of the pair term, each computed
 # row-wise from the (K, N) |gradient| estimates and deltas
 _PAIR_FACTORS = {
     "standard": (lambda g, d: g, lambda g, d: np.abs(d)),
@@ -47,8 +46,9 @@ class TrustRegionMask:
 
 def sensitivity(grads: np.ndarray, deltas: np.ndarray, variant: str = "standard") -> np.ndarray:
     """The flat sensitivity of the (K, N) task-vector rows ``deltas`` to the
-    (K, N) |gradient| rows ``grads``, accumulated over ordered pairs (i, j),
-    i != j, in ascending (j, i) order.
+    (K, N) |gradient| rows ``grads``: (Σf)(Σg) − Σfg = Σ_{i≠j} f_j g_i, rows
+    added in ascending order, so deterministic but not a pair loop's last bits
+    (the tests' reference); + 0.0 makes a -0.0 the 0.0 that such a loop gives.
 
     The uniform 1/(K(K-1)) normalization is dropped: it rescales every
     coordinate identically and cannot change which dimensions are selected.
@@ -60,11 +60,8 @@ def sensitivity(grads: np.ndarray, deltas: np.ndarray, variant: str = "standard"
     k = len(deltas)
     if k < 2 or len(grads) != k:
         raise IncompatibleShapes(f"need >= 2 tasks with one gradient each, got {len(grads)}/{k}")
-    fj, fi = factor_j(grads, deltas), factor_i(grads, deltas)
-    acc = np.zeros(deltas.shape[1])
-    for j, i in permutations(range(k), 2):  # ascending (j, i), i != j
-        acc += fj[j] * fi[i]
-    return acc
+    f, g = factor_j(grads, deltas), factor_i(grads, deltas)
+    return sum_rows(f) * sum_rows(g) - sum_rows(f * g) + 0.0
 
 
 def compute_sensitivity(

@@ -31,6 +31,30 @@ def per_example_reference(params, batch):
     ]), 1.0 / len(batch))
 
 
+# variant -> the pair term of tasks (j, i) from K gradient and K delta arrays
+PAIR_TERMS = {
+    "standard": lambda g, d, j, i: g[j] * np.abs(d[i]),
+    "zero_shot": lambda g, d, j, i: np.abs(d[j]) * np.abs(d[i]),
+    "ntk": lambda g, d, j, i: g[j] * g[i],
+    "signed_positive": lambda g, d, j, i: g[j] * d[i],
+    "signed_negative": lambda g, d, j, i: -g[j] * d[i],
+}
+
+
+def pair_loop_sensitivity(grads, deltas, variant):
+    """The sensitivity as the paper writes it: a sum over the ordered task
+    pairs (j, i), i != j, in ascending order, of K gradient arrays ``grads``
+    and K delta arrays ``deltas`` (per-tensor arrays, or the rows of a (K, N)
+    stack)."""
+    k = len(deltas)
+    total = np.zeros_like(np.asarray(deltas[0], dtype=np.float64))
+    for j in range(k):
+        for i in range(k):
+            if i != j:
+                total = total + PAIR_TERMS[variant](grads, deltas, j, i)
+    return total
+
+
 def rehash(bundle, names) -> None:
     """Rewrite the manifest hashes of the files ``names`` to match their
     bytes; every other line stays as it is."""

@@ -49,7 +49,7 @@ from trustmerge.trust_region import (
     sensitivity,
 )
 
-from conftest import per_example_reference
+from conftest import pair_loop_sensitivity, per_example_reference
 
 
 def check(name, ok, detail=""):
@@ -485,3 +485,28 @@ def test_15_task_order_invariance(bundle_cache):
     ok = same == cases and worst <= 1e-12
     check("task-order invariance", ok,
           f"{same}/{cases} masks equal, max merged diff {worst:.1e}")
+
+
+def test_16_closed_form_sensitivity_keeps_the_masks(bundle_cache):
+    # the sensitivity's three row sums round unlike the paper's pair loop; the
+    # trust region they select must not notice, on any basis a merge or a
+    # conflict subset hands it
+    taus = TAU_GRID + (0.1, 0.2, 0.5)
+    trim_keep = MergeConfig().ties_trim_keep
+    cases = same = 0
+    for seed in range(5):
+        bundle = bundle_cache(seed)
+        pre, k = bundle.theta_pre, bundle.num_tasks
+        for ids in [list(range(k))] + [[t for t in range(k) if t != out] for out in range(k)]:
+            tasks = bundle.subset(ids)
+            deltas = stack(tasks.task_vectors(), pre)
+            for count in (None, 0, 1, 8):
+                grads = stack(tasks.gradient_estimates(count), pre)
+                for basis in (deltas, ties_phi(deltas, trim_keep)[0]):
+                    for variant in VARIANTS:
+                        closed = sensitivity(grads, basis, variant)
+                        loop = pair_loop_sensitivity(grads, basis, variant)
+                        for tau in taus:
+                            cases += 1
+                            same += build_mask(closed, tau, pre).mask == build_mask(loop, tau, pre).mask
+    check("closed-form sensitivity keeps the masks", same == cases, f"{same}/{cases} masks identical")

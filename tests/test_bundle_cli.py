@@ -227,16 +227,15 @@ class TestBundle:
             return call
 
         # the pretrained row is one stacked scoring pass, the individual row
-        # one evaluate_accuracy call per expert
-        for name in ("evaluate_accuracy", "_score_sets"):
-            monkeypatch.setattr(trustmerge.bundle, name, counted(getattr(trustmerge.bundle, name)))
+        # one paired pass, expert k on test set k
+        monkeypatch.setattr(trustmerge.bundle, "_score_sets", counted(trustmerge.bundle._score_sets))
         first = accuracy_table(bundle, [])
         assert [row[0] for row in first] == ["pretrained", "individual"]
-        assert sorted(calls) == ["_score_sets"] + ["evaluate_accuracy"] * bundle.num_tasks
+        assert calls == ["_score_sets"] * 2
         first[0][1][0] = -1.0
         bundle.baseline_accuracies()[1][1].append(2.0)
         second = accuracy_table(bundle, [])
-        assert len(calls) == 1 + bundle.num_tasks
+        assert len(calls) == 2
         assert second[0][1][0] == evaluate_accuracy(bundle.theta_pre, bundle.test_sets[0])
         assert len(second[1][1]) == bundle.num_tasks
         assert second[1:] == first[1:]
@@ -257,6 +256,14 @@ class TestBundle:
             BundleConfig(num_tasks=0)
         with pytest.raises(ValueError):
             BundleConfig(num_tasks=5)  # only 4 default rotations/perms
+
+    @pytest.mark.parametrize("field", ["pretrain", "finetune"])
+    def test_a_training_seed_the_bundle_would_ignore_is_a_config_error(self, field):
+        # make_bundle derives both training seeds from the bundle seed, and
+        # bundle_config.txt has no key for them
+        assert getattr(BundleConfig(), field).seed == 0
+        with pytest.raises(ConfigError, match=f"{field}.seed must be 0, got 7"):
+            BundleConfig(**{field: TrainConfig(epochs=6, seed=7)})
 
     def test_pretraining_mode_changes_theta_pre(self):
         from dataclasses import replace

@@ -322,6 +322,27 @@ class TestStackedScoringOracle:
             assert np.array_equal(report.pairwise, expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("tasks, classes", [(8, 4), (4, 9)])
+@pytest.mark.parametrize("hidden", [(8,), (16, 16)])
+def test_individual_accuracies_match_one_expert_passes(tasks, classes, hidden):
+    # the individual row pairs expert k with test set k in one pass
+    bundle = random_bundle(hidden, 37, seed=tasks + classes, tasks=tasks, classes=classes)
+    (_, pretrained), (_, individual) = bundle.baseline_accuracies()
+    assert pretrained == [evaluate_accuracy(bundle.theta_pre, t) for t in bundle.test_sets]
+    assert individual == [evaluate_accuracy(e, t) for e, t in zip(bundle.experts, bundle.test_sets)]
+    assert len(set(individual)) > 1
+
+
+def test_individual_accuracies_need_experts_laid_out_like_theta_pre():
+    bundle = random_bundle((8,), 12)
+    experts = list(bundle.experts)
+    experts[1] = Checkpoint((name, experts[1][name]) for name in reversed(experts[1].names))
+    reordered = TaskBundle(bundle.config, bundle.theta_pre, experts, bundle.train_sets,
+                           bundle.test_sets, bundle.exemplar_sets)
+    with pytest.raises(IncompatibleShapes):
+        reordered.baseline_accuracies()
+
+
 def models_per_pass(monkeypatch):
     """The number of models of each scoring pass of ``TaskBundle``, in order,
     recorded from the logits of each ``_score_sets`` call, once each model

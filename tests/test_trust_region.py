@@ -7,7 +7,8 @@ from trustmerge.errors import ConfigError, IncompatibleShapes
 from trustmerge.merging import MergeConfig
 from trustmerge.params import Checkpoint
 
-from conftest import random_checkpoint
+from conftest import PAIR_TERMS, pair_loop_sensitivity, random_checkpoint
+from trustmerge.cli import TAU_GRID
 from trustmerge.trust_region import (
     VARIANTS,
     Sensitivity,
@@ -62,31 +63,39 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_per_tensor_reference(self, variant):
-        # per-tensor loop over ordered pairs in ascending (j, i) order; the
-        # flat implementation must reproduce it bit for bit
+        # the closed form against a per-tensor loop over ordered pairs in
+        # ascending (j, i) order: bit for bit on integers, where float64 is
+        # exact; on floats within 4K^2 eps (sum|f|)(sum|g|) of each value, the
+        # bound of both sums' rounding, and with the same masks
         rng = np.random.default_rng(5)
-        base = random_checkpoint(rng, include_degenerate=True)
-        k = 3
-        tvs = [Checkpoint((n, rng.normal(size=a.shape)) for n, a in base) for _ in range(k)]
-        grads = [Checkpoint((n, np.abs(rng.normal(size=a.shape))) for n, a in base)
-                 for _ in range(k)]
-        factors = {
-            "standard": lambda g, d, j, i: g[j] * np.abs(d[i]),
-            "zero_shot": lambda g, d, j, i: np.abs(d[j]) * np.abs(d[i]),
-            "ntk": lambda g, d, j, i: g[j] * g[i],
-            "signed_positive": lambda g, d, j, i: g[j] * d[i],
-            "signed_negative": lambda g, d, j, i: -g[j] * d[i],
+        eps = np.finfo(np.float64).eps
+        draws = {
+            "integer": lambda a, k: (rng.integers(-9, 10, (k, *a.shape)).astype(np.float64),
+                                     rng.integers(0, 4, (k, *a.shape)).astype(np.float64)),
+            "float": lambda a, k: (rng.normal(size=(k, *a.shape)),
+                                   np.abs(rng.normal(size=(k, *a.shape)))),
         }
-        omega = compute_sensitivity(grads, tvs, variant)
-        for name, arr in base:
-            g = [e[name] for e in grads]
-            d = [tv[name] for tv in tvs]
-            expected = np.zeros_like(arr)
-            for j in range(k):
-                for i in range(k):
-                    if i != j:
-                        expected = expected + factors[variant](g, d, j, i)
-            assert omega.values[name].tobytes() == expected.tobytes()
+        for k in range(2, 9):
+            base = random_checkpoint(rng, include_degenerate=True)
+            for kind, draw in draws.items():
+                pairs = {name: draw(arr, k) for name, arr in base}  # name -> (deltas, grads)
+                tvs = [Checkpoint((n, d[t]) for n, (d, _) in pairs.items()) for t in range(k)]
+                grads = [Checkpoint((n, g[t]) for n, (_, g) in pairs.items()) for t in range(k)]
+                omega = compute_sensitivity(grads, tvs, variant).values
+                for name, (d, g) in pairs.items():
+                    expected = pair_loop_sensitivity(g, d, variant)
+                    if kind == "integer":
+                        assert omega[name].tobytes() == expected.tobytes(), (k, name)
+                        continue
+                    scale = sum(np.abs(PAIR_TERMS[variant](g, d, j, i))
+                                for j in range(k) for i in range(k))
+                    assert np.all(np.abs(omega[name] - expected) <= 4 * k * k * eps * scale), (k, name)
+                if kind == "float":
+                    reference = Checkpoint((n, pair_loop_sensitivity(g, d, variant))
+                                           for n, (d, g) in pairs.items()).flat()
+                    for tau in TAU_GRID:
+                        assert (build_mask(omega.flat(), tau, base).mask
+                                == build_mask(reference, tau, base).mask), (k, tau)
 
     def test_too_few_tasks(self):
         grads, tvs = two_task_setup()

@@ -81,21 +81,18 @@ class TestSensitivity:
                 pairs = {name: draw(arr, k) for name, arr in base}  # name -> (deltas, grads)
                 tvs = [Checkpoint((n, d[t]) for n, (d, _) in pairs.items()) for t in range(k)]
                 grads = [Checkpoint((n, g[t]) for n, (_, g) in pairs.items()) for t in range(k)]
-                omega = compute_sensitivity(grads, tvs, variant).values
-                for name, (d, g) in pairs.items():
-                    expected = pair_loop_sensitivity(g, d, variant)
-                    if kind == "integer":
-                        assert omega[name].tobytes() == expected.tobytes(), (k, name)
-                        continue
-                    scale = sum(np.abs(PAIR_TERMS[variant](g, d, j, i))
-                                for j in range(k) for i in range(k))
-                    assert np.all(np.abs(omega[name] - expected) <= 4 * k * k * eps * scale), (k, name)
-                if kind == "float":
-                    reference = Checkpoint((n, pair_loop_sensitivity(g, d, variant))
-                                           for n, (d, g) in pairs.items()).flat()
-                    for tau in TAU_GRID:
-                        assert (build_mask(omega.flat(), tau, base).mask
-                                == build_mask(reference, tau, base).mask), (k, tau)
+                omega = compute_sensitivity(grads, tvs, variant).values.flat()
+                expected = Checkpoint((n, pair_loop_sensitivity(g, d, variant))
+                                      for n, (d, g) in pairs.items()).flat()
+                if kind == "integer":
+                    assert omega.tobytes() == expected.tobytes(), k
+                    continue
+                scale = Checkpoint((n, sum(np.abs(PAIR_TERMS[variant](g, d, j, i))
+                                           for j in range(k) for i in range(k)))
+                                   for n, (d, g) in pairs.items()).flat()
+                assert np.all(np.abs(omega - expected) <= 4 * k * k * eps * scale), k
+                for tau in TAU_GRID:
+                    assert build_mask(omega, tau, base).mask == build_mask(expected, tau, base).mask, (k, tau)
 
     def test_too_few_tasks(self):
         grads, tvs = two_task_setup()

@@ -208,17 +208,12 @@ class TaskBundle:
 
         return self._memoized(("subset", ids), build)
 
-    def test_scores(self, model: Checkpoint, accuracy: bool = False) -> np.ndarray:
-        """``model``'s mean test loss, or with ``accuracy`` its test accuracy,
-        on each task, bit for bit ``forward(model, t)[1]`` or
-        ``evaluate_accuracy(model, t)`` of each test set ``t``, from one
-        forward pass over the test sets, stacked once per bundle: the one-model
-        case of ``_model_scores``."""
-        return self._model_scores(model, model.flat()[None], accuracy)[0]
-
     def _model_scores(self, like: Checkpoint, flats: np.ndarray, accuracy: bool = False) -> np.ndarray:
         """Scores (P, K) of the P rows of ``flats``, flat vectors laid out like
-        ``like``: row p bit for bit ``test_scores`` of that model.  A pass
+        ``like``: the mean test loss, or with ``accuracy`` the test accuracy,
+        of each model on each task, from forward passes over the test sets,
+        stacked once per bundle.  Row p is bit for bit ``forward(model, t)[1]``
+        or ``evaluate_accuracy(model, t)`` of each test set ``t``.  A pass
         stacks as many models as keep its widest array (a hidden layer's or
         the logits', P·K·n·width float64) within _PASS_ELEMENTS, and at least
         one: a pass over small models is mostly numpy call overhead, while one
@@ -243,9 +238,10 @@ class TaskBundle:
         and, from one paired pass of the experts' (K, out, in) weights laid out
         like ``theta_pre``, of expert k on test set k ("individual"), bit for
         bit ``evaluate_accuracy``.  Computed once per bundle; each call returns new lists."""
+        pre = self.theta_pre
         rows = self._memoized("baseline_accuracies", lambda: [
-            ("pretrained", self.test_scores(self.theta_pre, accuracy=True).tolist()),  # checks the stack
-            ("individual", _score_sets(_layers(self.theta_pre, stack(self.experts, self.theta_pre)),
+            ("pretrained", self._model_scores(pre, pre.flat()[None], True)[0].tolist()),  # checks the stack
+            ("individual", _score_sets(_layers(pre, stack(self.experts, pre)),
                                        *self._memo["test_stack"], accuracy=True)[1].tolist()),
         ])
         return [(name, list(accs)) for name, accs in rows]

@@ -140,18 +140,15 @@ def cmd_sensitivity(args) -> int:
 def cmd_sweep(args) -> int:
     base = MergeConfig(method="tatr", lam=args.lam, tau=args.tau)
     bundle = load_bundle(args.bundle)
-
-    def avg_acc(cfg: MergeConfig, exemplars) -> float:
-        result = merge_bundle(bundle, cfg, exemplars)
-        rows = accuracy_table(bundle, [(cfg.method, result)])
-        return rows[-1][2]
-
-    # every merge runs before the first file is written
-    taus = [(tau, avg_acc(replace(base, tau=tau), args.exemplars)) for tau in TAU_GRID]
-    counts = [(count, avg_acc(base, count)) for count in EXEMPLAR_GRID]
+    points = ([(replace(base, tau=tau), args.exemplars) for tau in TAU_GRID]
+              + [(base, count) for count in EXEMPLAR_GRID])
+    # every merge runs, and all are scored in one table, before the first file is written
+    rows = accuracy_table(bundle, [("tatr", merge_bundle(bundle, cfg, n)) for cfg, n in points])
+    avgs = [avg for _, _, avg in rows[2:]]
     out = _out_dir(args)
-    write_csv(out / "tau_sweep.csv", ["tau", "avg_acc"], taus)
-    write_csv(out / "exemplar_sweep.csv", ["exemplars", "avg_acc"], counts)
+    write_csv(out / "tau_sweep.csv", ["tau", "avg_acc"], zip(TAU_GRID, avgs))
+    write_csv(out / "exemplar_sweep.csv", ["exemplars", "avg_acc"],
+              zip(EXEMPLAR_GRID, avgs[len(TAU_GRID):]))
     print(f"sweeps written to {out}")
     return 0
 

@@ -1,14 +1,13 @@
 """Knowledge-conflict measurement, accuracy tables, and the loss-landscape
 grid over the orthogonal/positive/negative task-vector plane.
 
-Every score here comes from one forward pass over a bundle's test sets
-stacked on a leading axis, so a model costs one pass, not one per task, and
-each score is bit for bit the one-set ``forward`` loss or
-``evaluate_accuracy``.  ``knowledge_conflict`` scores each merge with
-``TaskBundle.test_scores``; ``landscape`` hands each grid row of 15 points,
-and ``accuracy_table`` all its merged models, to ``TaskBundle._model_scores``,
-which stacks as many small models into one pass as keep its arrays within
-128 KiB."""
+Every score here comes from ``TaskBundle._model_scores``: one forward pass
+over a bundle's test sets stacked on a leading axis, so a model costs one
+pass, not one per task, and each score is bit for bit the one-set
+``forward`` loss or ``evaluate_accuracy``.  ``knowledge_conflict`` hands it
+all K + 1 of its merges and ``accuracy_table`` all its merged models in one
+call; ``landscape`` one grid row of 15 points per call.  It stacks as many
+small models into one pass as keep its arrays within 128 KiB."""
 
 from __future__ import annotations
 
@@ -54,7 +53,9 @@ def knowledge_conflict(
     """Per ordered pair (i, j): the change in task j's metric caused by
     including task i in the merge, metric(all) - metric(all but i).  The
     accuracy basis negates accuracy, so a drop is reported positive as a loss
-    rise is; (-a) - (-b) equals b - a exactly."""
+    rise is; (-a) - (-b) equals b - a exactly.  The K + 1 merges are scored
+    in one call on the bundle's test stack, each set bit for bit as alone;
+    the diagonal (all but i on set i) is scored and dropped."""
     if basis not in ("loss", "accuracy"):
         raise ConfigError(f"unknown basis {basis!r}")
     k = bundle.num_tasks
@@ -64,17 +65,11 @@ def knowledge_conflict(
         raise IncompatibleShapes(f"{cfg.method} needs >= 3 tasks, got {k}: each leave-one-out "
                                  f"merge needs two tasks for the trust region's sensitivity")
     accuracy = basis == "accuracy"
-
-    def metric(tasks: TaskBundle) -> np.ndarray:
-        """Each task's test loss, or its accuracy negated, under the merge of ``tasks``."""
-        scores = tasks.test_scores(merge_bundle(tasks, cfg, exemplar_count).merged, accuracy)
-        return -scores if accuracy else scores
-
-    metric_all = metric(bundle)
-    pairwise = np.full((k, k), np.nan)
-    for i in range(k):
-        rest = [t for t in range(k) if t != i]
-        pairwise[i, rest] = metric_all[rest] - metric(bundle.subset(rest))
+    tasks = [bundle] + [bundle.subset([t for t in range(k) if t != i]) for i in range(k)]
+    merged = [merge_bundle(sub, cfg, exemplar_count).merged for sub in tasks]
+    scores = bundle._model_scores(bundle.theta_pre, stack(merged, bundle.theta_pre), accuracy)
+    pairwise = scores[1:] - scores[0] if accuracy else scores[0] - scores[1:]
+    np.fill_diagonal(pairwise, np.nan)
     total = float(np.nansum(pairwise))
     return ConflictReport(pairwise, total, total / (k * (k - 1)), basis)
 

@@ -29,3 +29,14 @@ def test_summary_counts_wins_and_flags_spread():
     assert m["pairs"] == 10 and m["change_better_pairs"] == 9
     assert m["parent"]["median"] == pytest.approx(1.045)
     assert m["unresolved"]
+
+
+def test_differing_digests_names_changed_and_one_sided_lines():
+    parent = ["digest seed=0 bundle/manifest.txt aa", "digest seed=0 merges/tatr/run.json bb",
+              "digest seed=1 conflict/conflict_loss.csv cc"]
+    change = ["digest seed=0 bundle/manifest.txt aa", "digest seed=0 merges/tatr/run.json bd",
+              "digest seed=1 sweep/tau_sweep.csv dd"]
+    assert bench_pairs.differing_digests(parent, change) == [
+        "seed=0 merges/tatr/run.json", "seed=1 conflict/conflict_loss.csv",
+        "seed=1 sweep/tau_sweep.csv"]
+    assert bench_pairs.differing_digests(parent, parent) == []

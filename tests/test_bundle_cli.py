@@ -19,7 +19,8 @@ from trustmerge.bundle import (
     save_bundle,
     _parse_config_file,
 )
-from trustmerge.cli import _config_from_flags, build_parser, main
+from trustmerge.cli import EXEMPLAR_GRID, TAU_GRID, _config_from_flags, build_parser, main
+from trustmerge.datasets import write_csv
 from trustmerge.errors import ConfigError, IncompatibleShapes, MalformedArtifact, MissingArtifact
 from trustmerge.evaluation import accuracy_table, knowledge_conflict
 from trustmerge.gradients import estimate_abs_gradient
@@ -199,14 +200,14 @@ class TestBundle:
     def test_scores_reject_a_label_outside_the_models_classes(self, small_bundle):
         bundle = dataclasses.replace(small_bundle)
         pre = bundle.theta_pre
-        bundle.test_scores(pre)  # the stack is checked against this layout once
+        bundle._model_scores(pre, pre.flat()[None])[0]  # the stack is checked against this layout once
         last = len(pre.names) // 2 - 1
         fewer = Checkpoint((name, pre[name][:2] if name.startswith(f"layer{last}.") else pre[name])
                            for name in pre.names)
         assert max(int(t.labels.max()) for t in bundle.test_sets) >= 2
         for accuracy in (False, True, False):
             with pytest.raises(IncompatibleShapes, match="label index out of range"):
-                bundle.test_scores(fewer, accuracy)
+                bundle._model_scores(fewer, fewer.flat()[None], accuracy)[0]
 
     def test_subset_is_memoized_per_id_sequence(self, small_bundle):
         bundle = dataclasses.replace(small_bundle)
@@ -596,6 +597,36 @@ class TestCli:
         assert len(tau_lines) == 7
         assert ex_lines[0] == "exemplars,avg_acc"
         assert len(ex_lines) == 10
+
+    @pytest.mark.parametrize("flags", [[], ["--exemplars", "4", "--lambda", "0.7", "--tau", "0.02"]])
+    def test_sweep_writes_the_bytes_of_a_per_point_loop(self, bundle_dir, tmp_path, monkeypatch,
+                                                        flags):
+        """The 15 merges scored in one table give the CSVs of one
+        ``merge_bundle`` and one one-model ``accuracy_table`` per grid point."""
+        argv = ["sweep", "--bundle", str(bundle_dir), "--out", str(tmp_path / "sweep"), *flags]
+        args = build_parser().parse_args(argv)
+        bundle = load_bundle(bundle_dir)
+        base = MergeConfig(method="tatr", lam=args.lam, tau=args.tau)
+
+        def avg_acc(cfg, n):
+            return accuracy_table(bundle, [("tatr", merge_bundle(bundle, cfg, n))])[-1][2]
+
+        write_csv(tmp_path / "tau_sweep.csv", ["tau", "avg_acc"],
+                  [(tau, avg_acc(dataclasses.replace(base, tau=tau), args.exemplars))
+                   for tau in TAU_GRID])
+        write_csv(tmp_path / "exemplar_sweep.csv", ["exemplars", "avg_acc"],
+                  [(n, avg_acc(base, n)) for n in EXEMPLAR_GRID])
+        tables, table = [], trustmerge.cli.accuracy_table
+
+        def counted(bundle, results):
+            tables.append(len(results))
+            return table(bundle, results)
+
+        monkeypatch.setattr(trustmerge.cli, "accuracy_table", counted)
+        assert main(argv) == 0
+        assert tables == [len(TAU_GRID) + len(EXEMPLAR_GRID)]
+        for name in ("tau_sweep.csv", "exemplar_sweep.csv"):
+            assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_every_pipeline_csv_starts_with_its_header_and_ends_lines_with_crlf(
         self, bundle_dir, tmp_path

@@ -296,8 +296,9 @@ class TestStackedScoringOracle:
         bundle = random_bundle(hidden, samples)
         tests = bundle.test_sets
         for model in [bundle.theta_pre, *bundle.experts]:
-            assert bundle.test_scores(model).tolist() == [forward(model, t)[1] for t in tests]
-            assert (bundle.test_scores(model, accuracy=True).tolist()
+            assert (bundle._model_scores(model, model.flat()[None])[0].tolist()
+                    == [forward(model, t)[1] for t in tests])
+            assert (bundle._model_scores(model, model.flat()[None], True)[0].tolist()
                     == [evaluate_accuracy(model, t) for t in tests])
 
         total, task2 = landscape(bundle), landscape(bundle, reference_task=2)
@@ -360,9 +361,9 @@ def models_per_pass(monkeypatch):
 
 
 class TestStackedModelsOracle:
-    """P models scored in stacked passes are bit for bit P calls of
-    ``test_scores``: around the pass size, at a landscape row (15) and at a
-    whole grid (225), on shapes whose passes hold one model and several."""
+    """P models scored in stacked passes are bit for bit P one-model calls:
+    around the pass size, at a landscape row (15) and at a whole grid (225),
+    on shapes whose passes hold one model and several."""
 
     @pytest.mark.parametrize("tasks, classes", [(4, 4), (8, 4), (4, 9)])
     @pytest.mark.parametrize("hidden", [(8,), (16, 16), (33,)])
@@ -375,7 +376,8 @@ class TestStackedModelsOracle:
         flats = pre.flat() + np.random.default_rng(1).normal(0.0, 0.5, (rows, pre.total_dims))
         models = [Checkpoint.from_flat(pre, row) for row in flats]
         for accuracy in (False, True):
-            expected = np.array([bundle.test_scores(model, accuracy) for model in models])
+            expected = np.array([bundle._model_scores(model, model.flat()[None], accuracy)[0]
+                                 for model in models])
             for p in {1, max(1, per_pass - 1), per_pass, per_pass + 1, 15, 225}:
                 scores = bundle._model_scores(pre, flats[:p], accuracy)
                 assert scores.shape == (p, tasks)
@@ -389,6 +391,62 @@ class TestStackedModelsOracle:
         counts = models_per_pass(monkeypatch)
         landscape(bundle)
         assert counts == 15 * grid_row
+
+
+def per_group_conflict(bundle, cfg, basis, exemplars):
+    """``knowledge_conflict`` one task group at a time: each group's merge is
+    scored with one ``_model_scores`` row on that group's own bundle, the
+    accuracy basis negates those scores, and row i is metric(all) minus
+    metric(all but i) on the other tasks.  (pairwise, total, normalized)."""
+    accuracy = basis == "accuracy"
+
+    def metric(tasks):
+        merged = merge_bundle(tasks, cfg, exemplars).merged
+        scores = tasks._model_scores(merged, merged.flat()[None], accuracy)[0]
+        return -scores if accuracy else scores
+
+    k = bundle.num_tasks
+    metric_all = metric(bundle)
+    pairwise = np.full((k, k), np.nan)
+    for i in range(k):
+        rest = [t for t in range(k) if t != i]
+        pairwise[i, rest] = metric_all[rest] - metric(bundle.subset(rest))
+    total = float(np.nansum(pairwise))
+    return pairwise, total, total / (k * (k - 1))
+
+
+class TestOneCallConflictOracle:
+    """The K + 1 merges of a conflict, scored in one call on the whole test
+    stack, give bit for bit the per-group scores: at K = 3, 4 and 8, with
+    nine classes, on shapes whose passes hold one model and several."""
+
+    @pytest.mark.parametrize("tasks, classes", [(3, 4), (4, 4), (8, 4), (4, 9)])
+    @pytest.mark.parametrize("hidden", [(8,), (33,)])
+    @pytest.mark.parametrize("method", ["task_arithmetic", "tatr"])
+    @pytest.mark.parametrize("exemplars", [None, 0])
+    def test_matches_per_group_scores(self, tasks, classes, hidden, method, exemplars):
+        cfg = MergeConfig(method=method)
+        # a fresh bundle each time, so neither side reads the other's memo
+        make = lambda: random_bundle(hidden, 37, seed=tasks + classes, tasks=tasks, classes=classes)
+        for basis in ("loss", "accuracy"):
+            pairwise, total, normalized = per_group_conflict(make(), cfg, basis, exemplars)
+            report = knowledge_conflict(make(), cfg, basis, exemplars)
+            assert report.pairwise.tobytes() == pairwise.tobytes()
+            assert np.isnan(np.diag(report.pairwise)).all()
+            assert np.count_nonzero(pairwise[~np.isnan(pairwise)]) > tasks
+            assert (report.total, report.normalized, report.basis) == (total, normalized, basis)
+
+    def test_scores_every_merge_in_one_call(self, monkeypatch):
+        bundle = random_bundle((8,), 37)
+        calls, model_scores = [], TaskBundle._model_scores
+
+        def recorded(self, like, flats, accuracy=False):
+            calls.append((self, len(flats)))
+            return model_scores(self, like, flats, accuracy)
+
+        monkeypatch.setattr(TaskBundle, "_model_scores", recorded)
+        knowledge_conflict(bundle, MergeConfig(method="tatr"), "accuracy")
+        assert calls == [(bundle, 5)]
 
 
 def ada_loop_on_checkpoints(bundle, cfg):

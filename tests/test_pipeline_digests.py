@@ -28,3 +28,20 @@ def test_differing_names_changed_and_one_sided_files(pipeline_digests, tmp_path)
     assert pipeline_digests.differing(parent, change) == (
         ["eval.csv", "sweep.csv", "tatr/merged.tmrg"], 2)
     assert pipeline_digests.differing(parent, parent) == ([], 4)
+
+
+def test_first_difference_names_the_first_differing_line_of_text_files(pipeline_digests, tmp_path):
+    files = {"a.csv": b"tau,avg\r\n0.1,0.5\r\n0.2,0.6\r\n",
+             "b.csv": b"tau,avg\r\n0.1,0.25\r\n0.2,0.7\r\n",
+             "short.csv": b"tau,avg\r\n",
+             "text.tmrg": b"TMRG\n",
+             "binary.tmrg": b"TMRG\xff\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    first = lambda a, b: pipeline_digests.first_difference(tmp_path / a, tmp_path / b)
+    assert first("a.csv", "b.csv") == (2, "0.1,0.5\r\n", "0.1,0.25\r\n")
+    assert first("a.csv", "short.csv") == (2, "0.1,0.5\r\n", None)
+    assert first("short.csv", "a.csv") == (2, None, "0.1,0.5\r\n")
+    assert first("text.tmrg", "binary.tmrg") is None  # one side is not UTF-8
+    assert first("a.csv", "missing.csv") is None  # one side did not write it
+    assert first("a.csv", "a.csv") is None

@@ -6,8 +6,9 @@ the two exports for each of the three workloads (T is the ``run_seconds`` of
 the change's ``BENCHMARK.json``), one run at a time: one pair per seed, the
 parent first on even pair indices and the change first on odd ones.  Writes a
 ``BENCH_<n>.json`` with every run's end-to-end values, per-side quartiles,
-how many pairs the change wins per metric, and an ``unresolved`` flag for
-each metric whose spread exceeds its ``BENCHMARK.json`` bound.
+how many pairs the change wins per metric, an ``unresolved`` flag for each
+metric whose spread exceeds its ``BENCHMARK.json`` bound, and per pair the
+names of the digest lines that differ.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --seeds 501-510 \\
         --claim "analyze op_p50_s falls by >= 15%" --out BENCH_<n>.json
@@ -69,6 +70,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result["provenance"] = provenance
     result["digests"] = sorted(l for l in lines if l.startswith("digest "))
     return result
+
+
+def differing_digests(parent: list[str], change: list[str]) -> list[str]:
+    """The sorted names (a ``digest`` line less its prefix and its sha) of the
+    digest lines whose sha differs, or that only one side printed."""
+    a, b = (dict(line.removeprefix("digest ").rsplit(" ", 1) for line in lines)
+            for lines in (parent, change))
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -145,6 +154,7 @@ def main(argv=None) -> int:
                     "attempted": [parent["attempted"], change["attempted"]],
                     "failed": [parent["failed"], change["failed"]],
                     "digests_identical": parent["digests"] == change["digests"],
+                    "digests_differing": differing_digests(parent["digests"], change["digests"]),
                     "digest_lines": len(change["digests"]),
                     PAIR_METRIC: [parent["metrics"][PAIR_METRIC]["value"],
                                   change["metrics"][PAIR_METRIC]["value"]],

@@ -20,6 +20,8 @@ runs the pipeline there, with ``PYTHONPATH=<export>/src``:
 
 Prints every file whose bytes differ, or that only one side wrote, and exits 1
 if there is one; otherwise prints how many files are identical and exits 0.
+For a differing file that both sides wrote and that decodes as UTF-8, it also
+prints the first line that differs, from each side.
 
     python3 tools/pipeline_digests.py --parent HEAD~1 --change HEAD \\
         [--set pretrain_on_mixture=false]
@@ -58,6 +60,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from bench_pairs import export, git
@@ -114,6 +117,18 @@ def differing(parent: Path, change: Path) -> tuple[list[str], int]:
     return changed, len(a.keys() | b.keys()) - len(changed)
 
 
+def first_difference(parent: Path, change: Path) -> tuple[int, str | None, str | None] | None:
+    """The 1-based number of the first line at which two files differ, and
+    that line from each side (None past a file's end); None when either file
+    is missing or does not decode as UTF-8, or when the lines are equal."""
+    try:
+        a, b = (path.read_bytes().decode("utf-8").splitlines(keepends=True)
+                for path in (parent, change))
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    return next(((n, x, y) for n, (x, y) in enumerate(zip_longest(a, b), 1) if x != y), None)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the baseline")
@@ -131,10 +146,15 @@ def main(argv=None) -> int:
             print(f"{side} {commit}: running the pipeline", file=sys.stderr, flush=True)
             outputs[side] = run_pipeline(work / side, args.set)
         changed, same = differing(outputs["parent"], outputs["change"])
+        for name in changed:
+            print(f"differs: {name}")
+            line = first_difference(outputs["parent"] / name, outputs["change"] / name)
+            if line:
+                n, *sides = line
+                for side, text in zip(outputs, sides):
+                    print(f"  {side} line {n}: {'<end of file>' if text is None else repr(text)}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for name in changed:
-        print(f"differs: {name}")
     print(f"{same} files identical, {len(changed)} differ")
     return 1 if changed else 0
 

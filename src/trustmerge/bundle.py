@@ -219,7 +219,9 @@ class TaskBundle:
         one: a pass over small models is mostly numpy call overhead, while one
         default-bundle model already fills it.  A layout fixes a model's
         widths and classes, so the test stack is checked, and the pass size
-        worked out, once per layout; a pass of one model runs on its 1-D row."""
+        worked out, once per layout; a pass of one model runs on its 1-D row.
+        Its hidden arrays are kept per layout and pass size: made per pass, the
+        default's 128 KiB ones re-faulted by heap history (landscape 41 or 63 ms)."""
         inputs, labels = self._memoized("test_stack", lambda: stacked_sets(self.test_sets, "test sets"))
         per_pass = self._memo.get(("checked", like.layout))
         if per_pass is None:
@@ -230,7 +232,8 @@ class TaskBundle:
         for start in range(0, len(flats), per_pass):
             chunk = flats[start:start + per_pass]  # weights (P, 1, out, in) broadcast over the sets
             layers = _layers(like, chunk[0] if len(chunk) == 1 else chunk[:, None])
-            scores.append(_score_sets(layers, inputs, labels, accuracy)[1].reshape(len(chunk), -1))
+            work = self._memoized(("work", like.layout, len(chunk)), list)
+            scores.append(_score_sets(layers, inputs, labels, accuracy, work)[1].reshape(len(chunk), -1))
         return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
     def baseline_accuracies(self) -> list[tuple[str, list[float]]]:

@@ -264,7 +264,7 @@ def _class_log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
-                accuracy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                accuracy: bool = False, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Logits (..., K, n, classes) and per-set scores (..., K) of a model, its
     ``layers`` checked against ``inputs`` and ``labels`` (see _checked_layers),
     on K sets of n rows stacked on a leading axis, ``inputs`` (K, n, d) and
@@ -274,8 +274,12 @@ def _score_sets(layers, inputs: np.ndarray, labels: np.ndarray,
     (P, 1, out, in), to score P models in one pass.  A set's products are the
     BLAS calls of a pass over that set alone, so its score is bit for bit the
     one-set value; concatenated rows would not be, as BLAS picks its kernel
-    by the row count."""
-    logits, _ = _forward_pass(layers, inputs)
+    by the row count.  ``work``: the pass's hidden-layer arrays, made by the
+    first call and written by later ones of its shapes, as in _entropy_sets."""
+    if work is not None and not work:
+        lead = np.broadcast_shapes(inputs.shape[:-2], layers[0][0].shape[:-2]) + inputs.shape[-2:-1]
+        work += [np.empty(lead + w.shape[-2:-1]) for w, _ in layers[:-1]]
+    logits, _ = _forward_pass(layers, inputs, work or None)
     if accuracy:
         return logits, np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
     logp = _class_log_softmax(logits).reshape(-1)  # class c of row r at c * rows + r

@@ -5,6 +5,7 @@ import pytest
 
 import trustmerge.bundle
 import trustmerge.evaluation
+import trustmerge.mlp
 from trustmerge.bundle import _PASS_ELEMENTS, BundleConfig, TaskBundle
 from trustmerge.errors import ConfigError, IncompatibleShapes, NonFiniteValues
 from trustmerge.evaluation import (
@@ -447,6 +448,26 @@ class TestOneCallConflictOracle:
         monkeypatch.setattr(TaskBundle, "_model_scores", recorded)
         knowledge_conflict(bundle, MergeConfig(method="tatr"), "accuracy")
         assert calls == [(bundle, 5)]
+
+
+def test_passes_of_one_shape_write_into_the_same_hidden_arrays(monkeypatch):
+    """A bundle keeps each pass shape's hidden-layer arrays, so no pass makes
+    and frees (4, 256, 16) arrays, 128 KiB each, of the default bundle."""
+    bundle = random_bundle((16, 16), 256)
+    hidden, forward_pass = [], trustmerge.mlp._forward_pass
+
+    def recorded(layers, x, out=None):
+        logits, acts = forward_pass(layers, x, out)
+        if x.ndim == 3:  # a scoring pass over the stacked test sets, not a one-set backward
+            hidden.append(acts[1:])
+        return logits, acts
+
+    monkeypatch.setattr(trustmerge.mlp, "_forward_pass", recorded)
+    landscape(bundle)
+    knowledge_conflict(bundle, MergeConfig(method="task_arithmetic"), "accuracy")
+    assert len(hidden) == 15 * 15 + 5
+    assert [a.shape for a in hidden[0]] == [(4, 256, 16)] * 2
+    assert all(a is b for arrays in hidden for a, b in zip(arrays, hidden[0], strict=True))
 
 
 def ada_loop_on_checkpoints(bundle, cfg):
